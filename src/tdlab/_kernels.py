@@ -4,7 +4,8 @@ The time-stepping loops below dominate the runtime of every experiment, so
 they are compiled with numba when available.  Setting the environment
 variable ``TDLAB_DISABLE_NUMBA=1`` (or any of ``true``/``yes``) before import
 selects the pure-Python/numpy fallback, which runs the identical arithmetic
-without JIT compilation.  ``benchmarks/bench_kernels.py`` compares the two.
+without JIT compilation; it is also what runs when numba is not installed.
+``benchmarks/bench_kernels.py`` compares the two.
 
 All kernels advance their states with the classical 4-stage Runge-Kutta
 method.  Exogenous inputs are passed as precomputed arrays sampled on the
@@ -31,7 +32,7 @@ if _numba_requested():
         from numba import njit
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dependency
+    except ImportError:  # numba is optional (the "numba" extra)
         NUMBA_ENABLED = False
 else:
     NUMBA_ENABLED = False

@@ -9,9 +9,9 @@ flags), run one experiment, and write CSV tables:
     sweep       measured response table  -> ...,track_*,deriv_* columns
     estimate    disturbance estimation   -> t,y,u,delta_true,delta_hat
 
-Exit codes: 0 success, 2 flag/usage error, 3 numerical failure.  All
-stochastic channels are controlled by --seed (default 12345, never
-wall-clock), so repeated runs are byte-identical.
+Exit codes: 0 success, 2 flag/usage error or invalid value, 3 numerical
+failure.  All stochastic channels are controlled by --seed (default 12345,
+never wall-clock), so repeated runs are byte-identical.
 """
 
 import argparse
@@ -315,14 +315,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n  ",
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
     except (OverdampedError, DegenerateError, InstabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
+    except ValueError as exc:  # a bad value that the flag parser let through
+        return _fail(exc, 2)
 
 
 if __name__ == "__main__":

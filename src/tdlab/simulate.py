@@ -2,8 +2,9 @@
 
 Integration uses the classical 4-stage Runge-Kutta method on a uniform grid
 (see _kernels for the compiled loops).  The step size must resolve the fast
-differentiator dynamics, whose rates scale as 1/eps, and must not subdivide
-a noise hold: the default rule is dt = min(eps/20, Ts/10, 1e-3).
+differentiator dynamics, whose rates scale as 1/eps, and must split each
+noise hold into whole steps: the default rule is dt = min(eps/20, Ts/10,
+1e-3), shrunk to the next step that divides the hold interval Ts.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from . import _kernels
 from .describing import natural_frequency
 from .dynamics import DiffParams, DiffState
-from .signals import SignalSpec, bl_white_noise, sinusoid, sinusoid_derivative
+from .signals import SignalSpec, eval_clean, eval_derivative, eval_signal
 
 #: States beyond this magnitude abort the integration as diverged.
 STATE_LIMIT = 1e9
@@ -85,10 +86,11 @@ class TimeSeries:
 
 
 def default_dt(p: DiffParams, spec: Optional[SignalSpec] = None) -> float:
-    """Step-size rule dt = min(eps/20, Ts/10, 1e-3)."""
+    """Step-size rule dt = min(eps/20, Ts/10, 1e-3), shrunk to divide Ts."""
     dt = min(p.eps / 20.0, 1e-3)
     if spec is not None and spec.noise is not None:
-        dt = min(dt, spec.noise.sample_time / 10.0)
+        hold = spec.noise.sample_time
+        dt = hold / math.ceil(hold / min(dt, hold / 10.0))
     return dt
 
 
@@ -132,13 +134,30 @@ def time_grid(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return t, t[:-1] + 0.5 * cfg.dt
 
 
-def _input_arrays(spec: SignalSpec, t: np.ndarray, tm: np.ndarray):
-    v = sinusoid(spec.amplitude, spec.omega, t)
-    vm = sinusoid(spec.amplitude, spec.omega, tm)
+def _raise_if_diverged(bad: int, dt: float, subject: str) -> None:
+    """Turn a kernel's first divergent step index into an InstabilityError."""
+    if bad >= 0:
+        t_bad = bad * dt
+        raise InstabilityError(
+            f"{subject} exceeded {STATE_LIMIT:g} at t={t_bad:g} s "
+            f"(dt={dt:g} too large?)", t=t_bad)
+
+
+def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
+    """Shared run path: hold check, input synthesis, kernel(v, v_mid), channels."""
     if spec.noise is not None and spec.noise.power > 0.0:
-        v = v + bl_white_noise(spec.noise, t)
-        vm = vm + bl_white_noise(spec.noise, tm)
-    return v, vm
+        holds = spec.noise.sample_time / cfg.dt
+        if abs(holds - round(holds)) > 1e-9 * holds:
+            raise ValueError(
+                f"dt={cfg.dt:g} does not divide noise sample_time="
+                f"{spec.noise.sample_time:g}")
+    t, tm = time_grid(cfg)
+    v = eval_signal(spec, t)
+    x1, x2, bad = kernel(v, eval_signal(spec, tm))
+    _raise_if_diverged(bad, cfg.dt, "state")
+    return TimeSeries(t=t, channels={
+        "v": v, "x1": x1, "x2": x2,
+        "v_clean": eval_clean(spec, t), "dv_clean": eval_derivative(spec, t)})
 
 
 def run(p: DiffParams, spec: SignalSpec, cfg: SimConfig) -> TimeSeries:
@@ -146,56 +165,21 @@ def run(p: DiffParams, spec: SignalSpec, cfg: SimConfig) -> TimeSeries:
 
     Returns channels v (input incl. noise), x1, x2, v_clean and dv_clean
     (noise-free reference and its exact derivative).  Noise is sampled on
-    its own hold grid; cfg.dt must not exceed the hold interval so a hold
+    its own hold grid; cfg.dt must divide the hold interval so a hold
     never changes inside a step.
     """
-    if spec.noise is not None and spec.noise.power > 0.0:
-        if cfg.dt > spec.noise.sample_time:
-            raise ValueError(
-                f"dt={cfg.dt:g} exceeds noise sample_time="
-                f"{spec.noise.sample_time:g}")
-    t, tm = time_grid(cfg)
-    v, vm = _input_arrays(spec, t, tm)
-    x1, x2, bad = _kernels.integrate_hybrid(
+    return _run(spec, cfg, lambda v, vm: _kernels.integrate_hybrid(
         cfg.initial.x1, cfg.initial.x2, v, vm,
-        p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, cfg.dt, STATE_LIMIT)
-    if bad >= 0:
-        t_bad = bad * cfg.dt
-        raise InstabilityError(
-            f"state exceeded {STATE_LIMIT:g} at t={t_bad:g} s "
-            f"(dt={cfg.dt:g} too large?)", t=t_bad)
-    return TimeSeries(t=t, channels={
-        "v": v,
-        "x1": x1,
-        "x2": x2,
-        "v_clean": sinusoid(spec.amplitude, spec.omega, t),
-        "dv_clean": sinusoid_derivative(spec.amplitude, spec.omega, t),
-    })
+        p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, cfg.dt, STATE_LIMIT))
 
 
 def run_highgain(p: DiffParams, spec: SignalSpec, cfg: SimConfig) -> TimeSeries:
     """Simulate the gain-scaled realization (w coordinates, linear case only)."""
     if not p.is_linear:
         raise ValueError("gain-scaled realization requires a1 = b1 = 0")
-    if spec.noise is not None and spec.noise.power > 0.0:
-        if cfg.dt > spec.noise.sample_time:
-            raise ValueError("dt exceeds noise sample_time")
-    t, tm = time_grid(cfg)
-    v, vm = _input_arrays(spec, t, tm)
-    w1, w2, bad = _kernels.integrate_highgain(
+    return _run(spec, cfg, lambda v, vm: _kernels.integrate_highgain(
         cfg.initial.x1, cfg.initial.x2, v, vm, p.eps, p.a0, p.b0,
-        cfg.dt, STATE_LIMIT)
-    if bad >= 0:
-        t_bad = bad * cfg.dt
-        raise InstabilityError(
-            f"state exceeded {STATE_LIMIT:g} at t={t_bad:g} s", t=t_bad)
-    return TimeSeries(t=t, channels={
-        "v": v,
-        "x1": w1,
-        "x2": w2,
-        "v_clean": sinusoid(spec.amplitude, spec.omega, t),
-        "dv_clean": sinusoid_derivative(spec.amplitude, spec.omega, t),
-    })
+        cfg.dt, STATE_LIMIT))
 
 
 def rms_error(ts: TimeSeries, channel: str, reference: str,

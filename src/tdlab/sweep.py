@@ -17,10 +17,10 @@ import numpy as np
 from .describing import natural_frequency
 from .dynamics import DiffParams
 from .signals import SignalSpec
-from .simulate import SimConfig, TimeSeries, run
+from .simulate import SimConfig, TimeSeries, default_dt, run
 
-#: Measured periods per frequency point (more periods change the estimate
-#: by < 0.1 % on clean inputs; capped for runtime).
+#: Measured periods per sweep point, and the fewest measure_point accepts
+#: (more periods change the estimate by < 0.1 % on clean linear inputs).
 MEASURE_PERIODS = 5
 MAX_MEASURE_PERIODS = 64
 
@@ -74,43 +74,30 @@ def fundamental_component(ts: TimeSeries, channel: str, omega: float,
     return float(np.hypot(a, b)), float(math.degrees(math.atan2(b, a)))
 
 
-def _point_config(p: DiffParams, A: float, omega: float, dt_target: float,
-                  n_periods: int) -> tuple[SimConfig, float, float]:
-    """Period-aligned step size, transient skip, and duration for one point."""
-    period = 2.0 * math.pi / omega
-    n_sub = max(int(math.ceil(period / dt_target)), 16)
-    dt = period / n_sub
-    wn = natural_frequency(p, A)
-    skip = max(10.0 / wn, 5.0 * period)
-    i0 = int(math.ceil(skip / dt))
-    n_steps = i0 + n_periods * n_sub
-    cfg = SimConfig(dt=dt, t_end=n_steps * dt, transient_skip=i0 * dt)
-    return cfg, i0 * dt, n_steps * dt
-
-
-def measure_point(p: DiffParams, A: float, omega: float,
-                  cfg: SimConfig) -> MeasuredResponse:
-    """Measure tracking and derivative responses at one frequency.
-
-    Runs on the clean input A*sin(omega*t).  cfg supplies the target step
-    size and must be long enough for the transient skip plus at least
-    MEASURE_PERIODS measured periods; the actual step is shrunk so that an
-    integer number of steps spans one period.
-    """
+def _measure(p: DiffParams, A: float, omega: float, dt_target: float,
+             t_end: Optional[float] = None) -> MeasuredResponse:
+    """Plan and measure one point: MEASURE_PERIODS whole periods after the
+    transient skip, or with t_end every whole period that fits after it."""
     if not (A > 0.0 and omega > 0.0):
         raise ValueError("amplitude and omega must be positive")
     period = 2.0 * math.pi / omega
-    wn = natural_frequency(p, A)
-    skip = max(10.0 / wn, 5.0 * period)
-    needed = skip + MEASURE_PERIODS * period
-    if cfg.t_end + 1e-9 < needed:
-        raise ValueError(
-            f"cfg.t_end={cfg.t_end:g} too short at omega={omega:g}: "
-            f"need transient {skip:g} s + {MEASURE_PERIODS} periods = {needed:g} s")
-    n_periods = min(int((cfg.t_end - skip) / period), MAX_MEASURE_PERIODS)
-    point_cfg, t_skip, t_end = _point_config(p, A, omega, cfg.dt, n_periods)
-    ts = run(p, SignalSpec(amplitude=A, omega=omega), point_cfg)
-    window = (t_skip, t_end)
+    skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
+    n_periods = MEASURE_PERIODS
+    if t_end is not None:
+        n_periods = int((t_end - skip) / period + 1e-9)
+        if n_periods < MEASURE_PERIODS:
+            raise ValueError(
+                f"cfg.t_end={t_end:g} too short at omega={omega:g}: need "
+                f"transient {skip:g} s + {MEASURE_PERIODS} periods = "
+                f"{skip + MEASURE_PERIODS * period:g} s")
+        n_periods = min(n_periods, MAX_MEASURE_PERIODS)
+    n_sub = max(math.ceil(period / dt_target), 16)
+    dt = period / n_sub
+    i0 = math.ceil(skip / dt)
+    n_steps = i0 + n_periods * n_sub
+    window = (i0 * dt, n_steps * dt)
+    ts = run(p, SignalSpec(amplitude=A, omega=omega),
+             SimConfig(dt=dt, t_end=window[1], transient_skip=window[0]))
     amp1, ph1 = fundamental_component(ts, "x1", omega, window)
     amp2, ph2 = fundamental_component(ts, "x2", omega, window)
     return MeasuredResponse(
@@ -122,29 +109,39 @@ def measure_point(p: DiffParams, A: float, omega: float,
     )
 
 
+def measure_point(p: DiffParams, A: float, omega: float,
+                  cfg: SimConfig) -> MeasuredResponse:
+    """Measure tracking and derivative responses at one frequency.
+
+    Runs on the clean input A*sin(omega*t).  cfg supplies the target step
+    size and must be long enough for the transient skip plus at least
+    MEASURE_PERIODS periods; every whole period that fits (up to
+    MAX_MEASURE_PERIODS) is measured.  The actual step is shrunk so that an
+    integer number of steps spans one period.
+    """
+    return _measure(p, A, omega, cfg.dt, cfg.t_end)
+
+
 def sweep(p: DiffParams, A: float, omegas: Sequence[float],
           cfg: Optional[SimConfig] = None) -> list[MeasuredResponse]:
     """Measure responses over a strictly increasing frequency grid.
 
-    cfg, when given, supplies the target step size; durations are derived
-    per frequency (low frequencies need long transients, high ones do not).
-    Per-point failures are re-raised with the offending omega named.
+    Each point measures MEASURE_PERIODS periods after its own transient skip.
+    cfg, when given, supplies the target step size (default: default_dt(p)).
+    A per-point failure propagates with a note naming the offending omega.
     """
     omegas = [float(w) for w in omegas]
     for lo, hi in zip(omegas, omegas[1:]):
         if not hi > lo:
             raise ValueError("frequency grid must be strictly increasing")
-    dt_target = cfg.dt if cfg is not None else min(p.eps / 20.0, 1e-3)
+    dt_target = cfg.dt if cfg is not None else default_dt(p)
     results = []
     for w in omegas:
         try:
-            period = 2.0 * math.pi / w
-            skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
-            point_cfg = SimConfig(dt=dt_target,
-                                  t_end=skip + (MEASURE_PERIODS + 1) * period)
-            results.append(measure_point(p, A, w, point_cfg))
+            results.append(_measure(p, A, w, dt_target))
         except Exception as exc:
-            raise type(exc)(f"omega={w:g} rad/s: {exc}") from exc
+            exc.add_note(f"omega={w:g} rad/s")
+            raise
     return results
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .dynamics import DiffParams
 from .signals import NoiseSpec, bl_white_noise
-from .simulate import STATE_LIMIT, InstabilityError, SimConfig, TimeSeries, time_grid
+from .simulate import STATE_LIMIT, SimConfig, TimeSeries, _raise_if_diverged, time_grid
 
 
 @dataclass(frozen=True)
@@ -39,23 +39,16 @@ class PlantConfig:
 def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
     """Integrate x' = -x + u + delta and record x, y = x + noise, u, delta."""
     t, tm = time_grid(sim)
-    forcing = np.asarray(cfg.u(t), dtype=float) + np.asarray(cfg.delta(t), dtype=float)
+    u = np.asarray(cfg.u(t), dtype=float)
+    delta = np.asarray(cfg.delta(t), dtype=float)
     forcing_mid = np.asarray(cfg.u(tm), dtype=float) + np.asarray(cfg.delta(tm), dtype=float)
     x, bad = _kernels.integrate_relaxation(
-        cfg.x0, forcing, forcing_mid, 1.0, sim.dt, STATE_LIMIT)
-    if bad >= 0:
-        t_bad = bad * sim.dt
-        raise InstabilityError(f"plant state exceeded {STATE_LIMIT:g} at "
-                               f"t={t_bad:g} s", t=t_bad)
+        cfg.x0, u + delta, forcing_mid, 1.0, sim.dt, STATE_LIMIT)
+    _raise_if_diverged(bad, sim.dt, "plant state")
     y = x.copy()
     if cfg.noise is not None and cfg.noise.power > 0.0:
         y = y + bl_white_noise(cfg.noise, t)
-    return TimeSeries(t=t, channels={
-        "x": x,
-        "y": y,
-        "u": np.asarray(cfg.u(t), dtype=float),
-        "delta_true": np.asarray(cfg.delta(t), dtype=float),
-    })
+    return TimeSeries(t=t, channels={"x": x, "y": y, "u": u, "delta_true": delta})
 
 
 def estimate_delta(ts: TimeSeries, p: DiffParams) -> TimeSeries:
@@ -74,9 +67,6 @@ def estimate_delta(ts: TimeSeries, p: DiffParams) -> TimeSeries:
     x1h, x2h, bad = _kernels.integrate_hybrid(
         0.0, 0.0, y, y_mid, p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha,
         dt, STATE_LIMIT)
-    if bad >= 0:
-        t_bad = bad * dt
-        raise InstabilityError(f"estimator state exceeded {STATE_LIMIT:g} "
-                               f"at t={t_bad:g} s", t=t_bad)
+    _raise_if_diverged(bad, dt, "estimator state")
     out = ts.with_channel("x1_hat", x1h).with_channel("x2_hat", x2h)
     return out.with_channel("delta_hat", x2h + x1h - u)

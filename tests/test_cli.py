@@ -120,6 +120,14 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "t=" in err
 
+    def test_bad_value_exits_2(self, tmp_path, capsys):
+        # a dt the noise hold rejects is an error message, not a traceback
+        rc = main(["simulate", "--preset", "paper-3A", "--dt", "0.02",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: dt=0.02")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_csv_round_trip_lossless(self, tmp_path, capsys):
         path = tmp_path / "run.csv"
         assert main(["simulate", "--preset", "paper-3A", "--t-end", "1.0",
@@ -190,6 +198,16 @@ class TestSweepCommand:
         # measured and analytic columns agree for the linear preset
         for row in rows:
             assert float(row[4]) == pytest.approx(float(row[1]), rel=5e-3)
+
+
+    def test_instability_names_frequency_and_time(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "paper-3A", "--omega-min", "0.5",
+                   "--omega-max", "0.5", "--points", "1", "--dt", "1.0",
+                   "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "omega=0.5 rad/s" in err
+        assert "t=" in err
 
 
 class TestEstimateCommand:

@@ -159,6 +159,20 @@ class TestRun:
         with pytest.raises(ValueError):
             run(P3A, spec, SimConfig(dt=0.02, t_end=5.0))
 
+    def test_rejects_dt_that_splits_a_noise_hold(self):
+        # Ts/dt = 3.33: a hold would change inside the fourth step
+        spec = SignalSpec(5.0, 2.0, noise=NoiseSpec(0.01, 0.01, seed=7))
+        with pytest.raises(ValueError, match="does not divide"):
+            run(P3A, spec, SimConfig(dt=0.003, t_end=1.0))
+        run(P3A, spec, SimConfig(dt=0.0025, t_end=1.0))  # Ts/dt = 4
+
+    def test_default_dt_divides_noise_hold(self):
+        # eps/20 = 3e-4 leaves Ts/dt = 33.3; the rule shrinks dt to Ts/34
+        p = DiffParams(eps=0.006, a0=0.05, b0=0.3)
+        spec = SignalSpec(1.0, 2.0, noise=NoiseSpec(0.01, 0.01, seed=7))
+        assert default_dt(p, spec) == 0.01 / 34
+        run(p, spec, SimConfig(dt=default_dt(p, spec), t_end=0.1))
+
     @pytest.mark.parametrize("p,spec", [
         (P3A, SignalSpec(5.0, 2.0, noise=NoiseSpec(0.01, 0.01, seed=11))),
         (P3C_HYBRID, SignalSpec(0.5, 2.0, noise=NoiseSpec(1e-4, 0.01, seed=11))),

@@ -1,18 +1,25 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdlab.describing import freq_response, linearize
+from tdlab.describing import freq_response, linearize, natural_frequency
 from tdlab.dynamics import DiffParams
-from tdlab.simulate import SimConfig, TimeSeries
+from tdlab.simulate import InstabilityError, SimConfig, TimeSeries, time_grid
 from tdlab.sweep import (
+    MEASURE_PERIODS,
     MeasuredResponse,
     fundamental_component,
     measure_point,
     sweep,
     tracking_bandwidth,
 )
+
+# the module itself: the package re-exports its sweep() under the same name
+sweep_module = importlib.import_module("tdlab.sweep")
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
 P4_HYBRID = DiffParams(eps=0.01, a0=0.1, a1=0.015, b0=0.3, b1=0.015, alpha=0.6)
@@ -83,8 +90,6 @@ class TestFundamentalComponent:
 
 
 def _cfg_for(p, A, omega, dt=1e-3, periods=6):
-    from tdlab.describing import natural_frequency
-
     period = 2 * math.pi / omega
     skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
     return SimConfig(dt=dt, t_end=skip + periods * period)
@@ -170,6 +175,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="omega="):
             # amplitude <= 0 fails inside measure_point for every point
             sweep(P3A, -1.0, [1.0, 2.0])
+        # the original exception propagates with its failure time intact
+        with pytest.raises(InstabilityError, match="omega=0.5 rad/s") as err:
+            sweep(P3A, 1.0, [0.5], SimConfig(dt=1.0, t_end=1.0))
+        assert math.isfinite(err.value.t)
 
     def test_nonlinear_bandwidth_shrinks_with_amplitude(self):
         omegas = np.logspace(0.0, math.log10(30.0), 12)
@@ -178,6 +187,82 @@ class TestSweep:
             pts = sweep(P4_NONLINEAR, A, omegas)
             bw.append(tracking_bandwidth(pts))
         assert bw[0] > bw[1] > bw[2]
+
+
+def _measured_periods(cfg, omega):
+    return (cfg.t_end - cfg.transient_skip) * omega / (2 * math.pi)
+
+
+class TestPointPlan:
+    """sweep measures exactly MEASURE_PERIODS periods; a config sized for N
+    periods makes measure_point measure N."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        # a steady synthetic response on the planned grid: x1 = v, x2 = v'
+        cfgs = []
+
+        def fake_run(p, spec, cfg):
+            cfgs.append(cfg)
+            t, _ = time_grid(cfg)
+            w, A = spec.omega, spec.amplitude
+            return TimeSeries(t=t, channels={"x1": A * np.sin(w * t),
+                                             "x2": A * w * np.cos(w * t)})
+
+        monkeypatch.setattr(sweep_module, "run", fake_run)
+        return cfgs
+
+    @pytest.mark.parametrize("omega", [0.89, 3.22, 7.12])
+    def test_sweep_measures_measure_periods(self, runs, omega):
+        (pt,) = sweep(P3A, 1.0, [omega])
+        (cfg,) = runs
+        assert _measured_periods(cfg, omega) == pytest.approx(
+            MEASURE_PERIODS, abs=1e-9)
+        assert pt.track_mag == pytest.approx(1.0, abs=1e-6)
+        assert pt.deriv_phase_deg == pytest.approx(0.0, abs=1e-4)
+
+    @pytest.mark.parametrize("omega", [0.89, 3.22, 7.12])
+    def test_config_sized_for_five_periods_measures_five(self, runs, omega):
+        pt = measure_point(P3A, 1.0, omega, _cfg_for(P3A, 1.0, omega, periods=5))
+        (cfg,) = runs
+        assert _measured_periods(cfg, omega) == pytest.approx(5, abs=1e-9)
+        assert pt.track_mag == pytest.approx(1.0, abs=1e-6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.sampled_from([P3A, P4_HYBRID, P4_NONLINEAR]),
+       A=st.floats(0.1, 10.0),
+       omega=st.floats(0.05, 500.0),
+       dt_target=st.floats(1e-4, 1e-2),
+       periods=st.integers(MEASURE_PERIODS, 12))
+def test_point_plan_property(p, A, omega, dt_target, periods):
+    # run and fundamental_component only record the plan, so grids of
+    # millions of steps cost nothing
+    plans = []
+
+    def check(cfg, window):
+        period = 2 * math.pi / omega
+        n_sub = period / cfg.dt
+        assert cfg.dt <= dt_target * (1 + 1e-12)
+        assert n_sub >= 16 and n_sub == pytest.approx(round(n_sub), abs=1e-6)
+        skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
+        # the first grid step at or after the skip (a rounding error may
+        # push it one step later when the skip is a whole number of steps)
+        assert skip - 1e-9 <= cfg.transient_skip <= skip + cfg.dt + 1e-9
+        assert window == (cfg.transient_skip, cfg.t_end)
+        return _measured_periods(cfg, omega)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_module, "run", lambda p, spec, cfg: cfg)
+        mp.setattr(sweep_module, "fundamental_component",
+                   lambda cfg, channel, w, window: plans.append(
+                       check(cfg, window)) or (1.0, 0.0))
+        sweep(p, A, [omega], SimConfig(dt=dt_target, t_end=1.0))
+        assert plans == [pytest.approx(MEASURE_PERIODS, abs=1e-9)] * 2
+        plans.clear()
+        measure_point(p, A, omega,
+                      _cfg_for(p, A, omega, dt=dt_target, periods=periods))
+        assert plans == [pytest.approx(periods, abs=1e-9)] * 2
 
 
 class TestTrackingBandwidth:
