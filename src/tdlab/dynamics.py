@@ -104,8 +104,6 @@ def w_of_x(state: DiffState, p: DiffParams) -> DiffState:
     """Map plain coordinates to the gain-scaled chart: w1 = x1 + eps*b0*x2/a0."""
     if not p.is_linear:
         raise ValueError("coordinate change requires a1 = b1 = 0")
-    if p.a0 == 0.0:
-        raise ValueError("coordinate change requires a0 > 0")
     return DiffState(state.x1 + p.eps * p.b0 * state.x2 / p.a0, state.x2)
 
 
@@ -113,8 +111,6 @@ def x_of_w(state: DiffState, p: DiffParams) -> DiffState:
     """Inverse of w_of_x: x1 = w1 - eps*b0*w2/a0."""
     if not p.is_linear:
         raise ValueError("coordinate change requires a1 = b1 = 0")
-    if p.a0 == 0.0:
-        raise ValueError("coordinate change requires a0 > 0")
     return DiffState(state.x1 - p.eps * p.b0 * state.x2 / p.a0, state.x2)
 
 

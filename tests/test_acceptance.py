@@ -76,7 +76,7 @@ def test_criterion_02_fundamental_harmonic_constant():
     closed_form = math.sqrt(math.pi) * gamma(1.25) / gamma(1.75) * 2 / math.pi
     ok = abs(value - 1.1128) <= 5e-4 and abs(value - closed_form) <= 1e-9
     report(2, "harmonic factor at alpha=0.5", ok,
-           f"quadrature={value:.8f}, closed form={closed_form:.8f}")
+           f"omega_factor={value:.8f}, closed form={closed_form:.8f}")
     assert value == pytest.approx(1.1128, abs=5e-4)
     assert value == pytest.approx(closed_form, abs=1e-9)
 

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import tdlab
 from tdlab.cli import main
 from tdlab.presets import PRESETS, get_preset
 
@@ -225,3 +230,18 @@ class TestEstimateCommand:
         assert main(args + ["--out", str(f1)]) == 0
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_cold_import_skips_unused_scipy_subpackages():
+    # every command pays for what `import tdlab.cli` loads; of scipy only
+    # scipy.linalg (BLAS dtbsv) is needed
+    unused = ("scipy.integrate", "scipy.special", "scipy.sparse",
+              "scipy.signal")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tdlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, tdlab.cli; "
+            f"print(*[m for m in {unused!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

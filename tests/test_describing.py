@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma
 
 from tdlab.describing import (
+    EquivalentLinearization,
     OverdampedError,
     asymptote_db,
     bode_table,
@@ -26,12 +28,6 @@ P3C_HYBRID = DiffParams(eps=1 / 45, a0=0.005, a1=0.005, b0=0.05, b1=0.005,
 P3C_LINEAR = DiffParams(eps=1 / 45, a0=0.005, b0=0.05)
 
 
-def omega_factor_closed_form(alpha: float) -> float:
-    # int_0^pi sin^p = sqrt(pi)*Gamma((p+1)/2)/Gamma(p/2 + 1), p = alpha + 1
-    p = alpha + 1.0
-    return 2.0 / math.pi * math.sqrt(math.pi) * gamma((p + 1) / 2) / gamma(p / 2 + 1)
-
-
 class TestOmegaFactor:
     def test_unity_at_alpha_one(self):
         assert omega_factor(1.0) == pytest.approx(1.0, abs=1e-6)
@@ -42,10 +38,13 @@ class TestOmegaFactor:
     def test_zero(self):
         assert omega_factor(0.0) == pytest.approx(4.0 / math.pi, abs=1e-6)
 
-    def test_gamma_closed_form_oracle(self):
+    def test_quadrature_oracle(self):
+        # the defining integral, evaluated numerically
         for alpha in np.linspace(0.0, 1.0, 21):
-            assert omega_factor(alpha) == pytest.approx(
-                omega_factor_closed_form(alpha), abs=1e-8)
+            val, _ = quad(lambda th: abs(math.sin(th)) ** (alpha + 1.0),
+                          0.0, math.pi, epsabs=1e-10, epsrel=1e-10)
+            assert omega_factor(alpha) == pytest.approx(2.0 / math.pi * val,
+                                                        rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [-0.01, 1.01, 5.0])
     def test_rejects_out_of_range(self, alpha):
@@ -167,6 +166,29 @@ class TestLinearize:
             linearize(P3A, 0.0)
 
 
+_GAIN = st.floats(0.0, 10.0, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linear=st.booleans(), eps=st.floats(1e-3, 1.0), a0=_GAIN, a1=_GAIN,
+       b0=_GAIN, b1=_GAIN, alpha=st.floats(0.05, 0.95),
+       A=st.floats(1e-3, 1e3))
+def test_natural_frequency_matches_linearize(linear, eps, a0, a1, b0, b1,
+                                             alpha, A):
+    # sweep plans its points with natural_frequency, the Bode tables use
+    # linearize: both read one equivalent-gain rule, so they agree exactly
+    if linear:
+        a1 = b1 = 0.0
+        alpha = 1.0
+    assume(a0 + a1 > 0.0 and b0 + b1 > 0.0)
+    p = DiffParams(eps=eps, a0=a0, a1=a1, b0=b0, b1=b1, alpha=alpha)
+    try:
+        lin = linearize(p, A)
+    except OverdampedError:
+        return
+    assert natural_frequency(p, A) == lin.omega_n
+
+
 class TestFreqResponse:
     def test_dc_limit(self):
         lin = linearize(P3A, 1.0)
@@ -193,15 +215,22 @@ class TestFreqResponse:
         assert below == pytest.approx(-90.0, abs=1e-5)
         assert above == pytest.approx(-90.0, abs=1e-5)
 
-    def test_complex_arithmetic_oracle(self):
-        lin = linearize(P3A, 1.0)
-        for omega in np.logspace(-1, 3, 40):
-            u = omega / lin.omega_n
-            g = 1.0 / complex(1.0 - u * u, 2.0 * lin.zeta * u)
-            pt = freq_response(lin, omega)
-            assert pt.mag == pytest.approx(abs(g), rel=1e-12)
-            assert pt.phase_deg == pytest.approx(
-                math.degrees(cmath.phase(g)), abs=1e-9)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(zeta=st.floats(1e-3, 0.999), omega_n=st.floats(1e-2, 1e3),
+           log_ratio=st.floats(-6.0, 6.0))
+    def test_complex_arithmetic_oracle(self, zeta, omega_n, log_ratio):
+        lin = EquivalentLinearization(
+            omega_n=omega_n, zeta=zeta,
+            omega_d=omega_n * math.sqrt(1.0 - zeta * zeta),
+            k_pos=omega_n * omega_n, k_vel=2.0 * zeta * omega_n)
+        omega = omega_n * 10.0 ** log_ratio
+        u = omega / lin.omega_n
+        g = 1.0 / complex(1.0 - u * u, 2.0 * lin.zeta * u)
+        pt = freq_response(lin, omega)
+        assert pt.mag == pytest.approx(abs(g), rel=1e-12)
+        assert pt.phase_deg == pytest.approx(
+            math.degrees(cmath.phase(g)), abs=1e-9)
+        assert -180.0 < pt.phase_deg <= 0.0
 
     def test_mag_db_consistency(self):
         lin = linearize(P3B, 5.0)
