@@ -48,7 +48,6 @@ from .simulate import (
     InstabilityError,
     SimConfig,
     TimeSeries,
-    auto_config,
     convergence_order,
     default_dt,
     default_skip,
@@ -87,7 +86,6 @@ __all__ = [
     "SimConfig",
     "TimeSeries",
     "asymptote_db",
-    "auto_config",
     "backend",
     "bl_white_noise",
     "bode_table",

@@ -9,7 +9,8 @@ flags), run one experiment, and write CSV tables:
     sweep       measured response table  -> ...,track_*,deriv_* columns
     estimate    disturbance estimation   -> t,y,u,delta_true,delta_hat
 
-Exit codes: 0 success, 2 flag/usage error or invalid value, 3 numerical
+Exit codes: 0 success, 2 flag/usage error or invalid value (NaN and
+infinite values and runs over the step budget included), 3 numerical
 failure.  All stochastic channels are controlled by --seed (default 12345,
 never wall-clock), so repeated runs are byte-identical.
 """
@@ -183,7 +184,7 @@ def cmd_simulate(args, parser) -> int:
     spec = _resolve_signal(args, parser)
     dt = args.dt if args.dt is not None else default_dt(p, spec)
     t_end = args.t_end if args.t_end is not None else (
-        get_preset(args.preset).sim.t_end if args.preset else 20.0)
+        get_preset(args.preset).t_end if args.preset else 20.0)
     ts = run(p, spec, SimConfig(dt=dt, t_end=t_end))
     names = ["t", "v", "x1", "x2", "v_clean", "dv_clean"]
     rows = zip(ts.t, *(ts.channel(n) for n in names[1:]))
@@ -216,8 +217,7 @@ def cmd_sweep(args, parser) -> int:
     A = _resolve_amplitude(args)
     grid = _log_grid(args, parser)
     lin = linearize(p, A)
-    measured = sweep(p, A, grid, cfg=SimConfig(dt=args.dt, t_end=1.0)
-                     if args.dt else None)
+    measured = sweep(p, A, grid, dt=args.dt)
     rows = []
     for pt in measured:
         ref = bode_table(lin, [pt.omega])[0]

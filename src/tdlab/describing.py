@@ -74,8 +74,8 @@ def describing_gain(A: float, alpha: float) -> float:
     N(A) = omega_factor(alpha) * A^(alpha-1): strictly decreasing in A for
     alpha < 1, identically 1 for alpha = 1.
     """
-    if not A > 0.0:
-        raise ValueError(f"amplitude must be positive, got {A}")
+    if not 0.0 < A < math.inf:
+        raise ValueError(f"amplitude must be finite and positive, got {A}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     return omega_factor(alpha) * A ** (alpha - 1.0)

@@ -5,7 +5,8 @@ is the purely linear differentiator, with ``a0 = b0 = 0`` the purely
 nonlinear one, and with all four gains positive the hybrid of both.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,10 @@ class DiffParams:
     alpha: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(
+                    f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         for name in ("a0", "a1", "b0", "b1"):

@@ -27,10 +27,12 @@ class NoiseSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.power < 0.0:
-            raise ValueError("noise power must be non-negative")
-        if not self.sample_time > 0.0:
-            raise ValueError("sample_time must be positive")
+        if not 0.0 <= self.power < math.inf:
+            raise ValueError(
+                f"noise power must be finite and non-negative, got {self.power}")
+        if not 0.0 < self.sample_time < math.inf:
+            raise ValueError(
+                f"sample_time must be finite and positive, got {self.sample_time}")
 
     @property
     def sigma(self) -> float:
@@ -45,6 +47,12 @@ class SignalSpec:
     amplitude: float
     omega: float
     noise: Optional[NoiseSpec] = None
+
+    def __post_init__(self):
+        for name in ("amplitude", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
 
     def with_seed(self, seed: int) -> "SignalSpec":
         if self.noise is None:

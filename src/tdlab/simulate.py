@@ -4,7 +4,8 @@ Integration uses the classical 4-stage Runge-Kutta method on a uniform grid
 (see _kernels for the compiled loops).  The step size must resolve the fast
 differentiator dynamics, whose rates scale as 1/eps, and must split each
 noise hold into whole steps: the default rule is dt = min(eps/20, Ts/10,
-1e-3), shrunk to the next step that divides the hold interval Ts.
+1e-3), shrunk to the next step that divides the hold interval Ts.  A run
+takes at most MAX_STEPS steps; time_grid checks this before it allocates.
 """
 
 import math
@@ -21,6 +22,9 @@ from .signals import SignalSpec, eval_clean, eval_derivative, eval_signal
 #: States beyond this magnitude abort the integration as diverged.
 STATE_LIMIT = 1e9
 
+#: Most steps one run may take; a noisy run needs about 65 B per step.
+MAX_STEPS = 2**24
+
 
 class InstabilityError(RuntimeError):
     """Integration diverged (a state left [-STATE_LIMIT, STATE_LIMIT])."""
@@ -32,24 +36,18 @@ class InstabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step integration setup.
-
-    transient_skip marks the initial window excluded from steady-state
-    metrics; it must leave a non-empty measurement window before t_end.
-    """
+    """Fixed-step integration setup: step dt on [0, t_end] from initial."""
 
     dt: float
     t_end: float
     initial: DiffState = field(default_factory=lambda: DiffState(0.0, 0.0))
-    transient_skip: float = 0.0
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.transient_skip < 0.0:
-            raise ValueError("transient_skip must be non-negative")
-        if not self.t_end > self.transient_skip:
-            raise ValueError("t_end must exceed transient_skip")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(
+                f"t_end must be finite and positive, got {self.t_end}")
 
 
 @dataclass(frozen=True)
@@ -100,13 +98,6 @@ def default_skip(p: DiffParams, amplitude: float) -> float:
     return max(5.0 / natural_frequency(p, A), 2.0)
 
 
-def auto_config(p: DiffParams, spec: SignalSpec, t_end: float,
-                initial: DiffState = DiffState(0.0, 0.0)) -> SimConfig:
-    """SimConfig with the default step-size and transient-skip rules."""
-    return SimConfig(dt=default_dt(p, spec), t_end=t_end, initial=initial,
-                     transient_skip=default_skip(p, spec.amplitude))
-
-
 def rk4_step(rhs, state, t: float, dt: float, u):
     """One classical Runge-Kutta step of state' = rhs(state, v).
 
@@ -126,8 +117,16 @@ def rk4_step(rhs, state, t: float, dt: float, u):
 
 
 def time_grid(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Step grid t_i = i*dt (n+1 points) and the step midpoints (n points)."""
-    n = int(round(cfg.t_end / cfg.dt))
+    """Step grid t_i = i*dt (n+1 points) and the step midpoints (n points).
+
+    Raises before allocating anything when n would exceed MAX_STEPS.
+    """
+    steps = cfg.t_end / cfg.dt
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"t_end={cfg.t_end:g} at dt={cfg.dt:g} needs {steps:.4g} steps, "
+            f"more than MAX_STEPS={MAX_STEPS}")
+    n = int(round(steps))
     if n < 1:
         raise ValueError("t_end shorter than one step")
     t = np.arange(n + 1, dtype=float) * cfg.dt
@@ -203,8 +202,7 @@ def eps_ladder(p: DiffParams, eps_values: Sequence[float]) -> list[DiffParams]:
     return [replace(p, eps=float(e)) for e in eps_values]
 
 
-def convergence_order(family: Sequence[DiffParams], spec: SignalSpec,
-                      cfg: Optional[SimConfig] = None) -> float:
+def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
     """Empirical tracking-error order: slope of log RMS(x1 - v) vs log eps.
 
     Requires at least 4 family members whose eps values span a factor >= 8
@@ -228,12 +226,8 @@ def convergence_order(family: Sequence[DiffParams], spec: SignalSpec,
     errs = []
     for q in family:
         skip = default_skip(q, spec.amplitude)
-        dt = default_dt(q, spec)
-        t_end = skip + 4.0 * period
-        if cfg is not None:
-            dt = min(dt, cfg.dt)
-            t_end = max(t_end, cfg.t_end)
-        ts = run(q, spec, SimConfig(dt=dt, t_end=t_end, transient_skip=skip))
+        ts = run(q, spec, SimConfig(dt=default_dt(q, spec),
+                                    t_end=skip + 4.0 * period))
         errs.append(rms_error(ts, "x1", "v_clean", (skip, float(ts.t[-1]))))
     slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
     return float(slope)

@@ -19,10 +19,9 @@ from .dynamics import DiffParams
 from .signals import SignalSpec
 from .simulate import SimConfig, TimeSeries, default_dt, run
 
-#: Measured periods per sweep point, and the fewest measure_point accepts
-#: (more periods change the estimate by < 0.1 % on clean linear inputs).
+#: Measured periods per sweep point (more periods change the estimate by
+#: < 0.1 % on clean linear inputs).
 MEASURE_PERIODS = 5
-MAX_MEASURE_PERIODS = 64
 
 
 @dataclass(frozen=True)
@@ -74,30 +73,31 @@ def fundamental_component(ts: TimeSeries, channel: str, omega: float,
     return float(np.hypot(a, b)), float(math.degrees(math.atan2(b, a)))
 
 
-def _measure(p: DiffParams, A: float, omega: float, dt_target: float,
-             t_end: Optional[float] = None) -> MeasuredResponse:
-    """Plan and measure one point: MEASURE_PERIODS whole periods after the
-    transient skip, or with t_end every whole period that fits after it."""
-    if not (A > 0.0 and omega > 0.0):
-        raise ValueError("amplitude and omega must be positive")
+def measure_point(p: DiffParams, A: float, omega: float,
+                  dt: Optional[float] = None) -> MeasuredResponse:
+    """Measure tracking and derivative responses at one frequency.
+
+    Runs on the clean input A*sin(omega*t), skips the transient
+    max(10/omega_n(A), 5 periods) and measures MEASURE_PERIODS whole
+    periods.  dt is the target step size (default: default_dt(p)); the
+    actual step is shrunk so that an integer number (>= 16) of steps spans
+    one period.
+    """
+    if dt is None:
+        dt = default_dt(p)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (0.0 < A < math.inf and 0.0 < omega < math.inf):
+        raise ValueError("amplitude and omega must be finite and positive")
     period = 2.0 * math.pi / omega
     skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
-    n_periods = MEASURE_PERIODS
-    if t_end is not None:
-        n_periods = int((t_end - skip) / period + 1e-9)
-        if n_periods < MEASURE_PERIODS:
-            raise ValueError(
-                f"cfg.t_end={t_end:g} too short at omega={omega:g}: need "
-                f"transient {skip:g} s + {MEASURE_PERIODS} periods = "
-                f"{skip + MEASURE_PERIODS * period:g} s")
-        n_periods = min(n_periods, MAX_MEASURE_PERIODS)
-    n_sub = max(math.ceil(period / dt_target), 16)
-    dt = period / n_sub
-    i0 = math.ceil(skip / dt)
-    n_steps = i0 + n_periods * n_sub
-    window = (i0 * dt, n_steps * dt)
+    n_sub = max(math.ceil(period / dt), 16)
+    step = period / n_sub
+    i0 = math.ceil(skip / step)
+    n_steps = i0 + MEASURE_PERIODS * n_sub
+    window = (i0 * step, n_steps * step)
     ts = run(p, SignalSpec(amplitude=A, omega=omega),
-             SimConfig(dt=dt, t_end=window[1], transient_skip=window[0]))
+             SimConfig(dt=step, t_end=window[1]))
     amp1, ph1 = fundamental_component(ts, "x1", omega, window)
     amp2, ph2 = fundamental_component(ts, "x2", omega, window)
     return MeasuredResponse(
@@ -109,36 +109,21 @@ def _measure(p: DiffParams, A: float, omega: float, dt_target: float,
     )
 
 
-def measure_point(p: DiffParams, A: float, omega: float,
-                  cfg: SimConfig) -> MeasuredResponse:
-    """Measure tracking and derivative responses at one frequency.
-
-    Runs on the clean input A*sin(omega*t).  cfg supplies the target step
-    size and must be long enough for the transient skip plus at least
-    MEASURE_PERIODS periods; every whole period that fits (up to
-    MAX_MEASURE_PERIODS) is measured.  The actual step is shrunk so that an
-    integer number of steps spans one period.
-    """
-    return _measure(p, A, omega, cfg.dt, cfg.t_end)
-
-
 def sweep(p: DiffParams, A: float, omegas: Sequence[float],
-          cfg: Optional[SimConfig] = None) -> list[MeasuredResponse]:
+          dt: Optional[float] = None) -> list[MeasuredResponse]:
     """Measure responses over a strictly increasing frequency grid.
 
-    Each point measures MEASURE_PERIODS periods after its own transient skip.
-    cfg, when given, supplies the target step size (default: default_dt(p)).
-    A per-point failure propagates with a note naming the offending omega.
+    Calls measure_point at each frequency with the target step dt.  A
+    per-point failure propagates with a note naming the offending omega.
     """
     omegas = [float(w) for w in omegas]
     for lo, hi in zip(omegas, omegas[1:]):
         if not hi > lo:
             raise ValueError("frequency grid must be strictly increasing")
-    dt_target = cfg.dt if cfg is not None else default_dt(p)
     results = []
     for w in omegas:
         try:
-            results.append(_measure(p, A, w, dt_target))
+            results.append(measure_point(p, A, w, dt))
         except Exception as exc:
             exc.add_note(f"omega={w:g} rad/s")
             raise

@@ -231,7 +231,7 @@ def test_criterion_10_convergence_trend():
 
 def test_criterion_11_noise_suppression_ordering():
     t0 = time.perf_counter()
-    cfg = SimConfig(dt=1e-3, t_end=50.0, transient_skip=2.0)
+    cfg = SimConfig(dt=1e-3, t_end=50.0)
 
     def injected_variance(p, amplitude, power):
         noisy = SignalSpec(amplitude, 2.0,

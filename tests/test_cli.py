@@ -215,6 +215,37 @@ class TestSweepCommand:
         assert "t=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # non-finite values
+    ["simulate", "--preset", "paper-3A", "--amplitude", "nan"],
+    ["simulate", "--preset", "paper-3A", "--omega", "inf"],
+    ["linearize", "--eps", "inf", "--a0", "1", "--b0", "1"],
+    ["linearize", "--eps", "1", "--a0", "1", "--b0", "inf"],
+    ["simulate", "--preset", "paper-3A", "--noise-power", "nan"],
+    # more steps than the budget
+    ["sweep", "--preset", "paper-4-linear", "--omega-min", "1e-4",
+     "--omega-max", "1e-3", "--points", "2"],
+    ["simulate", "--eps", "1e-300", "--a0", "1", "--b0", "1",
+     "--t-end", "0.01"],
+    ["simulate", "--preset", "paper-3A", "--t-end", "inf"],
+    # a step that is not positive
+    ["sweep", "--preset", "paper-3A", "--dt", "0"],
+])
+def test_bad_value_exits_2_without_traceback(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if argv[0] != "linearize":
+        argv = argv + ["--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # a usage error from the flag parser
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") or "usage: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestEstimateCommand:
     def test_schema(self, tmp_path, capsys):
         path = tmp_path / "est.csv"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdlab.describing import freq_response, linearize
 from tdlab.dynamics import DiffParams, DiffState, hybrid_rhs
@@ -10,13 +12,15 @@ from tdlab.simulate import (
     InstabilityError,
     SimConfig,
     TimeSeries,
-    auto_config,
+    MAX_STEPS,
     convergence_order,
     default_dt,
+    default_skip,
     eps_ladder,
     rk4_step,
     rms_error,
     run,
+    time_grid,
 )
 from tdlab.sweep import fundamental_component
 
@@ -65,7 +69,13 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
-            SimConfig(dt=1e-3, t_end=1.0, transient_skip=1.0)
+            SimConfig(dt=1e-3, t_end=0.0)
+
+    def test_step_budget_checked_before_allocation(self):
+        cfg = SimConfig(dt=1e-3, t_end=(MAX_STEPS + 1) * 1e-3)
+        with pytest.raises(ValueError, match=r"t_end=16777\.2 at dt=0\.001 "
+                                             r"needs 1\.678e\+07 steps"):
+            time_grid(cfg)
 
     def test_default_dt_rule(self):
         spec = SignalSpec(1.0, 2.0, noise=NoiseSpec(0.01, 0.01))
@@ -73,10 +83,32 @@ class TestSimConfig:
             min(P3A.eps / 20, 0.001, 1e-3))
         assert default_dt(P4_HYBRID) == pytest.approx(0.01 / 20)
 
-    def test_auto_config(self):
-        cfg = auto_config(P3A, SignalSpec(5.0, 2.0), t_end=10.0)
-        assert cfg.t_end == 10.0
-        assert cfg.transient_skip == pytest.approx(2.0)  # 5/omega_n < 2 s
+    def test_default_skip(self):
+        assert default_skip(P3A, 5.0) == 2.0  # 5/omega_n < 2 s
+        slow = DiffParams(eps=1.0, a0=0.25, b0=0.5)  # omega_n = 0.5
+        assert default_skip(slow, 5.0) == pytest.approx(10.0)
+
+
+#: The float fields of each config type.
+FLOAT_FIELDS = {
+    DiffParams: ("eps", "a0", "a1", "b0", "b1", "alpha"),
+    SignalSpec: ("amplitude", "omega"),
+    NoiseSpec: ("power", "sample_time"),
+    SimConfig: ("dt", "t_end"),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data(), cls=st.sampled_from(list(FLOAT_FIELDS)))
+def test_configs_are_finite_or_rejected(data, cls):
+    # any float, NaN and +-inf included, or one that passes every other check
+    values = {name: data.draw(st.floats() | st.floats(0.05, 0.95), label=name)
+              for name in FLOAT_FIELDS[cls]}
+    try:
+        obj = cls(**values)
+    except ValueError:
+        return
+    assert all(math.isfinite(getattr(obj, name)) for name in values)
 
 
 class TestTimeSeries:
@@ -119,7 +151,7 @@ class TestRun:
     def test_linear_steady_state_amplitude_and_phase(self):
         # steady x2 amplitude = A*omega*|G(j2)| = 10.033, lag 15.5 deg
         spec = SignalSpec(5.0, 2.0)
-        cfg = SimConfig(dt=1e-3, t_end=30.0, transient_skip=2.0)
+        cfg = SimConfig(dt=1e-3, t_end=30.0)
         ts = run(P3A, spec, cfg)
         period = math.pi
         t1 = ts.t[-1]
@@ -133,7 +165,7 @@ class TestRun:
         # from the oracle run (direct simulation cross-checked against the
         # equivalent-linearization phase-lag prediction of ~0.07)
         spec = SignalSpec(1.0, 2.0)
-        cfg = SimConfig(dt=5e-4, t_end=20.0, transient_skip=2.0)
+        cfg = SimConfig(dt=5e-4, t_end=20.0)
         ts = run(P4_HYBRID, spec, cfg)
         rms = rms_error(ts, "x2", "dv_clean", (2.0, 20.0))
         assert rms == pytest.approx(0.0707, abs=0.005)
@@ -181,7 +213,7 @@ class TestRun:
     def test_step_halving_stability(self, p, spec):
         # halving dt moves the steady-state RMS metric by < 1 %
         def metric(dt):
-            cfg = SimConfig(dt=dt, t_end=20.0, transient_skip=2.0)
+            cfg = SimConfig(dt=dt, t_end=20.0)
             ts = run(p, spec, cfg)
             return rms_error(ts, "x2", "dv_clean", (2.0, 20.0))
 
@@ -215,7 +247,7 @@ class TestRmsError:
         seed = 12345
         specA = SignalSpec(5.0, 2.0, noise=NoiseSpec(0.01, 0.01, seed=seed))
         specC = SignalSpec(0.5, 2.0, noise=NoiseSpec(1e-4, 0.01, seed=seed))
-        cfg = SimConfig(dt=1e-3, t_end=30.0, transient_skip=2.0)
+        cfg = SimConfig(dt=1e-3, t_end=30.0)
         errA = rms_error(run(P3A, specA, cfg), "x2", "dv_clean",
                          (2.0, 30.0)) / 10.0
         errC = rms_error(run(P3C_HYBRID, specC, cfg), "x2", "dv_clean",
@@ -284,9 +316,6 @@ class TestCrossModuleGainAgreement:
         from tdlab.sweep import measure_point
 
         for omega in np.linspace(0.1 * lin.omega_n, 3.0 * lin.omega_n, 10):
-            period = 2 * math.pi / omega
-            skip = max(10 / lin.omega_n, 5 * period)
-            cfg = SimConfig(dt=1e-3, t_end=skip + 6 * period)
-            measured = measure_point(P3A, 1.0, omega, cfg)
+            measured = measure_point(P3A, 1.0, omega, dt=1e-3)
             analytic = freq_response(lin, omega).mag
             assert measured.track_mag == pytest.approx(analytic, rel=5e-3)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from tdlab.describing import freq_response, linearize, natural_frequency
 from tdlab.dynamics import DiffParams
-from tdlab.simulate import InstabilityError, SimConfig, TimeSeries, time_grid
+from tdlab.signals import SignalSpec
+from tdlab.simulate import InstabilityError, SimConfig, TimeSeries, run, time_grid
 from tdlab.sweep import (
     MEASURE_PERIODS,
     MeasuredResponse,
@@ -89,15 +90,9 @@ class TestFundamentalComponent:
             fundamental_component(ts, "y", omega, (50.0, 40.0))
 
 
-def _cfg_for(p, A, omega, dt=1e-3, periods=6):
-    period = 2 * math.pi / omega
-    skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
-    return SimConfig(dt=dt, t_end=skip + periods * period)
-
-
 class TestMeasurePoint:
     def test_linear_at_two_rad_s(self):
-        m = measure_point(P3A, 5.0, 2.0, _cfg_for(P3A, 5.0, 2.0))
+        m = measure_point(P3A, 5.0, 2.0, dt=1e-3)
         assert m.deriv_mag == pytest.approx(1.0033, abs=0.01)
         assert m.deriv_phase_deg == pytest.approx(-15.5, abs=1.0)
 
@@ -105,28 +100,38 @@ class TestMeasurePoint:
         # analytic phase at 0.2 rad/s is -1.53 deg (not yet zero); the
         # measured point must sit on the analytic curve and the lag must
         # keep shrinking toward DC
-        m = measure_point(P3A, 1.0, 0.2, _cfg_for(P3A, 1.0, 0.2))
+        m = measure_point(P3A, 1.0, 0.2, dt=1e-3)
         assert m.track_mag == pytest.approx(1.0, abs=0.01)
         ref = freq_response(linearize(P3A, 1.0), 0.2)
         assert m.track_phase_deg == pytest.approx(ref.phase_deg, abs=0.2)
-        lower = measure_point(P3A, 1.0, 0.05, _cfg_for(P3A, 1.0, 0.05))
+        lower = measure_point(P3A, 1.0, 0.05, dt=1e-3)
         assert abs(lower.track_phase_deg) < abs(m.track_phase_deg) < 2.0
 
     def test_hybrid_tracks_below_two_pi(self):
         for omega in (0.5, 2.0, 2 * math.pi):
-            m = measure_point(P4_HYBRID, 1.0, omega,
-                              _cfg_for(P4_HYBRID, 1.0, omega, dt=5e-4))
+            m = measure_point(P4_HYBRID, 1.0, omega, dt=5e-4)
             assert m.track_mag >= 0.95
 
-    def test_rejects_short_config(self):
-        with pytest.raises(ValueError):
-            measure_point(P3A, 1.0, 2.0, SimConfig(dt=1e-3, t_end=1.0))
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
+    def test_rejects_bad_step(self, dt):
+        # a non-positive dt would otherwise fall back to 16 steps per period
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            measure_point(P3A, 1.0, 2.0, dt=dt)
 
     def test_window_invariance(self):
-        # doubling the measured periods moves the estimate by < 0.1 %
-        a = measure_point(P3A, 1.0, 5.0, _cfg_for(P3A, 1.0, 5.0, periods=5))
-        b = measure_point(P3A, 1.0, 5.0, _cfg_for(P3A, 1.0, 5.0, periods=10))
-        assert abs(b.track_mag - a.track_mag) / a.track_mag < 1e-3
+        # doubling the measured periods moves the estimate by < 0.1 %: the
+        # reference measures 10 periods on the same plan, step and skip
+        omega = 5.0
+        a = measure_point(P3A, 1.0, omega, dt=1e-3)
+        period = 2 * math.pi / omega
+        n_sub = math.ceil(period / 1e-3)
+        dt = period / n_sub
+        skip = max(10.0 / natural_frequency(P3A, 1.0), 5.0 * period)
+        i0 = math.ceil(skip / dt)
+        window = (i0 * dt, (i0 + 10 * n_sub) * dt)
+        ts = run(P3A, SignalSpec(1.0, omega), SimConfig(dt=dt, t_end=window[1]))
+        ref, _ = fundamental_component(ts, "x1", omega, window)
+        assert abs(ref - a.track_mag) / a.track_mag < 1e-3
 
 
 class TestSweep:
@@ -177,8 +182,12 @@ class TestSweep:
             sweep(P3A, -1.0, [1.0, 2.0])
         # the original exception propagates with its failure time intact
         with pytest.raises(InstabilityError, match="omega=0.5 rad/s") as err:
-            sweep(P3A, 1.0, [0.5], SimConfig(dt=1.0, t_end=1.0))
+            sweep(P3A, 1.0, [0.5], dt=1.0)
         assert math.isfinite(err.value.t)
+        # a point over the step budget fails before anything is allocated
+        with pytest.raises(ValueError, match="MAX_STEPS") as err:
+            sweep(P3A, 1.0, [1e-4])
+        assert err.value.__notes__ == ["omega=0.0001 rad/s"]
 
     def test_nonlinear_bandwidth_shrinks_with_amplitude(self):
         omegas = np.logspace(0.0, math.log10(30.0), 12)
@@ -189,43 +198,54 @@ class TestSweep:
         assert bw[0] > bw[1] > bw[2]
 
 
-def _measured_periods(cfg, omega):
-    return (cfg.t_end - cfg.transient_skip) * omega / (2 * math.pi)
+def _measured_periods(window, omega):
+    return (window[1] - window[0]) * omega / (2 * math.pi)
 
 
 class TestPointPlan:
-    """sweep measures exactly MEASURE_PERIODS periods; a config sized for N
-    periods makes measure_point measure N."""
+    """Every point, through sweep or measure_point, measures exactly
+    MEASURE_PERIODS periods that end where the run ends."""
 
     @pytest.fixture
-    def runs(self, monkeypatch):
-        # a steady synthetic response on the planned grid: x1 = v, x2 = v'
-        cfgs = []
+    def plans(self, monkeypatch):
+        # a steady synthetic response on the planned grid: x1 = v, x2 = v';
+        # records the run's end and each measured window
+        seen = []
 
         def fake_run(p, spec, cfg):
-            cfgs.append(cfg)
             t, _ = time_grid(cfg)
             w, A = spec.omega, spec.amplitude
             return TimeSeries(t=t, channels={"x1": A * np.sin(w * t),
                                              "x2": A * w * np.cos(w * t)})
 
+        def recording(ts, channel, omega, window):
+            seen.append((ts.t[-1], window))
+            return fundamental_component(ts, channel, omega, window)
+
         monkeypatch.setattr(sweep_module, "run", fake_run)
-        return cfgs
+        monkeypatch.setattr(sweep_module, "fundamental_component", recording)
+        return seen
+
+    def _check(self, plans, omega):
+        assert len(plans) == 2  # x1 and x2, on one window
+        for t_end, window in plans:
+            assert window[1] == pytest.approx(t_end, abs=1e-9)
+            assert _measured_periods(window, omega) == pytest.approx(
+                MEASURE_PERIODS, abs=1e-9)
 
     @pytest.mark.parametrize("omega", [0.89, 3.22, 7.12])
-    def test_sweep_measures_measure_periods(self, runs, omega):
+    def test_sweep_measures_measure_periods(self, plans, omega):
         (pt,) = sweep(P3A, 1.0, [omega])
-        (cfg,) = runs
-        assert _measured_periods(cfg, omega) == pytest.approx(
-            MEASURE_PERIODS, abs=1e-9)
+        self._check(plans, omega)
         assert pt.track_mag == pytest.approx(1.0, abs=1e-6)
         assert pt.deriv_phase_deg == pytest.approx(0.0, abs=1e-4)
 
     @pytest.mark.parametrize("omega", [0.89, 3.22, 7.12])
-    def test_config_sized_for_five_periods_measures_five(self, runs, omega):
-        pt = measure_point(P3A, 1.0, omega, _cfg_for(P3A, 1.0, omega, periods=5))
-        (cfg,) = runs
-        assert _measured_periods(cfg, omega) == pytest.approx(5, abs=1e-9)
+    def test_config_sized_for_five_periods_measures_five(self, plans, omega):
+        # the SimConfig measure_point plans covers the skip plus exactly
+        # MEASURE_PERIODS (five) periods, and all of them are measured
+        pt = measure_point(P3A, 1.0, omega, dt=1e-3)
+        self._check(plans, omega)
         assert pt.track_mag == pytest.approx(1.0, abs=1e-6)
 
 
@@ -233,9 +253,8 @@ class TestPointPlan:
 @given(p=st.sampled_from([P3A, P4_HYBRID, P4_NONLINEAR]),
        A=st.floats(0.1, 10.0),
        omega=st.floats(0.05, 500.0),
-       dt_target=st.floats(1e-4, 1e-2),
-       periods=st.integers(MEASURE_PERIODS, 12))
-def test_point_plan_property(p, A, omega, dt_target, periods):
+       dt_target=st.floats(1e-4, 1e-2))
+def test_point_plan_property(p, A, omega, dt_target):
     # run and fundamental_component only record the plan, so grids of
     # millions of steps cost nothing
     plans = []
@@ -248,21 +267,17 @@ def test_point_plan_property(p, A, omega, dt_target, periods):
         skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
         # the first grid step at or after the skip (a rounding error may
         # push it one step later when the skip is a whole number of steps)
-        assert skip - 1e-9 <= cfg.transient_skip <= skip + cfg.dt + 1e-9
-        assert window == (cfg.transient_skip, cfg.t_end)
-        return _measured_periods(cfg, omega)
+        assert skip - 1e-9 <= window[0] <= skip + cfg.dt + 1e-9
+        assert window[1] == cfg.t_end
+        return _measured_periods(window, omega)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_module, "run", lambda p, spec, cfg: cfg)
         mp.setattr(sweep_module, "fundamental_component",
                    lambda cfg, channel, w, window: plans.append(
                        check(cfg, window)) or (1.0, 0.0))
-        sweep(p, A, [omega], SimConfig(dt=dt_target, t_end=1.0))
+        sweep(p, A, [omega], dt_target)
         assert plans == [pytest.approx(MEASURE_PERIODS, abs=1e-9)] * 2
-        plans.clear()
-        measure_point(p, A, omega,
-                      _cfg_for(p, A, omega, dt=dt_target, periods=periods))
-        assert plans == [pytest.approx(periods, abs=1e-9)] * 2
 
 
 class TestTrackingBandwidth:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tdlab.dynamics import DiffParams
+from tdlab.dynamics import DiffParams, DiffState
 from tdlab.presets import uncertainty_plant
 from tdlab.signals import NoiseSpec
 from tdlab.simulate import SimConfig, TimeSeries, rms_error
@@ -23,6 +23,12 @@ class TestSimulatePlant:
         plant = PlantConfig(u=_zero, delta=_zero, x0=1.0)
         ts = simulate_plant(plant, SimConfig(dt=1e-3, t_end=1.0))
         assert ts.channel("x")[-1] == pytest.approx(math.exp(-1.0), abs=1e-6)
+
+    def test_rejects_sim_initial(self):
+        # the plant's start is PlantConfig.x0; a sim.initial would be ignored
+        sim = SimConfig(dt=1e-3, t_end=1.0, initial=DiffState(1.0, 0.0))
+        with pytest.raises(ValueError, match="PlantConfig.x0"):
+            simulate_plant(uncertainty_plant(), sim)
 
     def test_forced_particular_solution(self):
         # x' = -x + 0.1 sin t + cos t has steady solution
