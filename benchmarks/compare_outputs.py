@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Compare what two source trees of tdlab write, command by command.
+
+Each tree runs the same fixed list of CLI commands in one fresh
+interpreter of its own, inside its own temporary directory, by calling
+``tdlab.cli.main`` in-process.  The list is every subcommand on every
+preset, the full-length commands of the benchmark's ``timeseries`` and
+``sweep`` workloads, and a set of bad-value commands; noisy commands run
+at seed 12345.  For each command the script prints whether the exit code,
+stdout and stderr match (with each tree's directory written as ``<dir>``)
+and whether every file written is byte-identical.  For a CSV that is not,
+it prints the largest relative difference of each column.  The exit
+status is 1 on any difference, 0 otherwise.
+
+Usage:
+    python benchmarks/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories holding the ``tdlab`` package, e.g.
+the ``src`` of a checkout of the parent commit and of this one.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+SEED = "12345"
+PRESETS = ("paper-3A", "paper-3B", "paper-3C-linear", "paper-3C-hybrid",
+           "paper-4-linear", "paper-4-nonlinear", "paper-4-hybrid", "paper-5")
+
+
+def commands() -> list[list[str]]:
+    """The fixed command list; ``{out}`` stands for a per-command file stem."""
+    cmds = []
+    for p in PRESETS:
+        cmds += [
+            ["linearize", "--preset", p, "--csv", "{out}.csv"],
+            ["simulate", "--preset", p, "--seed", SEED, "--t-end", "2",
+             "--out", "{out}.csv", "--plot-script", "{out}.py"],
+            ["bode", "--preset", p, "--out", "{out}.csv",
+             "--plot-script", "{out}.py"],
+            ["sweep", "--preset", p, "--omega-min", "1", "--omega-max", "30",
+             "--points", "4", "--out", "{out}.csv"],
+            ["estimate", "--preset", p, "--seed", SEED, "--t-end", "2",
+             "--out", "{out}.csv"],
+        ]
+    # the benchmark's full-length commands, on their unshifted grids
+    cmds += [["simulate", "--preset", p, "--seed", SEED, "--out", "{out}.csv"]
+             for p in ("paper-3A", "paper-3B")]
+    cmds += [["estimate", "--preset", "paper-5", "--seed", SEED,
+              "--out", "{out}.csv"]]
+    cmds += [["sweep", "--preset", p, "--omega-min", lo, "--omega-max", "90",
+              "--points", "12", "--out", "{out}.csv"]
+             for p, lo in (("paper-3A", "0.5"), ("paper-4-nonlinear", "2"),
+                           ("paper-4-hybrid", "2"))]
+    # values that must fail cleanly
+    out = ["--out", "{out}.csv"]
+    cmds += [
+        ["linearize", "--eps", "1", "--r", "2", "--a0", "1", "--b0", "1"],
+        ["linearize", "--preset", "paper-3A", "--amplitude", "nan"],
+        ["linearize", "--eps", "inf", "--a0", "1", "--b0", "1"],
+        ["simulate", "--preset", "paper-3A", "--amplitude", "nan", *out],
+        ["simulate", "--preset", "paper-3A", "--omega", "inf", *out],
+        ["simulate", "--preset", "paper-3A", "--noise-power", "nan", *out],
+        ["simulate", "--preset", "paper-3A", "--dt", "0.02", *out],
+        ["simulate", "--preset", "paper-3A", "--t-end", "inf", *out],
+        ["sweep", "--preset", "paper-3A", "--dt", "0", *out],
+        ["sweep", "--preset", "paper-3A", "--dt", "1e-320", "--omega-min",
+         "1", "--omega-max", "1", "--points", "1", *out],
+        ["estimate", "--preset", "paper-5", "--dt", "1e-3", "--noise-ts",
+         "1e-6", "--t-end", "2", *out],
+        ["estimate", "--preset", "paper-5", "--amplitude", "3", "--omega",
+         "7", "--t-end", "2", *out],
+        ["sweep", "--preset", "paper-3A", "--dt", "0.02", "--omega-min", "1",
+         "--omega-max", "1.7e308", "--points", "2", *out],
+        ["simulate", "--preset", "paper-3A", "--noise-ts", "5e-324", *out],
+        ["simulate", "--preset", "paper-3B", "--omega", "1.7e308",
+         "--t-end", "0.5", *out],
+        ["simulate", "--r", "1.7e308", "--a0", "1", "--b0", "1", "--dt",
+         "1e-3", "--t-end", "1", *out],
+        ["linearize", "--preset", "paper-3B", "--alpha", "1e-3",
+         "--amplitude", "5e-324"],
+        ["linearize", "--eps", "1e-100", "--a0", "1e300", "--b0", "1",
+         "--csv", "{out}.csv"],
+    ]
+    return cmds
+
+
+def run_tree(workdir: str) -> None:
+    """Run every command in workdir; write results.json there."""
+    from tdlab.cli import main
+
+    os.chdir(workdir)
+    results = []
+    for i, argv in enumerate(commands()):
+        argv = [a.replace("{out}", os.path.join(workdir, f"c{i:02d}"))
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # recorded, not raised: a finding
+                code = f"uncaught {type(exc).__name__}"
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        results.append({"argv": argv, "code": code,
+                        "stdout": out.getvalue().replace(workdir, "<dir>"),
+                        "stderr": err.getvalue().replace(workdir, "<dir>")})
+    with open(os.path.join(workdir, "results.json"), "w") as fh:
+        json.dump(results, fh)
+
+
+def _read_csv(path: str):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    return lines[0].split(","), [[float(v) for v in ln.split(",")]
+                                 for ln in lines[1:]]
+
+
+def column_differences(old: str, new: str) -> str:
+    """Largest relative difference per column of two CSVs of one shape."""
+    (h_old, r_old), (h_new, r_new) = _read_csv(old), _read_csv(new)
+    if h_old != h_new or len(r_old) != len(r_new):
+        return (f"header {h_old} / {h_new}, "
+                f"{len(r_old)} / {len(r_new)} rows")
+    worst = []
+    for j, name in enumerate(h_old):
+        rel = 0.0
+        for a, b in zip((r[j] for r in r_old), (r[j] for r in r_new)):
+            if a != b:
+                scale = max(abs(a), abs(b))
+                rel = max(rel, abs(a - b) / scale if math.isfinite(scale)
+                          else math.inf)
+        worst.append(f"{name} {rel:.3g}")
+    return ", ".join(worst)
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read().replace(os.path.dirname(path).encode(), b"<dir>")
+
+
+def compare(old_dir: str, new_dir: str) -> int:
+    with open(os.path.join(old_dir, "results.json")) as fh:
+        old = json.load(fh)
+    with open(os.path.join(new_dir, "results.json")) as fh:
+        new = json.load(fh)
+    differences = 0
+    for i, (a, b) in enumerate(zip(old, new)):
+        notes = []
+        for key in ("code", "stdout", "stderr"):
+            if a[key] != b[key]:
+                notes.append(f"{key} differs")
+        files = sorted(f for f in set(os.listdir(old_dir))
+                       | set(os.listdir(new_dir)) if f.startswith(f"c{i:02d}."))
+        for f in files:
+            po, pn = os.path.join(old_dir, f), os.path.join(new_dir, f)
+            if not (os.path.exists(po) and os.path.exists(pn)):
+                notes.append(f"{f} written by one tree only")
+            elif _read(po) != _read(pn):
+                detail = (column_differences(po, pn) if f.endswith(".csv")
+                          else "")
+                notes.append(f"{f} differs {detail}".rstrip())
+        argv = " ".join(x.replace(new_dir, "<dir>") for x in b["argv"])
+        status = "DIFF" if notes else "same"
+        print(f"{status} [{a['code']} -> {b['code']}, {len(files)} files] "
+              f"tdlab {argv}")
+        for note in notes:
+            print(f"     {note}")
+        for key in ("stdout", "stderr"):
+            if a[key] != b[key]:
+                print(f"     old {key}: {a[key].strip()[-200:]!r}")
+                print(f"     new {key}: {b[key].strip()[-200:]!r}")
+        differences += bool(notes)
+    print(f"{differences} of {len(new)} commands differ")
+    return 1 if differences else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--run":  # one tree, in a child process
+        sys.path.insert(0, os.path.abspath(argv[1]))
+        run_tree(argv[2])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("Usage:")[1].strip(), file=sys.stderr)
+        return 2
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = []
+        for label, src in zip(("old", "new"), argv):
+            d = os.path.join(tmp, label)
+            os.mkdir(d)
+            subprocess.run([sys.executable, os.path.abspath(__file__),
+                            "--run", src, d], env=env, check=True)
+            dirs.append(d)
+        return compare(*dirs)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ from .describing import DegenerateError, OverdampedError, bode_table, linearize
 from .dynamics import DiffParams
 from .presets import PRESETS, get_preset, uncertainty_plant
 from .signals import DEFAULT_SEED, NoiseSpec, SignalSpec
-from .simulate import InstabilityError, SimConfig, default_dt, run
+from .simulate import MAX_STEPS, InstabilityError, SimConfig, default_dt, run
 from .sweep import sweep, tracking_bandwidth
 from .uncertainty import estimate_delta, simulate_plant
 
@@ -70,11 +70,24 @@ def _write_plot_script(path: str, csv_path: str, title: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _emit(args, header: list[str], rows, n_rows: int, title: str,
+          *notes: str) -> None:
+    """Write the --out CSV, report it and the notes, then the plot script."""
+    _write_csv(args.out, header, rows)
+    print(f"wrote {args.out} ({n_rows} rows)")
+    for note in notes:
+        print(note)
+    if args.plot_script:
+        _write_plot_script(args.plot_script, args.out, title)
+        print(f"wrote {args.plot_script}")
+
+
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="start from a named experiment preset")
-    sub.add_argument("--eps", type=float, help="perturbation parameter")
-    sub.add_argument("--r", type=float, help="gain parameter R = 1/eps")
+    gain = sub.add_mutually_exclusive_group()
+    gain.add_argument("--eps", type=float, help="perturbation parameter")
+    gain.add_argument("--r", type=float, help="gain parameter R = 1/eps")
     sub.add_argument("--a0", type=float, help="linear position gain")
     sub.add_argument("--a1", type=float, help="nonlinear position gain")
     sub.add_argument("--b0", type=float, help="linear velocity gain")
@@ -82,76 +95,56 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, help="signed-power exponent in (0,1]")
 
 
-def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--amplitude", type=float, help="input amplitude")
-    sub.add_argument("--omega", type=float, help="input frequency [rad/s]")
+def _add_noise_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--noise-power", type=float, help="noise power (units^2*s)")
     sub.add_argument("--noise-ts", type=float, help="noise hold interval [s]")
     sub.add_argument("--seed", type=int, help=f"noise seed (default {DEFAULT_SEED})")
 
 
-def _resolve_params(args, parser) -> DiffParams:
+def _add_output_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--out", required=True, help="output CSV path")
+    sub.add_argument("--plot-script", help="also write a plotting script")
+
+
+def _resolve(args, parser) -> tuple[DiffParams, SignalSpec]:
+    """Preset values, or a required eps and SignalSpec(1, 2), under the flags.
+
+    args holds only the flags that its subcommand defines.
+    """
+    flags = {k: v for k, v in vars(args).items() if v is not None}
     if args.preset:
-        base = get_preset(args.preset).params
-        fields = dataclasses.asdict(base)
+        preset = get_preset(args.preset)
+        fields, spec = dataclasses.asdict(preset.params), preset.signal
     else:
-        fields = {"eps": None, "a0": 0.0, "a1": 0.0, "b0": 0.0, "b1": 0.0,
-                  "alpha": 1.0}
-    if args.eps is not None and args.r is not None:
-        parser.error("--eps and --r are mutually exclusive")
-    if args.r is not None:
-        if args.r <= 0:
+        fields, spec = {}, SignalSpec(amplitude=1.0, omega=2.0)
+    if "r" in flags:
+        if flags["r"] <= 0:
             parser.error("--r must be positive")
-        fields["eps"] = 1.0 / args.r
-    if args.eps is not None:
-        fields["eps"] = args.eps
-    for name in ("a0", "a1", "b0", "b1", "alpha"):
-        value = getattr(args, name)
-        if value is not None:
-            fields[name] = value
-    if fields["eps"] is None:
+        fields["eps"] = 1.0 / flags["r"]
+    fields.update((k, v) for k, v in flags.items()
+                  if k in ("eps", "a0", "a1", "b0", "b1", "alpha"))
+    if "eps" not in fields:
         parser.error("either --preset or --eps/--r is required")
+    noise = spec.noise
+    if "noise_power" in flags or "noise_ts" in flags:
+        noise = noise or NoiseSpec(power=0.0, sample_time=0.01)
     try:
-        return DiffParams(**fields)
+        p = DiffParams(**fields)
+        if noise is not None:
+            noise = NoiseSpec(power=flags.get("noise_power", noise.power),
+                              sample_time=flags.get("noise_ts", noise.sample_time),
+                              seed=flags.get("seed", noise.seed))
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _resolve_signal(args, parser) -> SignalSpec:
-    if args.preset:
-        spec = get_preset(args.preset).signal
-    else:
-        spec = SignalSpec(amplitude=1.0, omega=2.0)
-    amplitude = spec.amplitude if args.amplitude is None else args.amplitude
-    omega = spec.omega if args.omega is None else args.omega
-    noise = spec.noise
-    if args.noise_power is not None or args.noise_ts is not None:
-        power = args.noise_power if args.noise_power is not None else (
-            noise.power if noise else 0.0)
-        ts = args.noise_ts if args.noise_ts is not None else (
-            noise.sample_time if noise else 0.01)
-        try:
-            noise = NoiseSpec(power=power, sample_time=ts)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if noise is not None and args.seed is not None:
-        noise = dataclasses.replace(noise, seed=args.seed)
-    return SignalSpec(amplitude=amplitude, omega=omega, noise=noise)
-
-
-def _resolve_amplitude(args) -> float:
-    if args.amplitude is not None:
-        return args.amplitude
-    if args.preset:
-        return get_preset(args.preset).signal.amplitude
-    return 1.0
+    return p, SignalSpec(amplitude=flags.get("amplitude", spec.amplitude),
+                         omega=flags.get("omega", spec.omega), noise=noise)
 
 
 def _log_grid(args, parser) -> np.ndarray:
     if not (args.omega_min > 0 and args.omega_max >= args.omega_min):
         parser.error("need 0 < --omega-min <= --omega-max")
-    if args.points < 1:
-        parser.error("--points must be >= 1")
+    if not 1 <= args.points <= MAX_STEPS:
+        parser.error(f"--points must lie in [1, MAX_STEPS={MAX_STEPS}]")
     if args.points > 1 and args.omega_max == args.omega_min:
         parser.error("--points > 1 needs --omega-max > --omega-min")
     return np.logspace(np.log10(args.omega_min), np.log10(args.omega_max),
@@ -159,8 +152,8 @@ def _log_grid(args, parser) -> np.ndarray:
 
 
 def cmd_linearize(args, parser) -> int:
-    p = _resolve_params(args, parser)
-    A = _resolve_amplitude(args)
+    p, spec = _resolve(args, parser)
+    A = spec.amplitude
     lin = linearize(p, A)
     print(f"amplitude   A       = {_FMT.format(A)}")
     print(f"natural frequency   = {_FMT.format(lin.omega_n)} rad/s")
@@ -180,80 +173,57 @@ def cmd_linearize(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    p = _resolve_params(args, parser)
-    spec = _resolve_signal(args, parser)
+    p, spec = _resolve(args, parser)
     dt = args.dt if args.dt is not None else default_dt(p, spec)
     t_end = args.t_end if args.t_end is not None else (
         get_preset(args.preset).t_end if args.preset else 20.0)
     ts = run(p, spec, SimConfig(dt=dt, t_end=t_end))
     names = ["t", "v", "x1", "x2", "v_clean", "dv_clean"]
-    rows = zip(ts.t, *(ts.channel(n) for n in names[1:]))
-    _write_csv(args.out, names, rows)
-    print(f"wrote {args.out} ({len(ts.t)} rows)")
-    if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, "differentiator run")
-        print(f"wrote {args.plot_script}")
+    _emit(args, names, zip(ts.t, *(ts.channel(n) for n in names[1:])),
+          len(ts.t), "differentiator run")
     return 0
 
 
 def cmd_bode(args, parser) -> int:
-    p = _resolve_params(args, parser)
-    A = _resolve_amplitude(args)
-    lin = linearize(p, A)
+    p, spec = _resolve(args, parser)
+    lin = linearize(p, spec.amplitude)
     points = bode_table(lin, _log_grid(args, parser))
-    _write_csv(args.out, ["omega", "mag", "mag_db", "phase_deg"],
-               [(pt.omega, pt.mag, pt.mag_db, pt.phase_deg) for pt in points])
-    print(f"wrote {args.out} ({len(points)} rows)")
-    print(f"natural frequency = {_FMT.format(lin.omega_n)} rad/s, "
+    _emit(args, ["omega", "mag", "mag_db", "phase_deg"],
+          [(pt.omega, pt.mag, pt.mag_db, pt.phase_deg) for pt in points],
+          len(points), "analytic response",
+          f"natural frequency = {_FMT.format(lin.omega_n)} rad/s, "
           f"damping ratio = {_FMT.format(lin.zeta)}")
-    if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, "analytic response")
-        print(f"wrote {args.plot_script}")
     return 0
 
 
 def cmd_sweep(args, parser) -> int:
-    p = _resolve_params(args, parser)
-    A = _resolve_amplitude(args)
+    p, spec = _resolve(args, parser)
     grid = _log_grid(args, parser)
-    lin = linearize(p, A)
-    measured = sweep(p, A, grid, dt=args.dt)
-    rows = []
-    for pt in measured:
-        ref = bode_table(lin, [pt.omega])[0]
-        rows.append((pt.omega, ref.mag, ref.mag_db, ref.phase_deg,
-                     pt.track_mag, pt.track_phase_deg,
-                     pt.deriv_mag, pt.deriv_phase_deg))
-    _write_csv(args.out, ["omega", "mag", "mag_db", "phase_deg", "track_mag",
-                          "track_phase_deg", "deriv_mag", "deriv_phase_deg"],
-               rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    lin = linearize(p, spec.amplitude)
+    measured = sweep(p, spec.amplitude, grid, dt=args.dt)
+    rows = [(pt.omega, ref.mag, ref.mag_db, ref.phase_deg, pt.track_mag,
+             pt.track_phase_deg, pt.deriv_mag, pt.deriv_phase_deg)
+            for pt, ref in zip(measured, bode_table(lin, grid))]
     try:
-        bw = tracking_bandwidth(measured)
-        print(f"-3 dB tracking bandwidth = {_FMT.format(bw)} rad/s")
+        bandwidth = (f"-3 dB tracking bandwidth = "
+                     f"{_FMT.format(tracking_bandwidth(measured))} rad/s")
     except ValueError as exc:
-        print(f"-3 dB tracking bandwidth: {exc}")
-    if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, "measured response")
-        print(f"wrote {args.plot_script}")
+        bandwidth = f"-3 dB tracking bandwidth: {exc}"
+    _emit(args, ["omega", "mag", "mag_db", "phase_deg", "track_mag",
+                 "track_phase_deg", "deriv_mag", "deriv_phase_deg"],
+          rows, len(rows), "measured response", bandwidth)
     return 0
 
 
 def cmd_estimate(args, parser) -> int:
-    p = _resolve_params(args, parser)
-    spec = _resolve_signal(args, parser)
-    noise = spec.noise
-    plant = uncertainty_plant(noise=noise)
-    t_end = args.t_end if args.t_end is not None else 20.0
+    p, spec = _resolve(args, parser)
     dt = args.dt if args.dt is not None else default_dt(p, spec)
-    ts = estimate_delta(simulate_plant(plant, SimConfig(dt=dt, t_end=t_end)), p)
+    plant = uncertainty_plant(noise=spec.noise)
+    ts = estimate_delta(
+        simulate_plant(plant, SimConfig(dt=dt, t_end=args.t_end)), p)
     names = ["t", "y", "u", "delta_true", "delta_hat"]
-    rows = zip(ts.t, *(ts.channel(n) for n in names[1:]))
-    _write_csv(args.out, names, rows)
-    print(f"wrote {args.out} ({len(ts.t)} rows)")
-    if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, "disturbance estimation")
-        print(f"wrote {args.plot_script}")
+    _emit(args, names, zip(ts.t, *(ts.channel(n) for n in names[1:])),
+          len(ts.t), "disturbance estimation")
     return 0
 
 
@@ -275,11 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("simulate", help="time-domain run, CSV output")
     _add_param_flags(sp)
-    _add_signal_flags(sp)
+    sp.add_argument("--amplitude", type=float, help="input amplitude")
+    sp.add_argument("--omega", type=float, help="input frequency [rad/s]")
+    _add_noise_flags(sp)
     sp.add_argument("--dt", type=float, help="integration step [s]")
     sp.add_argument("--t-end", type=float, help="duration [s]")
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--plot-script", help="also write a plotting script")
+    _add_output_flags(sp)
     sp.set_defaults(func=cmd_simulate)
 
     sp = subs.add_parser("bode", help="analytic frequency-response table")
@@ -288,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega-min", type=float, default=0.5)
     sp.add_argument("--omega-max", type=float, default=100.0)
     sp.add_argument("--points", type=int, default=50)
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--plot-script", help="also write a plotting script")
+    _add_output_flags(sp)
     sp.set_defaults(func=cmd_bode)
 
     sp = subs.add_parser("sweep", help="swept-sine measured response table")
@@ -299,18 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega-max", type=float, default=2.0 * np.pi * 100.0)
     sp.add_argument("--points", type=int, default=20)
     sp.add_argument("--dt", type=float, help="target integration step [s]")
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--plot-script", help="also write a plotting script")
+    _add_output_flags(sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = subs.add_parser("estimate",
                          help="disturbance estimation on the uncertain plant")
     _add_param_flags(sp)
-    _add_signal_flags(sp)
+    _add_noise_flags(sp)
     sp.add_argument("--dt", type=float, help="integration step [s]")
-    sp.add_argument("--t-end", type=float, help="duration [s]")
-    sp.add_argument("--out", required=True, help="output CSV path")
-    sp.add_argument("--plot-script", help="also write a plotting script")
+    sp.add_argument("--t-end", type=float, default=20.0, help="duration [s]")
+    _add_output_flags(sp)
     sp.set_defaults(func=cmd_estimate)
     return parser
 

@@ -18,7 +18,7 @@ class OverdampedError(ValueError):
 
 
 class DegenerateError(ValueError):
-    """Effective position gain is zero; no second-order equivalent exists."""
+    """No second-order equivalent exists: a gain is zero or overflows."""
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,11 @@ def describing_gain(A: float, alpha: float) -> float:
         raise ValueError(f"amplitude must be finite and positive, got {A}")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    return omega_factor(alpha) * A ** (alpha - 1.0)
+    try:
+        return omega_factor(alpha) * A ** (alpha - 1.0)
+    except OverflowError:  # A^(alpha-1) for a tiny A
+        raise ValueError(
+            f"equivalent gain at amplitude {A:g} overflows") from None
 
 
 def _equivalent_gains(p: DiffParams, A: float) -> tuple[float, float]:
@@ -113,9 +117,13 @@ def linearize(p: DiffParams, A: float) -> EquivalentLinearization:
             f"damping ratio {zeta:.6g} outside (0, 1); "
             "equivalent system is not underdamped")
     omega_d = omega_n * math.sqrt(1.0 - zeta * zeta)
+    k_pos, k_vel = kp_gain / (p.eps * p.eps), kv_gain / p.eps
+    if not (0.0 < k_pos < math.inf and k_vel < math.inf):
+        raise DegenerateError(
+            f"equivalent gains k_pos={k_pos:g}, k_vel={k_vel:g} are not "
+            "positive finite numbers")
     return EquivalentLinearization(
-        omega_n=omega_n, zeta=zeta, omega_d=omega_d,
-        k_pos=kp_gain / (p.eps * p.eps), k_vel=kv_gain / p.eps)
+        omega_n=omega_n, zeta=zeta, omega_d=omega_d, k_pos=k_pos, k_vel=k_vel)
 
 
 def freq_response(lin: EquivalentLinearization, omega: float) -> FreqPoint:

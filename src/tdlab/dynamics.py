@@ -32,6 +32,8 @@ class DiffParams:
                     f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be positive, got {self.eps}")
+        if not self.r * self.r < math.inf:
+            raise ValueError(f"eps={self.eps:g} is too small: 1/eps^2 overflows")
         for name in ("a0", "a1", "b0", "b1"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be non-negative")

@@ -53,6 +53,8 @@ class SignalSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.amplitude * self.omega):
+            raise ValueError("the peak derivative amplitude*omega overflows")
 
     def with_seed(self, seed: int) -> "SignalSpec":
         if self.noise is None:

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .describing import natural_frequency
 from .dynamics import DiffParams, DiffState
-from .signals import SignalSpec, eval_clean, eval_derivative, eval_signal
+from .signals import NoiseSpec, SignalSpec, eval_clean, eval_derivative, eval_signal
 
 #: States beyond this magnitude abort the integration as diverged.
 STATE_LIMIT = 1e9
@@ -88,7 +88,11 @@ def default_dt(p: DiffParams, spec: Optional[SignalSpec] = None) -> float:
     dt = min(p.eps / 20.0, 1e-3)
     if spec is not None and spec.noise is not None:
         hold = spec.noise.sample_time
-        dt = hold / math.ceil(hold / min(dt, hold / 10.0))
+        try:
+            dt = hold / math.ceil(hold / min(dt, hold / 10.0))
+        except (ZeroDivisionError, OverflowError):  # hold/10 or the count
+            raise ValueError(f"no step of at most {dt:g} s divides noise "
+                             f"sample_time={hold:g}") from None
     return dt
 
 
@@ -142,14 +146,20 @@ def _raise_if_diverged(bad: int, dt: float, subject: str) -> None:
             f"(dt={dt:g} too large?)", t=t_bad)
 
 
+def _check_hold(noise: Optional[NoiseSpec], dt: float) -> None:
+    """Raise unless dt splits each hold of a nonzero noise into whole steps."""
+    if noise is not None and noise.power > 0.0:
+        holds = noise.sample_time / dt
+        if not (0.0 < holds < math.inf
+                and abs(holds - round(holds)) <= 1e-9 * holds):
+            raise ValueError(
+                f"dt={dt:g} does not divide noise sample_time="
+                f"{noise.sample_time:g}")
+
+
 def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
     """Shared run path: hold check, input synthesis, kernel(v, v_mid), channels."""
-    if spec.noise is not None and spec.noise.power > 0.0:
-        holds = spec.noise.sample_time / cfg.dt
-        if abs(holds - round(holds)) > 1e-9 * holds:
-            raise ValueError(
-                f"dt={cfg.dt:g} does not divide noise sample_time="
-                f"{spec.noise.sample_time:g}")
+    _check_hold(spec.noise, cfg.dt)
     t, tm = time_grid(cfg)
     v = eval_signal(spec, t)
     x1, x2, bad = kernel(v, eval_signal(spec, tm))

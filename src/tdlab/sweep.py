@@ -17,7 +17,7 @@ import numpy as np
 from .describing import natural_frequency
 from .dynamics import DiffParams
 from .signals import SignalSpec
-from .simulate import SimConfig, TimeSeries, default_dt, run
+from .simulate import MAX_STEPS, SimConfig, TimeSeries, default_dt, run
 
 #: Measured periods per sweep point (more periods change the estimate by
 #: < 0.1 % on clean linear inputs).
@@ -81,7 +81,8 @@ def measure_point(p: DiffParams, A: float, omega: float,
     max(10/omega_n(A), 5 periods) and measures MEASURE_PERIODS whole
     periods.  dt is the target step size (default: default_dt(p)); the
     actual step is shrunk so that an integer number (>= 16) of steps spans
-    one period.
+    one period.  A point that would take more than MAX_STEPS steps raises
+    ValueError before anything is integrated.
     """
     if dt is None:
         dt = default_dt(p)
@@ -91,6 +92,11 @@ def measure_point(p: DiffParams, A: float, omega: float,
         raise ValueError("amplitude and omega must be finite and positive")
     period = 2.0 * math.pi / omega
     skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
+    # a lower bound of the steps, checked before math.ceil meets an inf
+    steps = (skip + MEASURE_PERIODS * period) / min(dt, period / 16)
+    if steps > MAX_STEPS:
+        raise ValueError(f"dt={dt:g} needs {steps:.4g} steps, more than "
+                         f"MAX_STEPS={MAX_STEPS}")
     n_sub = max(math.ceil(period / dt), 16)
     step = period / n_sub
     i0 = math.ceil(skip / step)

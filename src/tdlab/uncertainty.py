@@ -19,7 +19,8 @@ import numpy as np
 from . import _kernels
 from .dynamics import DiffParams, DiffState
 from .signals import NoiseSpec, bl_white_noise
-from .simulate import STATE_LIMIT, SimConfig, TimeSeries, _raise_if_diverged, time_grid
+from .simulate import (STATE_LIMIT, SimConfig, TimeSeries, _check_hold,
+                       _raise_if_diverged, time_grid)
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,13 @@ def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
     """Integrate x' = -x + u + delta and record x, y = x + noise, u, delta.
 
     sim supplies dt and t_end; the plant starts from cfg.x0, so sim.initial
-    must be left at its default.
+    must be left at its default.  As in run, sim.dt must divide the noise
+    hold interval.
     """
     if sim.initial != DiffState(0.0, 0.0):
         raise ValueError("the plant starts from PlantConfig.x0, not from "
                          f"sim.initial={sim.initial}")
+    _check_hold(cfg.noise, sim.dt)
     t, tm = time_grid(sim)
     u = np.asarray(cfg.u(t), dtype=float)
     delta = np.asarray(cfg.delta(t), dtype=float)

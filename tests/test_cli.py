@@ -1,8 +1,14 @@
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tdlab
 from tdlab.cli import main
@@ -225,11 +231,28 @@ class TestSweepCommand:
     # more steps than the budget
     ["sweep", "--preset", "paper-4-linear", "--omega-min", "1e-4",
      "--omega-max", "1e-3", "--points", "2"],
-    ["simulate", "--eps", "1e-300", "--a0", "1", "--b0", "1",
+    ["simulate", "--eps", "1e-100", "--a0", "1", "--b0", "1",
      "--t-end", "0.01"],
     ["simulate", "--preset", "paper-3A", "--t-end", "inf"],
     # a step that is not positive
     ["sweep", "--preset", "paper-3A", "--dt", "0"],
+    # a step that does not divide the noise hold, in the plant run too
+    ["estimate", "--preset", "paper-5", "--dt", "1e-3", "--noise-ts", "1e-6",
+     "--t-end", "2"],
+    # a step so small that one period overflows the step count
+    ["sweep", "--preset", "paper-3A", "--dt", "1e-320", "--omega-min", "1",
+     "--omega-max", "1", "--points", "1"],
+    # values that overflow: 1/eps^2, the describing gain, the steps per
+    # noise hold, the table length, the input's derivative
+    ["simulate", "--r", "1.7e308", "--a0", "1", "--b0", "1", "--t-end", "1"],
+    ["linearize", "--preset", "paper-3B", "--alpha", "1e-3",
+     "--amplitude", "5e-324"],
+    ["simulate", "--preset", "paper-3A", "--noise-ts", "5e-324"],
+    ["bode", "--preset", "paper-3A", "--points", "2147483648"],
+    ["simulate", "--preset", "paper-3B", "--omega", "1.7e308",
+     "--t-end", "0.5"],
+    # flags that exclude each other
+    ["linearize", "--eps", "1", "--r", "2", "--a0", "1", "--b0", "1"],
 ])
 def test_bad_value_exits_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -276,3 +299,101 @@ def test_cold_import_skips_unused_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+#: Flag values every float flag may take besides its moderate range: zero,
+#: a negative, NaN, +-inf, subnormal, tiny and huge magnitudes.
+SPECIAL = (0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300,
+           1.7e308)
+
+#: Moderate range of each float flag.  Together with the flags that are
+#: always drawn, they keep a run at about 1e5 steps or fewer; a special
+#: value either leaves a run short or makes the step budget reject it.
+RANGES = {
+    "--eps": (0.01, 1.0), "--r": (1.0, 100.0), "--a0": (0.01, 2.0),
+    "--a1": (0.01, 2.0), "--b0": (0.01, 2.0), "--b1": (0.01, 2.0),
+    "--alpha": (0.05, 1.0), "--amplitude": (-5.0, 5.0),
+    "--omega": (-10.0, 10.0), "--noise-power": (0.0, 0.1),
+    "--noise-ts": (1e-3, 0.1), "--dt": (0.02, 0.5), "--t-end": (1e-3, 2.0),
+    "--omega-min": (1.0, 50.0), "--omega-max": (1.0, 50.0),
+}
+#: Flags drawn now and then, and flags always drawn (they bound the steps).
+OPTIONAL = {
+    "linearize": ("--amplitude",),
+    "simulate": ("--amplitude", "--omega", "--noise-power", "--noise-ts",
+                 "--seed", "--dt"),
+    "bode": ("--amplitude", "--omega-min", "--omega-max", "--points"),
+    "sweep": ("--amplitude",),
+    "estimate": ("--noise-power", "--noise-ts", "--seed", "--dt"),
+}
+ALWAYS = {"simulate": ("--t-end",), "estimate": ("--t-end",),
+          "sweep": ("--omega-min", "--omega-max", "--points", "--dt")}
+
+
+def _value(draw, flag):
+    special = draw(st.integers(0, 7)) == 0
+    if flag == "--seed":
+        return draw(st.sampled_from([-1, 2**70]) if special
+                    else st.integers(0, 2**32))
+    if flag == "--points":
+        return draw(st.sampled_from([-1, 0, 2**31, 10**12]) if special
+                    else st.integers(1, 3))
+    return draw(st.sampled_from(SPECIAL) if special
+                else st.floats(*RANGES[flag]))
+
+
+@st.composite
+def cli_argv(draw, commands=tuple(OPTIONAL), seeded=False):
+    """A command line of drawn flag values, writing to the path '{out}'."""
+    command = draw(st.sampled_from(commands))
+    argv = [command]
+    preset = draw(st.sampled_from(sorted(PRESETS) + [None]))
+    if preset:
+        argv += ["--preset", preset]
+    # without a preset, --eps or --r is required; both at once is an error
+    flags = list(draw(st.sampled_from(
+        [(), (), ("--eps",), ("--r",), ("--eps", "--r")])))
+    flags += [f for f in ("--a0", "--a1", "--b0", "--b1", "--alpha")
+              + OPTIONAL[command] if draw(st.integers(0, 3)) == 0]
+    flags += ALWAYS.get(command, ()) + (("--seed",) if seeded else ())
+    for flag in dict.fromkeys(flags):
+        argv.append(f"{flag}={_value(draw, flag)!r}")
+    return argv + ["--csv" if command == "linearize" else "--out", "{out}"]
+
+
+def _run_cli(argv, path):
+    """Exit code and stderr of one command writing to path."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            rc = main([a.replace("{out}", path) for a in argv])
+        except SystemExit as exc:  # a usage error from the flag parser
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=cli_argv())
+def test_drawn_flags_keep_the_exit_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        rc, err = _run_cli(argv, path)
+        assert rc in (0, 2, 3), err
+        assert "Traceback" not in err
+        if rc != 0:
+            assert not os.path.exists(path)
+        else:
+            _, rows = read_csv(path)
+            assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(argv=cli_argv(commands=("simulate", "estimate"), seeded=True))
+def test_rerun_with_drawn_seed_is_byte_identical(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        a, b = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+        rc = _run_cli(argv, a)[0]
+        assert _run_cli(argv, b)[0] == rc
+        if rc == 0:
+            assert open(a, "rb").read() == open(b, "rb").read()

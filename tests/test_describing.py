@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tdlab.describing import (
+    DegenerateError,
     EquivalentLinearization,
     OverdampedError,
     asymptote_db,
@@ -93,6 +94,11 @@ class TestDescribingGain:
         with pytest.raises(ValueError):
             describing_gain(A, 0.5)
 
+    def test_overflow_is_a_value_error(self):
+        # A^(alpha-1) = 5e-324^-0.999 is beyond the largest float
+        with pytest.raises(ValueError, match="overflows"):
+            describing_gain(5e-324, 1e-3)
+
 
 class TestLinearize:
     def test_linear_case(self):
@@ -164,6 +170,11 @@ class TestLinearize:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError):
             linearize(P3A, 0.0)
+
+    def test_overflowing_gain_is_degenerate(self):
+        # k_pos = a0/eps^2 = 1e300/1e-200 overflows although each field is finite
+        with pytest.raises(DegenerateError, match="k_pos=inf"):
+            linearize(DiffParams(eps=1e-100, a0=1e300, b0=1.0), 1.0)
 
 
 _GAIN = st.floats(0.0, 10.0, allow_subnormal=False)

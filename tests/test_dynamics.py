@@ -36,6 +36,7 @@ class TestDiffParams:
         dict(eps=0.1, a0=1.0, b0=1.0, alpha=1.5),
         dict(eps=0.1, a0=1.0, a1=0.1, b0=1.0, alpha=1.0),  # nonlinear needs alpha<1
         dict(eps=0.1, a0=1.0, a1=-0.1, b0=1.0, alpha=0.5),
+        dict(eps=1e-300, a0=1.0, b0=1.0),                 # 1/eps^2 overflows
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

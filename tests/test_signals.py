@@ -119,6 +119,11 @@ class TestEvalSignal:
         assert np.array_equal(eval_clean(spec, t), 5.0 * np.sin(2.0 * t))
         assert np.array_equal(eval_derivative(spec, t), 10.0 * np.cos(2.0 * t))
 
+    def test_rejects_overflowing_derivative(self):
+        # each field is finite, but the dv_clean channel A*omega*cos would be inf
+        with pytest.raises(ValueError, match="overflows"):
+            SignalSpec(amplitude=5.0, omega=1.7e308)
+
     def test_variance_of_noisy_input_class(self):
         # independent signal and noise variances add: 5^2/2 + 1 = 13.5
         spec = SignalSpec(amplitude=5.0, omega=2.0,

@@ -198,6 +198,15 @@ class TestRun:
             run(P3A, spec, SimConfig(dt=0.003, t_end=1.0))
         run(P3A, spec, SimConfig(dt=0.0025, t_end=1.0))  # Ts/dt = 4
 
+    @pytest.mark.parametrize("hold", [5e-324, 1.7e308])
+    def test_rejects_hold_no_step_count_can_split(self, hold):
+        # hold/10 underflows to 0, or hold/dt overflows to inf
+        spec = SignalSpec(1.0, 2.0, noise=NoiseSpec(0.01, hold))
+        with pytest.raises(ValueError, match="divide"):
+            default_dt(P3A, spec)
+        with pytest.raises(ValueError, match="does not divide"):
+            run(P3A, spec, SimConfig(dt=1e-3, t_end=1.0))
+
     def test_default_dt_divides_noise_hold(self):
         # eps/20 = 3e-4 leaves Ts/dt = 33.3; the rule shrinks dt to Ts/34
         p = DiffParams(eps=0.006, a0=0.05, b0=0.3)

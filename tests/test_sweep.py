@@ -118,6 +118,11 @@ class TestMeasurePoint:
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             measure_point(P3A, 1.0, 2.0, dt=dt)
 
+    def test_step_count_checked_before_rounding(self):
+        # period/dt overflows to inf, which math.ceil cannot round
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            measure_point(P3A, 1.0, 1.0, dt=1e-320)
+
     def test_window_invariance(self):
         # doubling the measured periods moves the estimate by < 0.1 %: the
         # reference measures 10 periods on the same plan, step and skip

@@ -30,6 +30,11 @@ class TestSimulatePlant:
         with pytest.raises(ValueError, match="PlantConfig.x0"):
             simulate_plant(uncertainty_plant(), sim)
 
+    def test_rejects_dt_that_splits_a_noise_hold(self):
+        plant = uncertainty_plant(noise=NoiseSpec(power=1e-4, sample_time=1e-6))
+        with pytest.raises(ValueError, match="does not divide"):
+            simulate_plant(plant, SimConfig(dt=1e-3, t_end=1.0))
+
     def test_forced_particular_solution(self):
         # x' = -x + 0.1 sin t + cos t has steady solution
         # 0.55 sin t + 0.45 cos t
