@@ -37,9 +37,6 @@ from .signals import (
     NoiseSpec,
     SignalSpec,
     bl_white_noise,
-    eval_clean,
-    eval_derivative,
-    eval_signal,
     noise_holds,
     sinusoid,
     sinusoid_derivative,
@@ -95,9 +92,6 @@ __all__ = [
     "describing_gain",
     "eps_ladder",
     "estimate_delta",
-    "eval_clean",
-    "eval_derivative",
-    "eval_signal",
     "first_order_filter_rhs",
     "first_order_response",
     "freq_response",

@@ -15,7 +15,9 @@ the scalar relaxation) take ``_linear_rk4``: RK4 applied to
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1), solved as a banded
 triangular system by BLAS on every backend.  Only the nonlinear
 differentiator steps through ``_hybrid_loop``, which is compiled with numba
-when numba imports and otherwise runs as plain Python.
+when numba imports and otherwise runs as plain Python.  Its acceleration
+x2' is written once, in ``_accel``; the x1 rate of each stage is the x2 of
+that stage's state.
 """
 
 import numpy as np
@@ -87,13 +89,6 @@ def _linear_rk4(A, b, x0, v_grid, v_mid, dt, limit):
     return tuple(x) + (-1,)
 
 
-@njit(cache=True)
-def _sig(y, alpha):
-    # |y|^alpha * sgn(y); sgn(0) = 0
-    s = 1.0 if y > 0.0 else (-1.0 if y < 0.0 else 0.0)
-    return s * abs(y) ** alpha
-
-
 def integrate_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha,
                      dt, limit):
     """Integrate the differentiator state (x1, x2) over a sampled input.
@@ -112,6 +107,16 @@ def integrate_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha,
 
 
 @njit(cache=True)
+def _accel(x1, x2, v, eps, a0, a1, b0, b1, alpha, inv_e2):
+    """x2' of integrate_hybrid at state (x1, x2) and input value v."""
+    e = x1 - v
+    ev = eps * x2
+    se = (1.0 if e > 0.0 else (-1.0 if e < 0.0 else 0.0)) * abs(e) ** alpha
+    sv = (1.0 if ev > 0.0 else (-1.0 if ev < 0.0 else 0.0)) * abs(ev) ** alpha
+    return -(a0 * e + a1 * se + b0 * ev + b1 * sv) * inv_e2
+
+
+@njit(cache=True)
 def _hybrid_loop(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                  limit):
     """Per-step RK4 of integrate_hybrid, for nonzero a1 or b1."""
@@ -121,45 +126,21 @@ def _hybrid_loop(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
     x1[0] = x1_0
     x2[0] = x2_0
     inv_e2 = 1.0 / (eps * eps)
+    h = 0.5 * dt
     y1 = x1_0
     y2 = x2_0
     for i in range(n):
-        va = v_grid[i]
         vm = v_mid[i]
-        vb = v_grid[i + 1]
-
-        e = y1 - va
-        ev = eps * y2
-        k1_1 = y2
-        k1_2 = -(a0 * e + a1 * _sig(e, alpha)
-                 + b0 * ev + b1 * _sig(ev, alpha)) * inv_e2
-
-        z1 = y1 + 0.5 * dt * k1_1
-        z2 = y2 + 0.5 * dt * k1_2
-        e = z1 - vm
-        ev = eps * z2
-        k2_1 = z2
-        k2_2 = -(a0 * e + a1 * _sig(e, alpha)
-                 + b0 * ev + b1 * _sig(ev, alpha)) * inv_e2
-
-        z1 = y1 + 0.5 * dt * k2_1
-        z2 = y2 + 0.5 * dt * k2_2
-        e = z1 - vm
-        ev = eps * z2
-        k3_1 = z2
-        k3_2 = -(a0 * e + a1 * _sig(e, alpha)
-                 + b0 * ev + b1 * _sig(ev, alpha)) * inv_e2
-
-        z1 = y1 + dt * k3_1
-        z2 = y2 + dt * k3_2
-        e = z1 - vb
-        ev = eps * z2
-        k4_1 = z2
-        k4_2 = -(a0 * e + a1 * _sig(e, alpha)
-                 + b0 * ev + b1 * _sig(ev, alpha)) * inv_e2
-
-        y1 = y1 + dt / 6.0 * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
-        y2 = y2 + dt / 6.0 * (k1_2 + 2.0 * k2_2 + 2.0 * k3_2 + k4_2)
+        k1 = _accel(y1, y2, v_grid[i], eps, a0, a1, b0, b1, alpha, inv_e2)
+        p2 = y2 + h * k1
+        k2 = _accel(y1 + h * y2, p2, vm, eps, a0, a1, b0, b1, alpha, inv_e2)
+        p3 = y2 + h * k2
+        k3 = _accel(y1 + h * p2, p3, vm, eps, a0, a1, b0, b1, alpha, inv_e2)
+        p4 = y2 + dt * k3
+        k4 = _accel(y1 + dt * p3, p4, v_grid[i + 1], eps, a0, a1, b0, b1,
+                    alpha, inv_e2)
+        y1 = y1 + dt / 6.0 * (y2 + 2.0 * p2 + 2.0 * p3 + p4)
+        y2 = y2 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x1[i + 1] = y1
         x2[i + 1] = y2
         if not (abs(y1) <= limit and abs(y2) <= limit):

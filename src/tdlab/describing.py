@@ -95,8 +95,16 @@ def _equivalent_gains(p: DiffParams, A: float) -> tuple[float, float]:
 
 
 def natural_frequency(p: DiffParams, A: float) -> float:
-    """Natural frequency of the equivalent system, sqrt(a0 + a1*N(A))/eps."""
-    return math.sqrt(_equivalent_gains(p, A)[0]) / p.eps
+    """Natural frequency of the equivalent system, sqrt(a0 + a1*N(A))/eps.
+
+    Raises DegenerateError when it underflows to 0 or overflows.
+    """
+    omega_n = math.sqrt(_equivalent_gains(p, A)[0]) / p.eps
+    if not 0.0 < omega_n < math.inf:
+        raise DegenerateError(
+            f"natural frequency {omega_n:g} rad/s is not a positive finite "
+            "number")
+    return omega_n
 
 
 def linearize(p: DiffParams, A: float) -> EquivalentLinearization:
@@ -126,20 +134,34 @@ def linearize(p: DiffParams, A: float) -> EquivalentLinearization:
         omega_n=omega_n, zeta=zeta, omega_d=omega_d, k_pos=k_pos, k_vel=k_vel)
 
 
+def _freq_point(omega, mag: float, phase: float, corner: str) -> FreqPoint:
+    """FreqPoint of a magnitude 1/sqrt(D); raises ValueError if D overflowed."""
+    if not mag > 0.0:
+        raise ValueError(
+            f"omega={omega:g} rad/s is too far above {corner} rad/s: "
+            "the magnitude's denominator overflows")
+    return FreqPoint(omega=omega, mag=mag, mag_db=20.0 * math.log10(mag),
+                     phase_deg=phase)
+
+
 def freq_response(lin: EquivalentLinearization, omega: float) -> FreqPoint:
     """Analytic frequency response of the equivalent second-order system.
 
     Magnitude 1/sqrt((1 - u^2)^2 + 4*zeta^2*u^2) with u = omega/omega_n;
-    phase in (-180, 0] degrees, exactly -90 at omega = omega_n.
+    phase in (-180, 0] degrees, exactly -90 at omega = omega_n.  Raises
+    ValueError when the magnitude's denominator overflows (omega far above
+    omega_n).
     """
     if not omega > 0.0:
         raise ValueError("omega must be positive")
-    u = omega / lin.omega_n
+    u = float(omega) / lin.omega_n  # float overflows to inf without a warning
     u2 = u * u
-    mag = 1.0 / math.sqrt((1.0 - u2) ** 2 + 4.0 * lin.zeta ** 2 * u2)
+    try:
+        mag = 1.0 / math.sqrt((1.0 - u2) ** 2 + 4.0 * lin.zeta ** 2 * u2)
+    except OverflowError:  # (1 - u^2)^2 far above omega_n
+        mag = 0.0
     phase = -math.degrees(math.atan2(2.0 * lin.zeta * u, 1.0 - u2))
-    return FreqPoint(omega=omega, mag=mag, mag_db=20.0 * math.log10(mag),
-                     phase_deg=phase)
+    return _freq_point(omega, mag, phase, f"omega_n={lin.omega_n:g}")
 
 
 def asymptote_db(lin: EquivalentLinearization, omega: float) -> float:
@@ -156,14 +178,15 @@ def first_order_response(a0: float, eps: float, omega: float) -> FreqPoint:
 
     G(s) = c/(s + c) with corner c = sqrt(a0)/eps; rolls off at
     -20 dB/decade, half the slope of the second-order differentiator.
+    Raises ValueError as freq_response does, far above the corner.
     """
     if not (a0 > 0.0 and eps > 0.0 and omega > 0.0):
         raise ValueError("a0, eps and omega must all be positive")
-    w_ratio = omega * eps / math.sqrt(a0)
+    w_ratio = float(omega) * eps / math.sqrt(a0)
     mag = 1.0 / math.sqrt(w_ratio * w_ratio + 1.0)
     phase = -math.degrees(math.atan(w_ratio))
-    return FreqPoint(omega=omega, mag=mag, mag_db=20.0 * math.log10(mag),
-                     phase_deg=phase)
+    return _freq_point(omega, mag, phase,
+                       f"corner sqrt(a0)/eps={math.sqrt(a0) / eps:g}")
 
 
 def bode_table(lin: EquivalentLinearization, omegas) -> list[FreqPoint]:

@@ -86,9 +86,8 @@ def hybrid_rhs(state: DiffState, v: float, p: DiffParams) -> DiffState:
     """
     e = state.x1 - v
     ev = p.eps * state.x2
-    se = (1.0 if e > 0.0 else (-1.0 if e < 0.0 else 0.0)) * abs(e) ** p.alpha
-    sv = (1.0 if ev > 0.0 else (-1.0 if ev < 0.0 else 0.0)) * abs(ev) ** p.alpha
-    d2 = -(p.a0 * e + p.a1 * se + p.b0 * ev + p.b1 * sv) / (p.eps * p.eps)
+    d2 = -(p.a0 * e + p.a1 * sig_pow(e, p.alpha) + p.b0 * ev
+           + p.b1 * sig_pow(ev, p.alpha)) / (p.eps * p.eps)
     return DiffState(state.x2, d2)
 
 

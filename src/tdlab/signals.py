@@ -6,6 +6,10 @@ interval [k*Ts, (k+1)*Ts) and held constant across it.  Draws come from
 numpy's default PCG64 generator seeded with the spec'd integer seed, so a
 given (seed, k) pair always yields the same value on every platform pinned
 to the same numpy generation algorithm (standard_normal via ziggurat).
+
+bl_white_noise evaluates the noise at any times.  A simulation run calls it
+once, on its step grid, and gives each step midpoint the hold of its step,
+which is the same value because the step divides the hold interval.
 """
 
 import math
@@ -93,20 +97,3 @@ def bl_white_noise(spec: NoiseSpec, t):
     out = holds[k]
     return out if t.ndim else float(out)
 
-
-def eval_signal(spec: SignalSpec, t):
-    """Full input signal: sinusoid plus noise when configured."""
-    v = sinusoid(spec.amplitude, spec.omega, t)
-    if spec.noise is not None and spec.noise.power > 0.0:
-        v = v + bl_white_noise(spec.noise, t)
-    return v
-
-
-def eval_clean(spec: SignalSpec, t):
-    """Noise-free reference channel of the signal."""
-    return sinusoid(spec.amplitude, spec.omega, t)
-
-
-def eval_derivative(spec: SignalSpec, t):
-    """Exact derivative of the noise-free reference."""
-    return sinusoid_derivative(spec.amplitude, spec.omega, t)

@@ -17,7 +17,8 @@ import numpy as np
 from . import _kernels
 from .describing import natural_frequency
 from .dynamics import DiffParams, DiffState
-from .signals import NoiseSpec, SignalSpec, eval_clean, eval_derivative, eval_signal
+from .signals import (NoiseSpec, SignalSpec, bl_white_noise, sinusoid,
+                      sinusoid_derivative)
 
 #: States beyond this magnitude abort the integration as diverged.
 STATE_LIMIT = 1e9
@@ -161,12 +162,22 @@ def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
     """Shared run path: hold check, input synthesis, kernel(v, v_mid), channels."""
     _check_hold(spec.noise, cfg.dt)
     t, tm = time_grid(cfg)
-    v = eval_signal(spec, t)
-    x1, x2, bad = kernel(v, eval_signal(spec, tm))
+    A, w = spec.amplitude, spec.omega
+    v_clean, dv_clean = sinusoid(A, w, t), sinusoid_derivative(A, w, t)
+    v, v_mid = v_clean.copy(), sinusoid(A, w, tm)
+    # tm and the noise are freed before the kernel allocates x1 and x2, so
+    # that v_mid is the only array held besides the channels
+    del tm
+    if spec.noise is not None and spec.noise.power > 0.0:
+        # dt divides the hold, so step i's midpoint lies in the hold of t[i]
+        noise = bl_white_noise(spec.noise, t)
+        v += noise
+        v_mid += noise[:-1]
+        del noise
+    x1, x2, bad = kernel(v, v_mid)
     _raise_if_diverged(bad, cfg.dt, "state")
     return TimeSeries(t=t, channels={
-        "v": v, "x1": x1, "x2": x2,
-        "v_clean": eval_clean(spec, t), "dv_clean": eval_derivative(spec, t)})
+        "v": v, "x1": x1, "x2": x2, "v_clean": v_clean, "dv_clean": dv_clean})
 
 
 def run(p: DiffParams, spec: SignalSpec, cfg: SimConfig) -> TimeSeries:

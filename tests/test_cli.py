@@ -243,7 +243,7 @@ class TestSweepCommand:
     ["sweep", "--preset", "paper-3A", "--dt", "1e-320", "--omega-min", "1",
      "--omega-max", "1", "--points", "1"],
     # values that overflow: 1/eps^2, the describing gain, the steps per
-    # noise hold, the table length, the input's derivative
+    # noise hold, the table length, the input's derivative, the magnitude
     ["simulate", "--r", "1.7e308", "--a0", "1", "--b0", "1", "--t-end", "1"],
     ["linearize", "--preset", "paper-3B", "--alpha", "1e-3",
      "--amplitude", "5e-324"],
@@ -251,6 +251,8 @@ class TestSweepCommand:
     ["bode", "--preset", "paper-3A", "--points", "2147483648"],
     ["simulate", "--preset", "paper-3B", "--omega", "1.7e308",
      "--t-end", "0.5"],
+    ["bode", "--preset", "paper-3A", "--omega-min", "1", "--omega-max",
+     "1e200", "--points", "3"],
     # flags that exclude each other
     ["linearize", "--eps", "1", "--r", "2", "--a0", "1", "--b0", "1"],
 ])

@@ -21,6 +21,8 @@ from tdlab.describing import (
     omega_factor,
 )
 from tdlab.dynamics import DiffParams
+from tdlab.simulate import default_skip
+from tdlab.sweep import measure_point
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
 P3B = DiffParams(eps=1 / 45, a1=0.099, b1=0.268, alpha=0.5)
@@ -177,6 +179,18 @@ class TestLinearize:
             linearize(DiffParams(eps=1e-100, a0=1e300, b0=1.0), 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: natural_frequency(p, 1.0),
+    lambda p: default_skip(p, 1.0),
+    lambda p: measure_point(p, 1.0, 1.0, 1e-3),
+], ids=["natural_frequency", "default_skip", "measure_point"])
+def test_underflowing_natural_frequency_is_degenerate(call):
+    # sqrt(5e-324)/1e300 underflows to 0; the callers divide by it
+    p = DiffParams(eps=1e300, a0=5e-324, b0=5e-324)
+    with pytest.raises(DegenerateError, match="natural frequency 0 rad/s"):
+        call(p)
+
+
 _GAIN = st.floats(0.0, 10.0, allow_subnormal=False)
 
 
@@ -243,6 +257,14 @@ class TestFreqResponse:
             math.degrees(cmath.phase(g)), abs=1e-9)
         assert -180.0 < pt.phase_deg <= 0.0
 
+    @pytest.mark.parametrize("omega", [1e100, np.float64(1e200), 1.7e308])
+    def test_far_above_natural_frequency_is_a_value_error(self, omega):
+        # the denominator overflows (finite, numpy and inf u^2), and no
+        # RuntimeWarning escapes: the test configuration turns it into an error
+        lin = linearize(P3A, 1.0)
+        with pytest.raises(ValueError, match=r"omega=1\S* rad/s .* omega_n="):
+            freq_response(lin, omega)
+
     def test_mag_db_consistency(self):
         lin = linearize(P3B, 5.0)
         pt = freq_response(lin, 7.7)
@@ -290,6 +312,11 @@ class TestFirstOrderResponse:
     def test_rejects_nonpositive_args(self):
         with pytest.raises(ValueError):
             first_order_response(0.0, 0.1, 1.0)
+
+    @pytest.mark.parametrize("omega", [1e200, np.float64(1e300)])
+    def test_far_above_corner_is_a_value_error(self, omega):
+        with pytest.raises(ValueError, match=r"omega=1e\+[23]00 rad/s .* corner"):
+            first_order_response(0.05, 1 / 45, omega)
 
 
 class TestBodeTable:

@@ -1,5 +1,6 @@
-"""Kernel checks: the generic RK4 step as oracle, the linear propagator
-against the nonlinear loop, and the loop's Python form against its backend."""
+"""Kernel checks: the generic RK4 step as oracle of every kernel, the
+linear propagator against the nonlinear loop, and the loop's Python form
+against its backend."""
 
 from unittest import mock
 
@@ -131,6 +132,49 @@ def test_linear_propagator_matches_loop(eps, a0, b0, dt, n, seed, chunk):
     end = n + 1 if bad < 0 else bad + 1
     for g, w in zip(got, want):
         w = w[:end]
+        assert np.all(np.abs(g[:end] - w) <= 1e-10 * np.maximum(1.0, np.abs(w)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hybrid=st.booleans(), eps=st.floats(1e-3, 1.0),
+       gains=st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=4),
+       alpha=st.floats(0.05, 0.95), dt_per_eps=st.floats(1e-3, 1.0),
+       n=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_nonlinear_loop_matches_generic_step(hybrid, eps, gains, alpha,
+                                             dt_per_eps, n, seed):
+    # rk4_step on hybrid_rhs is the oracle of the loop's stage algebra over
+    # nonlinear (a0 = b0 = 0) and hybrid gain sets, divergent cases included.
+    a0, a1, b0, b1 = gains
+    if not hybrid:
+        a0 = b0 = 0.0
+    p = DiffParams(eps=eps, a0=a0, a1=a1, b0=b0, b1=b1, alpha=alpha)
+    dt = dt_per_eps * eps
+    rng = np.random.default_rng(seed)
+    t = np.arange(n + 1) * dt
+    level = rng.uniform(0.0, 2.0)
+    v = 5.0 * np.sin(2.0 * t) + level * rng.standard_normal(n + 1)
+    vm = 5.0 * np.sin(2.0 * (t[:-1] + 0.5 * dt)) + level * rng.standard_normal(n)
+    x0 = rng.uniform(-10.0, 10.0, 2)
+    *got, bad = _LOOP(x0[0], x0[1], v, vm, eps, a0, a1, b0, b1, alpha, dt,
+                      1e9)
+
+    def rhs(s, u):
+        d = hybrid_rhs(DiffState(float(s[0]), float(s[1])), u, p)
+        return np.array([d.x1, d.x2])
+
+    want = [x0]
+    want_bad = -1
+    for i in range(n):
+        # from t = 0, rk4_step asks for u at exactly 0, 0.5*dt and dt
+        u = {0.0: v[i], 0.5 * dt: vm[i], dt: v[i + 1]}.__getitem__
+        want.append(rk4_step(rhs, want[-1], 0.0, dt, u))
+        if not np.all(np.abs(want[-1]) <= 1e9):
+            want_bad = i + 1
+            break
+    assert bad == want_bad
+    want = np.array(want).T
+    for g, w in zip(got, want):
+        end = len(w)
         assert np.all(np.abs(g[:end] - w) <= 1e-10 * np.maximum(1.0, np.abs(w)))
 
 

@@ -1,18 +1,24 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tdlab import _kernels
+from tdlab.dynamics import DiffParams
 from tdlab.signals import (
     NoiseSpec,
     SignalSpec,
     bl_white_noise,
-    eval_clean,
-    eval_derivative,
-    eval_signal,
     noise_holds,
     sinusoid,
 )
+from tdlab.simulate import SimConfig, run, time_grid
+
+#: A linear gain set, so that runs take the fast propagator.
+P_LIN = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
 
 
 class TestSinusoid:
@@ -101,23 +107,30 @@ class TestBlWhiteNoise:
 
 
 class TestEvalSignal:
+    """Evaluating the input signal: SignalSpec and the v, v_clean and
+    dv_clean channels that run() synthesizes."""
+
     def test_no_noise_equals_sinusoid(self):
-        spec = SignalSpec(amplitude=5.0, omega=2.0)
-        t = np.linspace(0.0, 3.0, 500)
-        assert np.array_equal(eval_signal(spec, t), sinusoid(5.0, 2.0, t))
+        ts = run(P_LIN, SignalSpec(amplitude=5.0, omega=2.0),
+                 SimConfig(dt=1e-3, t_end=3.0))
+        v, v_clean = ts.channel("v"), ts.channel("v_clean")
+        assert np.array_equal(v, sinusoid(5.0, 2.0, ts.t))
+        assert np.array_equal(v_clean, v)
+        assert not np.shares_memory(v, v_clean)
 
     def test_zero_amplitude_gives_pure_noise(self):
         noise = NoiseSpec(0.01, 0.01, seed=3)
-        spec = SignalSpec(amplitude=0.0, omega=2.0, noise=noise)
-        t = np.linspace(0.0, 3.0, 500)
-        assert np.array_equal(eval_signal(spec, t), bl_white_noise(noise, t))
+        ts = run(P_LIN, SignalSpec(amplitude=0.0, omega=2.0, noise=noise),
+                 SimConfig(dt=1e-3, t_end=3.0))
+        assert np.array_equal(ts.channel("v"), bl_white_noise(noise, ts.t))
 
     def test_reference_channels(self):
         noise = NoiseSpec(0.01, 0.01, seed=3)
-        spec = SignalSpec(amplitude=5.0, omega=2.0, noise=noise)
-        t = np.linspace(0.0, 3.0, 500)
-        assert np.array_equal(eval_clean(spec, t), 5.0 * np.sin(2.0 * t))
-        assert np.array_equal(eval_derivative(spec, t), 10.0 * np.cos(2.0 * t))
+        ts = run(P_LIN, SignalSpec(amplitude=5.0, omega=2.0, noise=noise),
+                 SimConfig(dt=1e-3, t_end=3.0))
+        assert np.array_equal(ts.channel("v_clean"), 5.0 * np.sin(2.0 * ts.t))
+        assert np.array_equal(ts.channel("dv_clean"),
+                              10.0 * np.cos(2.0 * ts.t))
 
     def test_rejects_overflowing_derivative(self):
         # each field is finite, but the dv_clean channel A*omega*cos would be inf
@@ -128,12 +141,40 @@ class TestEvalSignal:
         # independent signal and noise variances add: 5^2/2 + 1 = 13.5
         spec = SignalSpec(amplitude=5.0, omega=2.0,
                           noise=NoiseSpec(0.01, 0.01, seed=12345))
-        t = np.arange(0.0, 50.0, 1e-3)
-        var = np.var(eval_signal(spec, t))
-        assert var == pytest.approx(13.5, abs=0.5)
+        ts = run(P_LIN, spec, SimConfig(dt=1e-3, t_end=50.0))
+        assert np.var(ts.channel("v")) == pytest.approx(13.5, abs=0.5)
 
     def test_with_seed(self):
         spec = SignalSpec(amplitude=1.0, omega=2.0,
                           noise=NoiseSpec(0.01, 0.01, seed=1))
         assert spec.with_seed(9).noise.seed == 9
         assert SignalSpec(1.0, 2.0).with_seed(9).noise is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hold=st.floats(1e-4, 10.0), per_hold=st.integers(1, 64),
+       steps=st.integers(1, 5000), A=st.floats(-10.0, 10.0),
+       omega=st.floats(0.0, 500.0), power=st.floats(1e-6, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_single_noise_draw_matches_general_evaluator(hold, per_hold, steps, A,
+                                                     omega, power, seed):
+    # run() draws the holds once on the step grid and gives each midpoint the
+    # hold of its step; evaluating the noise at the midpoints themselves must
+    # give the same kernel input, bit for bit.
+    noise = NoiseSpec(power, hold, seed=seed)
+    dt = hold / per_hold
+    cfg = SimConfig(dt=dt, t_end=steps * dt)
+    seen = {}
+
+    def kernel(*args):
+        seen["v"], seen["v_mid"] = args[2], args[3]
+        n = len(args[3])
+        return np.zeros(n + 1), np.zeros(n + 1), -1
+
+    with mock.patch.object(_kernels, "integrate_hybrid", kernel):
+        run(P_LIN, SignalSpec(A, omega, noise), cfg)
+    t, tm = time_grid(cfg)
+    assert np.array_equal(seen["v"],
+                          sinusoid(A, omega, t) + bl_white_noise(noise, t))
+    assert np.array_equal(seen["v_mid"],
+                          sinusoid(A, omega, tm) + bl_white_noise(noise, tm))
