@@ -32,11 +32,18 @@ from .uncertainty import estimate_delta, simulate_plant
 _FMT = "{:.9g}"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+#: Rows formatted per block by _write_csv; bounds its temporaries.
+_CSV_BLOCK_ROWS = 256
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns as a CSV, each value as %.9g."""
+    fmt = ("%.9g," * len(columns))[:-1] + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT.format(v) for v in row) + "\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            rows = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write("".join([fmt % tuple(row) for row in rows.tolist()]))
 
 
 def _write_plot_script(path: str, csv_path: str, title: str) -> None:
@@ -70,11 +77,10 @@ def _write_plot_script(path: str, csv_path: str, title: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _emit(args, header: list[str], rows, n_rows: int, title: str,
-          *notes: str) -> None:
+def _emit(args, header: list[str], columns, title: str, *notes: str) -> None:
     """Write the --out CSV, report it and the notes, then the plot script."""
-    _write_csv(args.out, header, rows)
-    print(f"wrote {args.out} ({n_rows} rows)")
+    _write_csv(args.out, header, columns)
+    print(f"wrote {args.out} ({len(columns[0])} rows)")
     for note in notes:
         print(note)
     if args.plot_script:
@@ -166,8 +172,8 @@ def cmd_linearize(args, parser) -> int:
     if args.csv:
         _write_csv(args.csv, ["amplitude", "omega_n", "zeta", "omega_d",
                               "k_pos", "k_vel"],
-                   [(A, lin.omega_n, lin.zeta, lin.omega_d, lin.k_pos,
-                     lin.k_vel)])
+                   [[A], [lin.omega_n], [lin.zeta], [lin.omega_d],
+                    [lin.k_pos], [lin.k_vel]])
         print(f"wrote {args.csv}")
     return 0
 
@@ -179,8 +185,8 @@ def cmd_simulate(args, parser) -> int:
         get_preset(args.preset).t_end if args.preset else 20.0)
     ts = run(p, spec, SimConfig(dt=dt, t_end=t_end))
     names = ["t", "v", "x1", "x2", "v_clean", "dv_clean"]
-    _emit(args, names, zip(ts.t, *(ts.channel(n) for n in names[1:])),
-          len(ts.t), "differentiator run")
+    _emit(args, names, [ts.t, *(ts.channel(n) for n in names[1:])],
+          "differentiator run")
     return 0
 
 
@@ -189,8 +195,8 @@ def cmd_bode(args, parser) -> int:
     lin = linearize(p, spec.amplitude)
     points = bode_table(lin, _log_grid(args, parser))
     _emit(args, ["omega", "mag", "mag_db", "phase_deg"],
-          [(pt.omega, pt.mag, pt.mag_db, pt.phase_deg) for pt in points],
-          len(points), "analytic response",
+          list(zip(*[(pt.omega, pt.mag, pt.mag_db, pt.phase_deg)
+                     for pt in points])), "analytic response",
           f"natural frequency = {_FMT.format(lin.omega_n)} rad/s, "
           f"damping ratio = {_FMT.format(lin.zeta)}")
     return 0
@@ -201,9 +207,10 @@ def cmd_sweep(args, parser) -> int:
     grid = _log_grid(args, parser)
     lin = linearize(p, spec.amplitude)
     measured = sweep(p, spec.amplitude, grid, dt=args.dt)
-    rows = [(pt.omega, ref.mag, ref.mag_db, ref.phase_deg, pt.track_mag,
-             pt.track_phase_deg, pt.deriv_mag, pt.deriv_phase_deg)
-            for pt, ref in zip(measured, bode_table(lin, grid))]
+    columns = list(zip(*[
+        (pt.omega, ref.mag, ref.mag_db, ref.phase_deg, pt.track_mag,
+         pt.track_phase_deg, pt.deriv_mag, pt.deriv_phase_deg)
+        for pt, ref in zip(measured, bode_table(lin, grid))]))
     try:
         bandwidth = (f"-3 dB tracking bandwidth = "
                      f"{_FMT.format(tracking_bandwidth(measured))} rad/s")
@@ -211,7 +218,7 @@ def cmd_sweep(args, parser) -> int:
         bandwidth = f"-3 dB tracking bandwidth: {exc}"
     _emit(args, ["omega", "mag", "mag_db", "phase_deg", "track_mag",
                  "track_phase_deg", "deriv_mag", "deriv_phase_deg"],
-          rows, len(rows), "measured response", bandwidth)
+          columns, "measured response", bandwidth)
     return 0
 
 
@@ -222,8 +229,8 @@ def cmd_estimate(args, parser) -> int:
     ts = estimate_delta(
         simulate_plant(plant, SimConfig(dt=dt, t_end=args.t_end)), p)
     names = ["t", "y", "u", "delta_true", "delta_hat"]
-    _emit(args, names, zip(ts.t, *(ts.channel(n) for n in names[1:])),
-          len(ts.t), "disturbance estimation")
+    _emit(args, names, [ts.t, *(ts.channel(n) for n in names[1:])],
+          "disturbance estimation")
     return 0
 
 

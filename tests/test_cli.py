@@ -6,11 +6,13 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tdlab
+from tdlab import cli
 from tdlab.cli import main
 from tdlab.presets import PRESETS, get_preset
 
@@ -130,6 +132,17 @@ class TestSimulateCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "t=" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "paper-4-hybrid", "--a1=1.7e+308", "--t-end", "0.833"],
+        ["--preset", "paper-3B", "--a0=0.0", "--a1=1e+300", "--t-end", "1"]])
+    def test_overflowing_gain_exits_3(self, argv, tmp_path, capsys):
+        # the loop overflows in its first step: no RuntimeWarning (an error
+        # under Tier-1), only the divergence report
+        rc = main(["simulate", *argv, "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: state exceeded 1e+09 at t=")
 
     def test_bad_value_exits_2(self, tmp_path, capsys):
         # a dt the noise hold rejects is an error message, not a traceback
@@ -286,6 +299,35 @@ class TestEstimateCommand:
         assert main(args + ["--out", str(f1)]) == 0
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def _write_csv_by_format(path, header, rows):
+    """The row-by-row str.format writer that _write_csv replaced: its oracle."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("{:.9g}".format(v) for v in row) + "\n")
+
+
+def test_csv_writer_matches_format_oracle(tmp_path):
+    # 2049 rows fill whole blocks and start one more; the values span
+    # signed zeros, subnormals, 1e-12 .. 1e6 of either sign, integers and
+    # non-finite values, and one column holds Python ints
+    rng = np.random.default_rng(7)
+    n = 2049
+    mags = 10.0 ** rng.uniform(-12.0, 6.0, (4, n))
+    columns = list(mags * rng.choice([-1.0, 1.0], (4, n)))
+    columns[0][:6] = [0.0, -0.0, 5e-324, -2.5e-310, 1e6, -1e-12]
+    columns[1][:5] = [3.0, -7.0, 123456789.0, 1234567890123.0, math.inf]
+    columns[2][:2] = [-math.inf, math.nan]
+    columns[3] = np.round(columns[3])
+    columns.append(list(range(-1024, n - 1024)))
+    header = ["a", "b", "c", "d", "i"]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    cli._write_csv(str(new), header, columns)
+    _write_csv_by_format(str(old), header, zip(*columns))
+    assert new.read_bytes() == old.read_bytes()
+    assert len(new.read_text().splitlines()) == n + 1
 
 
 def test_cold_import_skips_unused_scipy_subpackages():

@@ -1,6 +1,7 @@
 """Kernel checks: the generic RK4 step as oracle of every kernel, the
-linear propagator against the nonlinear loop, and the loop's Python form
-against its backend."""
+linear propagator and the Newton path against the nonlinear loop, when the
+Newton path hands a lane to the loop, and the loop's Python form against
+its backend."""
 
 from unittest import mock
 
@@ -135,19 +136,22 @@ def test_linear_propagator_matches_loop(eps, a0, b0, dt, n, seed, chunk):
         assert np.all(np.abs(g[:end] - w) <= 1e-10 * np.maximum(1.0, np.abs(w)))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(hybrid=st.booleans(), eps=st.floats(1e-3, 1.0),
-       gains=st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=4),
-       alpha=st.floats(0.05, 0.95), dt_per_eps=st.floats(1e-3, 1.0),
-       n=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
-def test_nonlinear_loop_matches_generic_step(hybrid, eps, gains, alpha,
-                                             dt_per_eps, n, seed):
-    # rk4_step on hybrid_rhs is the oracle of the loop's stage algebra over
-    # nonlinear (a0 = b0 = 0) and hybrid gain sets, divergent cases included.
+#: Nonlinear (a0 = b0 = 0) and hybrid gain sets with alpha in [0.05, 0.95],
+#: dt = eps*dt_per_eps, start states in [-10, 10] and 5 sin 2t plus noise;
+#: divergent cases are drawn too.
+NONLINEAR_CASES = dict(
+    hybrid=st.booleans(), eps=st.floats(1e-3, 1.0),
+    gains=st.lists(st.floats(1e-3, 10.0), min_size=4, max_size=4),
+    alpha=st.floats(0.05, 0.95), dt_per_eps=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _nonlinear_case(hybrid, eps, gains, alpha, dt_per_eps, seed, n):
+    """Arguments of integrate_hybrid for one drawn NONLINEAR_CASES example."""
     a0, a1, b0, b1 = gains
     if not hybrid:
         a0 = b0 = 0.0
-    p = DiffParams(eps=eps, a0=a0, a1=a1, b0=b0, b1=b1, alpha=alpha)
+    DiffParams(eps=eps, a0=a0, a1=a1, b0=b0, b1=b1, alpha=alpha)  # is valid
     dt = dt_per_eps * eps
     rng = np.random.default_rng(seed)
     t = np.arange(n + 1) * dt
@@ -155,8 +159,28 @@ def test_nonlinear_loop_matches_generic_step(hybrid, eps, gains, alpha,
     v = 5.0 * np.sin(2.0 * t) + level * rng.standard_normal(n + 1)
     vm = 5.0 * np.sin(2.0 * (t[:-1] + 0.5 * dt)) + level * rng.standard_normal(n)
     x0 = rng.uniform(-10.0, 10.0, 2)
-    *got, bad = _LOOP(x0[0], x0[1], v, vm, eps, a0, a1, b0, b1, alpha, dt,
-                      1e9)
+    return (x0[0], x0[1], v, vm, eps, a0, a1, b0, b1, alpha, dt, 1e9)
+
+
+def _assert_agree(got, bad, want, want_bad):
+    """Same first divergent step; within 1e-10*max(1, |x|) up to it."""
+    assert bad == want_bad
+    for g, w in zip(got, want):
+        end = len(w) if want_bad < 0 else want_bad + 1
+        w = w[:end]
+        assert np.all(np.abs(g[:end] - w) <= 1e-10 * np.maximum(1.0, np.abs(w)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**NONLINEAR_CASES, n=st.integers(1, 200))
+def test_nonlinear_loop_matches_generic_step(hybrid, eps, gains, alpha,
+                                             dt_per_eps, seed, n):
+    # rk4_step on hybrid_rhs is the oracle of the loop's stage algebra over
+    # nonlinear and hybrid gain sets, divergent cases included.
+    args = _nonlinear_case(hybrid, eps, gains, alpha, dt_per_eps, seed, n)
+    x0, (v, vm), dt = np.array(args[:2]), args[2:4], args[10]
+    p = DiffParams(*args[4:10])
+    *got, bad = _LOOP(*args)
 
     def rhs(s, u):
         d = hybrid_rhs(DiffState(float(s[0]), float(s[1])), u, p)
@@ -171,11 +195,129 @@ def test_nonlinear_loop_matches_generic_step(hybrid, eps, gains, alpha,
         if not np.all(np.abs(want[-1]) <= 1e9):
             want_bad = i + 1
             break
-    assert bad == want_bad
-    want = np.array(want).T
+    _assert_agree(got, bad, np.array(want).T, want_bad)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(**NONLINEAR_CASES, n=st.integers(1, 1200),
+       window=st.integers(100, 600))
+def test_newton_path_matches_loop(hybrid, eps, gains, alpha, dt_per_eps,
+                                  seed, n, window):
+    # The Newton path, certificate and fallback included, against the loop
+    # over lanes of several windows.  Every lane and alpha takes Newton
+    # here, so that the certificate is checked where the path would
+    # otherwise hand the lane to the loop at once.
+    args = _nonlinear_case(hybrid, eps, gains, alpha, dt_per_eps, seed, n)
+    with mock.patch.multiple(_kernels, _WINDOW_STEPS=window,
+                             _MIN_NEWTON_STEPS=1, _MIN_NEWTON_ALPHA=0.0):
+        *got, bad = _kernels._newton_hybrid(*args)
+    *want, want_bad = _LOOP(*args)
+    _assert_agree(got, bad, want, want_bad)
+
+
+def _count_loop_calls(monkeypatch):
+    """Steps of each _hybrid_loop call made from here on."""
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[3]))
+        return _LOOP(*args)
+
+    monkeypatch.setattr(_kernels, "_hybrid_loop", counting)
+    return calls
+
+
+@pytest.mark.parametrize("min_steps", [_kernels._MIN_NEWTON_STEPS, 1],
+                         ids=["short-lane", "certificate"])
+def test_divergent_lane_goes_through_loop(monkeypatch, min_steps):
+    # The [nonlinear] case of test_divergence_reports_first_bad_step: its
+    # 50 steps are too few for Newton, and when Newton is tried anyway the
+    # window fails its certificate; either way the loop reports the step.
+    v, vm = _inputs(n=50, dt=0.5, omega=2.0)
+    args = (0.0, 0.0, v, vm, 1 / 45, 0.05, 0.015, 0.3, 0.015, 0.6, 0.5, 1e9)
+    *want, want_bad = _LOOP(*args)
+    calls = _count_loop_calls(monkeypatch)
+    monkeypatch.setattr(_kernels, "_MIN_NEWTON_STEPS", min_steps)
+    *got, bad = _kernels._newton_hybrid(*args)
+    assert calls == [50]
+    assert bad == want_bad > 0
     for g, w in zip(got, want):
-        end = len(w)
-        assert np.all(np.abs(g[:end] - w) <= 1e-10 * np.maximum(1.0, np.abs(w)))
+        np.testing.assert_array_equal(g[:bad + 1], w[:bad + 1])
+
+
+@pytest.mark.parametrize("alpha, steps", [(0.1, [1000]), (0.3, [1000]),
+                                          (0.6, [])])
+def test_small_alpha_lane_falls_back(monkeypatch, alpha, steps):
+    # alpha = 0.1 goes to the loop by the alpha rule; at alpha = 0.3 Newton
+    # stalls on this noise-free sine and the loop runs the window.  With
+    # numba, integrate_hybrid runs the compiled loop on the whole lane.
+    n, dt = 1000, 0.002
+    t = np.arange(n + 1) * dt
+    v, vm = 2.0 * np.sin(3.0 * t), 2.0 * np.sin(3.0 * (t[:-1] + dt / 2))
+    args = (0.0, 0.0, v, vm, 0.1, 0.0, 6.0, 0.0, 9.0, alpha, dt, 1e9)
+    *want, want_bad = _LOOP(*args)
+    calls = _count_loop_calls(monkeypatch)
+    *got, bad = _kernels.integrate_hybrid(*args)
+    assert calls == ([n] if _kernels.NUMBA_ENABLED else steps)
+    _assert_agree(got, bad, want, want_bad)
+
+
+def test_presets_take_the_newton_path(monkeypatch):
+    # The fixed kernel input of benchmarks/bench_kernels.py (paper-5 gains,
+    # 5 sin 2t, 20 000 steps) is certified window by window: no loop call.
+    # Newton stops at its rounding floor, so the trajectory agrees with the
+    # loop far inside the property's 1e-10.
+    dt, n = 1e-4, 20_000
+    t = np.arange(n + 1) * dt
+    v, vm = 5.0 * np.sin(2.0 * t), 5.0 * np.sin(2.0 * (t[:-1] + dt / 2))
+    args = (0.0, 0.0, v, vm, 1 / 45, 0.05, 0.015, 0.3, 0.015, 0.6, dt, 1e9)
+    *want, want_bad = _LOOP(*args)
+    calls = _count_loop_calls(monkeypatch)
+    *got, bad = _kernels._newton_hybrid(*args)
+    assert calls == [] and bad == want_bad == -1
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+
+
+def test_limit_crossed_in_a_later_window(monkeypatch):
+    # x1 tracks a ramp past limit = 10 near step 2500, inside the second
+    # of three windows (steps 1666..3333): the first window is certified,
+    # the loop runs the second from its start and reports the crossing as
+    # a step of the whole lane.
+    dt, n = 1e-3, 5000
+    t = np.arange(n + 1) * dt
+    v, vm = 4.0 * t, 4.0 * (t[:-1] + dt / 2)
+    args = (0.0, 0.0, v, vm, 1 / 45, 0.05, 0.015, 0.3, 0.015, 0.6, dt, 10.0)
+    *want, want_bad = _LOOP(*args)
+    calls = _count_loop_calls(monkeypatch)
+    monkeypatch.setattr(_kernels, "_WINDOW_STEPS", 2048)
+    *got, bad = _kernels._newton_hybrid(*args)
+    assert calls == [1667] and 1666 < want_bad <= 3333
+    _assert_agree(got, bad, want, want_bad)
+
+
+@pytest.mark.parametrize("gains", [(0.0, 0.099, 0.0, 0.268, 0.5),
+                                   (0.05, 0.015, 0.3, 0.015, 0.6)],
+                         ids=["nonlinear", "hybrid"])
+def test_rk4_map_jacobian_matches_central_differences(gains):
+    # Newton converges quadratically only with the exact Jacobian; away
+    # from e = 0 and eps*x2 = 0 it matches central differences of the map.
+    rng = np.random.default_rng(3)
+    n, dt, eps = 64, 1e-3, 1 / 45
+    y = rng.uniform(0.5, 2.0, (2, n)) * rng.choice([-1.0, 1.0], (2, n))
+    v, vm = rng.uniform(-0.2, 0.2, n + 1), rng.uniform(-0.2, 0.2, n)
+    f1, f2, *jac = _kernels._rk4_map(y[0], y[1], v, vm, eps, *gains, dt)
+    for col in range(2):
+        h = 1e-6 * np.abs(y[col])
+        up, down = y.copy(), y.copy()
+        up[col] += h
+        down[col] -= h
+        fu = _kernels._rk4_map(up[0], up[1], v, vm, eps, *gains, dt)[:2]
+        fd = _kernels._rk4_map(down[0], down[1], v, vm, eps, *gains, dt)[:2]
+        for row in range(2):
+            fd_slope = (fu[row] - fd[row]) / (2.0 * h)
+            np.testing.assert_allclose(jac[2 * row + col], fd_slope,
+                                       rtol=1e-6, atol=1e-6)
 
 
 def test_python_fallback_matches_active_backend():
