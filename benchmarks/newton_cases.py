@@ -10,8 +10,10 @@ Each case runs once through ``_kernels._hybrid_loop`` and once through
 ``_kernels._newton_hybrid`` (the path of ``integrate_hybrid`` without
 numba), whose calls of the loop are counted: every window that failed its
 certificate and every lane handed over whole.  Prints the total time of
-both, per alpha band too, the loop calls, the steps they ran, and the
-largest difference from the loop relative to max(1, |x|).
+both, per alpha band too, the loop calls, the steps they ran, the steps
+given to the map pass ``_rk4_f`` (F) and to the Jacobian pass
+``_rk4_jac`` (J) per step of the band's lanes, and the largest difference
+from the loop relative to max(1, |x|).
 
 Usage:
     python benchmarks/newton_cases.py [--seed N]
@@ -67,6 +69,18 @@ def main(argv=None):
         return loop(*a)
 
     _kernels._hybrid_loop = counting
+    evals = {"F": 0, "J": 0}
+    f_pass, j_pass = _kernels._rk4_f, _kernels._rk4_jac
+
+    def counting_f(y1, *a):
+        evals["F"] += len(y1)
+        return f_pass(y1, *a)
+
+    def counting_j(stages, *a):
+        evals["J"] += len(stages[0][0])
+        return j_pass(stages, *a)
+
+    _kernels._rk4_f, _kernels._rk4_jac = counting_f, counting_j
     rows = []
     worst, mismatched = 0.0, 0
     for alpha, kargs in cases(args.seed):
@@ -74,9 +88,11 @@ def main(argv=None):
         *want, want_bad = loop(*kargs)
         t1 = time.perf_counter()
         calls.clear()
+        evals.update(F=0, J=0)
         *got, bad = _kernels._newton_hybrid(*kargs)
         t2 = time.perf_counter()
-        rows.append((alpha, t1 - t0, t2 - t1, len(calls), sum(calls)))
+        rows.append((alpha, t1 - t0, t2 - t1, len(calls), sum(calls),
+                     evals["F"], evals["J"]))
         mismatched += bad != want_bad
         end = len(want[0]) if want_bad < 0 else want_bad + 1
         for g, w in zip(got, want):
@@ -92,7 +108,9 @@ def main(argv=None):
               f"newton {sum(r[2] for r in sel):6.2f} s, "
               f"{sum(r[3] > 0 for r in sel):3d} cases and "
               f"{sum(r[3] for r in sel):3d} windows or lanes handed to the "
-              f"loop ({sum(r[4] for r in sel)} steps)")
+              f"loop ({sum(r[4] for r in sel)} steps), "
+              f"F {sum(r[5] for r in sel) / (STEPS * len(sel)):.2f} and "
+              f"J {sum(r[6] for r in sel) / (STEPS * len(sel)):.2f} per step")
     print(f"first divergent step differs in {mismatched} cases; largest "
           f"difference {worst:.3g} of max(1, |x|)")
 

@@ -20,12 +20,15 @@ acceleration x2' is written once, in ``_accel``; the x1 rate of each stage
 is the x2 of that stage's state.  When numba imports, the loop is compiled
 and ``integrate_hybrid`` runs it.  Without numba the loop runs as plain
 Python at about 8 us/step, and ``integrate_hybrid`` takes
-``_newton_hybrid`` instead: Newton's method on windows of RK4 steps at
-once, whose first guess is the describing-function linearization and whose
-every iteration is one banded solve as in ``_linear_rk4``.  A window is
-kept only on a residual certificate; the loop runs every other window.  On
-the paper-5 input of ``benchmarks/bench_kernels.py`` that path takes about
-1 us/step on a 2-vCPU machine.
+``_newton_hybrid`` instead: Newton's method on a window of RK4 steps that
+slides along the lane, whose first guess is the describing-function
+linearization of the lane and whose every iteration is one banded solve as
+in ``_linear_rk4``.  Steps leave the window only on a residual
+certificate, and only those still in it take the Jacobian pass
+(``_rk4_jac``) after the map pass (``_rk4_f``); the loop runs whatever
+Newton does not certify.  On the paper-5 input of
+``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step on a
+2-vCPU machine.
 """
 
 import numpy as np
@@ -49,8 +52,8 @@ except ImportError:  # numba is optional (the "numba" extra)
 #: Steps per banded solve in _linear_rk4; bounds its temporaries.
 CHUNK_STEPS = 1024
 #: Steps per window of _newton_hybrid; bounds its temporaries.
-_WINDOW_STEPS = 2048
-#: Lanes shorter than this run _hybrid_loop: a window's fixed cost (the
+_WINDOW_STEPS = 4096
+#: Lanes shorter than this run _hybrid_loop: a lane's fixed cost (the
 #: first guess and a few band solves) would not pay for itself.
 _MIN_NEWTON_STEPS = 256
 #: Below this alpha the slope alpha*|e|^(alpha-1) is so steep near e = 0
@@ -188,121 +191,100 @@ def _hybrid_loop(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
 
 
 def _stage(x1, x2, v, eps, a0, a1, b0, b1, alpha, inv_e2):
-    """_accel over arrays, with the slopes of x2' in x1 and in x2.
-
-    The slope alpha*|y|^(alpha-1), unbounded at y = 0, is taken as
-    alpha*|y|^alpha/|y| capped at its value at |y| = _SLOPE_FLOOR; at y = 0
-    the ratio is 0/0 = nan, and np.fmin then takes the cap.
-    """
+    """_accel over arrays, and the powers its slopes reuse (see _rk4_jac)."""
     e = x1 - v
     ev = eps * x2
     ae, av = np.abs(e), np.abs(ev)
     pe, pv = ae ** alpha, av ** alpha
-    k = -(a0 * e + a1 * np.copysign(pe, e) + b0 * ev
-          + b1 * np.copysign(pv, ev)) * inv_e2
-    cap = _SLOPE_FLOOR ** (alpha - 1.0)
-    ce, cv = inv_e2, eps * inv_e2
-    return (k, -a0 * ce - a1 * alpha * ce * np.fmin(pe / ae, cap),
-            -b0 * cv - b1 * alpha * cv * np.fmin(pv / av, cap))
+    k = a0 * e  # summed in place in _accel's order
+    k += a1 * np.copysign(pe, e)
+    k += b0 * ev
+    k += b1 * np.copysign(pv, ev)
+    k *= -inv_e2
+    return k, (ae, pe, av, pv)
 
 
-def _rk4_map(y1, y2, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
-    """Every step of _hybrid_loop at once: F_i(y[i]) and its Jacobian J_i.
+def _rk4_f(y1, y2, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
+    """Every step of _hybrid_loop at once: F_i(y[i]) and its stage values.
 
-    y1, y2 hold the states that open the steps.  The stages follow the
-    loop's algebra; next to each stage's position q1, rate k = x2' and x2
-    value p run their gradients in (y1, y2) (suffixes a and b), so J_i is
-    the chain rule through the stages.  The RK4 sums are accumulated in
-    the loop's order.  Returns F1, F2, J11, J12, J21, J22.
+    y1, y2 hold the states that open the steps.  The stages and the RK4
+    sums follow the loop's algebra and order.  Returns (F1, F2) and, per
+    stage, the powers of _stage that _rk4_jac needs.
     """
     inv_e2 = 1.0 / (eps * eps)
     h = 0.5 * dt
     gains = (eps, a0, a1, b0, b1, alpha, inv_e2)
-    k, ka, kb = _stage(y1, y2, v_grid[:-1], *gains)
-    sk, ska, skb = k, ka, kb
-    p, pa, pb = y2 + h * k, h * ka, 1.0 + h * kb
-    sp, spa, spb = y2 + 2.0 * p, 2.0 * pa, 1.0 + 2.0 * pb
-    k, c, d = _stage(y1 + h * y2, p, v_mid, *gains)
-    ka, kb = c + d * pa, c * h + d * pb
-    sk, ska, skb = sk + 2.0 * k, ska + 2.0 * ka, skb + 2.0 * kb
-    q1, qa, qb = y1 + h * p, 1.0 + h * pa, h * pb
-    p, pa, pb = y2 + h * k, h * ka, 1.0 + h * kb
-    sp, spa, spb = sp + 2.0 * p, spa + 2.0 * pa, spb + 2.0 * pb
-    k, c, d = _stage(q1, p, v_mid, *gains)
-    ka, kb = c * qa + d * pa, c * qb + d * pb
-    sk, ska, skb = sk + 2.0 * k, ska + 2.0 * ka, skb + 2.0 * kb
-    q1, qa, qb = y1 + dt * p, 1.0 + dt * pa, dt * pb
-    p, pa, pb = y2 + dt * k, dt * ka, 1.0 + dt * kb
-    sp, spa, spb = sp + p, spa + pa, spb + pb
-    k, c, d = _stage(q1, p, v_grid[1:], *gains)
-    ka, kb = c * qa + d * pa, c * qb + d * pb
+    k1, s1 = _stage(y1, y2, v_grid[:-1], *gains)
+    p2 = y2 + h * k1
+    k2, s2 = _stage(y1 + h * y2, p2, v_mid, *gains)
+    p3 = y2 + h * k2
+    k3, s3 = _stage(y1 + h * p2, p3, v_mid, *gains)
+    p4 = y2 + dt * k3
+    k4, s4 = _stage(y1 + dt * p3, p4, v_grid[1:], *gains)
     w = dt / 6.0
-    return (y1 + w * sp, y2 + w * (sk + k), 1.0 + w * spa, w * spb,
-            w * (ska + ka), 1.0 + w * (skb + kb))
+    return ((y1 + w * (y2 + 2.0 * p2 + 2.0 * p3 + p4),
+             y2 + w * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), (s1, s2, s3, s4))
 
 
-def _newton_window(y1, y2, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
-                   limit):
-    """Newton on all RK4 steps of one window, from the first guess (y1, y2).
+def _rk4_jac(stages, eps, a0, a1, b0, b1, alpha, dt):
+    """The 2x2 Jacobian J_i of F_i, from the stage values of _rk4_f.
 
-    Iteration k takes the residuals r_i = F_i(x^k[i]) - x^k[i+1] and solves
-    x[i+1] = J_i x[i] + (F_i(x^k[i]) - J_i x^k[i]) for its correction
-    d = x - x^k, that is d[i+1] = J_i d[i] + r_i with d[0] = 0, so that
-    rounding scales with the residual.  That recurrence is the unit lower
-    triangular band of _linear_rk4 with per-step entries.  The iterate is
-    certified when every |r_i| is at most _NEWTON_TOL*max(1, |x^k[i+1]|)
-    at Newton's rounding floor and every state lies inside limit.  Returns
-    it, or None when the loop must run the window: a non-finite residual,
-    one still above 1 after _STALL_ITERS iterations, no certificate within
-    _NEWTON_ITERS iterations, or a certified state past limit.
+    Next to each stage's position q, x2 value p and rate k = x2' run their
+    gradients in (y1, y2) (suffixes a and b), so J_i is the chain rule
+    through the stages.  The slope alpha*|y|^(alpha-1) of x2', unbounded at
+    y = 0, is taken as alpha*|y|^alpha/|y| capped at its value at
+    |y| = _SLOPE_FLOOR; at y = 0 the ratio is 0/0 = nan, and np.fmin then
+    takes the cap.  Returns J11, J12, J21, J22.
     """
-    m = v_mid.shape[0]
-    band = np.zeros((4, 2 * m), order="F")
-    rhs = np.empty(2 * m)
-    gains = (eps, a0, a1, b0, b1, alpha, dt)
-    prev = np.inf
-    for k in range(_NEWTON_ITERS):
-        f1, f2, j11, j12, j21, j22 = _rk4_map(y1[:-1], y2[:-1], v_grid, v_mid,
-                                              *gains)
-        r1, r2 = f1 - y1[1:], f2 - y2[1:]
-        err = max(np.max(np.abs(r1) / np.maximum(1.0, np.abs(y1[1:]))),
-                  np.max(np.abs(r2) / np.maximum(1.0, np.abs(y2[1:]))))
-        if err <= _NEWTON_TOL and (err <= _ROUNDING_TOL
-                                   or _FLOOR_GAIN * err >= prev):
-            inside = max(np.max(np.abs(y1)), np.max(np.abs(y2))) <= limit
-            return (y1, y2) if inside else None
-        if not err < (1.0 if k >= _STALL_ITERS else np.inf):
-            return None
-        prev = err
-        # row block i+1 holds -J_{i+1}; band[d, j] = L[j + d, j] as in
-        # _linear_rk4, whose fixed Phi these per-step entries replace
-        band[2, 0:-2:2], band[1, 1:-2:2] = -j11[1:], -j12[1:]
-        band[3, 0:-2:2], band[2, 1:-2:2] = -j21[1:], -j22[1:]
-        rhs[0::2], rhs[1::2] = r1, r2
-        d = dtbsv(3, band, rhs, lower=1, diag=1)
-        y1[1:] += d[0::2]
-        y2[1:] += d[1::2]
-    return None
+    inv_e2 = 1.0 / (eps * eps)
+    h = 0.5 * dt
+    cap = _SLOPE_FLOOR ** (alpha - 1.0)
+    ca, cb = a1 * alpha * inv_e2, b1 * alpha * eps * inv_e2
+    (ka, kb), *rest = [(-a0 * inv_e2 - ca * np.fmin(pe / ae, cap),
+                        -b0 * eps * inv_e2 - cb * np.fmin(pv / av, cap))
+                       for ae, pe, av, pv in stages]
+    # stage 1 sits at (y1, y2), so its k's gradient is the slope pair
+    pa, pb = 0.0, 1.0
+    ska, skb, spa, spb = ka, kb, pa, pb
+    for (c, d), step, weight in zip(rest, (h, h, dt), (2.0, 2.0, 1.0)):
+        qa, qb = 1.0 + step * pa, step * pb
+        pa, pb = step * ka, 1.0 + step * kb
+        ka, kb = c * qa + d * pa, c * qb + d * pb
+        ska, skb = ska + weight * ka, skb + weight * kb
+        spa, spb = spa + weight * pa, spb + weight * pb
+    w = dt / 6.0
+    return 1.0 + w * spa, w * spb, w * ska, 1.0 + w * skb
 
 
 def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                    limit):
-    """_hybrid_loop's trajectory by Newton over windows of steps (DEER).
+    """_hybrid_loop's trajectory by Newton on a sliding window (DEER).
 
-    The RK4 steps of a window form one nonlinear system in all its states
+    The RK4 steps of a lane form one nonlinear system in all its states
     (Lim et al., "Parallelizing non-linear sequential models over the
-    sequence length", ICLR 2024), solved by _newton_window.  Each window
-    starts from the end state of the one before; its first guess is the
-    linear propagator at the describing-function gains (a0 + a1*N(A),
-    b0 + b1*N(A)), with A the largest |v| of the lane (1 when that is 0).
-    _hybrid_loop runs every window that Newton does not certify, so the
-    divergent step reported is the loop's own, and whole lanes shorter
-    than _MIN_NEWTON_STEPS or with alpha below _MIN_NEWTON_ALPHA.  All of
-    it runs under np.errstate: a diverging lane overflows, in the loop's
-    numpy scalars too, before its step is reported.
+    sequence length", ICLR 2024).  Its first guess is the linear propagator
+    at the describing-function gains (a0 + a1*N(A), b0 + b1*N(A)), with A
+    the largest |v| of the lane (1 when that is 0).  Each iteration takes
+    the residuals r_i = F_i(x[i]) - x[i+1] of the _WINDOW_STEPS steps after
+    the frontier, the last state known to be final, and retires the
+    longest prefix that is certified as a window: its largest
+    |r_i|/max(1, |x[i+1]|) at most _NEWTON_TOL and at Newton's rounding
+    floor (at most _ROUNDING_TOL, or cut by less than _FLOOR_GAIN since its
+    steps' previous evaluation), and every x[i+1] inside limit.  The steps
+    after the new frontier are corrected by d[i+1] = J_i d[i] + r_i from
+    d = 0, so that rounding scales with the residual: the band of
+    _linear_rk4 with per-step entries, and only those steps need J_i.
+    The _WINDOW_STEPS steps from where the count began must retire within
+    _NEWTON_ITERS iterations, with finite residuals, below 1 after
+    _STALL_ITERS, and no certified state past limit; else _hybrid_loop
+    runs them, so the divergent step reported is the loop's own.  Lanes
+    shorter than _MIN_NEWTON_STEPS or with alpha below _MIN_NEWTON_ALPHA
+    go to the loop whole.  All of it runs under np.errstate: a diverging
+    lane overflows, in the loop's numpy scalars too, before its step is
+    reported.
     """
     n = v_mid.shape[0]
-    args = (eps, a0, a1, b0, b1, alpha, dt, limit)
+    gains = (eps, a0, a1, b0, b1, alpha, dt)
     with np.errstate(all="ignore"):
         guess = None
         if n >= _MIN_NEWTON_STEPS and alpha >= _MIN_NEWTON_ALPHA:
@@ -313,22 +295,60 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
             except ValueError:  # values DiffParams rejects, or no gain
                 pass
         if guess is None:
-            return _hybrid_loop(x1_0, x2_0, v_grid, v_mid, *args)
-        x1, x2 = np.empty(n + 1), np.empty(n + 1)
-        x1[0], x2[0] = x1_0, x2_0
-        windows = -(-n // _WINDOW_STEPS)
-        for w in range(windows):
-            i0, i1 = w * n // windows, (w + 1) * n // windows
-            vg, vm = v_grid[i0:i1 + 1], v_mid[i0:i1]
-            # the guess is not held to limit, only to being finite
-            *y, bad = _linear_rk4(*guess, (x1[i0], x2[i0]), vg, vm, dt, np.inf)
-            y = _newton_window(*y, vg, vm, *args) if bad < 0 else None
-            if y is None:
-                *y, bad = _hybrid_loop(x1[i0], x2[i0], vg, vm, *args)
+            return _hybrid_loop(x1_0, x2_0, v_grid, v_mid, *gains, limit)
+        # the guess is not held to limit, only to being finite
+        x1, x2, bad = _linear_rk4(*guess, (x1_0, x2_0), v_grid, v_mid, dt,
+                                  np.inf)
+        if bad >= 0:  # the windows that reach a non-finite guess fall back
+            x1[bad:] = x2[bad:] = np.nan
+        prev = np.full(n, np.inf)
+        band = np.zeros((4, 2 * min(n, _WINDOW_STEPS)), order="F")
+        s = c = it = 0  # the frontier, where the count began, iterations
+        while s < n:
+            e = min(s + _WINDOW_STEPS, n)
+            y1, y2 = x1[s:e + 1], x2[s:e + 1]
+            (f1, f2), stages = _rk4_f(y1[:-1], y2[:-1], v_grid[s:e + 1],
+                                      v_mid[s:e], *gains)
+            r1, r2 = f1 - y1[1:], f2 - y2[1:]
+            rel = np.maximum(np.abs(r1) / np.maximum(1.0, np.abs(y1[1:])),
+                             np.abs(r2) / np.maximum(1.0, np.abs(y2[1:])))
+            top = np.maximum.accumulate(rel)  # of each prefix
+            cert = np.flatnonzero((top <= _NEWTON_TOL) & (
+                (top <= _ROUNDING_TOL)
+                | (_FLOOR_GAIN * top >= np.maximum.accumulate(prev[s:e]))))
+            prev[s:e] = rel
+            k = int(cert[-1]) + 1 if cert.size else 0
+            past = np.flatnonzero((np.abs(y1[1:k + 1]) > limit)
+                                  | (np.abs(y2[1:k + 1]) > limit))
+            k = int(past[0]) if past.size else k
+            s += k
+            if s >= c + _WINDOW_STEPS:
+                c, it = s, 0
+            if s == e:
+                continue
+            if (past.size or it == _NEWTON_ITERS
+                    or not rel[k:c + _WINDOW_STEPS - s + k].max()
+                    < (1.0 if it >= _STALL_ITERS else np.inf)):
+                e = min(c + _WINDOW_STEPS, n)
+                *y, bad = _hybrid_loop(x1[c], x2[c], v_grid[c:e + 1],
+                                       v_mid[c:e], *gains, limit)
+                x1[c:e + 1], x2[c:e + 1] = y
                 if bad >= 0:
-                    x1[i0:i1 + 1], x2[i0:i1 + 1] = y
-                    return x1, x2, i0 + bad
-            x1[i0:i1 + 1], x2[i0:i1 + 1] = y
+                    return x1, x2, c + bad
+                s, c, it = e, e, 0
+                continue
+            it += 1
+            # row block i+1 holds -J_{i+1}; band[d, j] = L[j + d, j] as in
+            # _linear_rk4, whose fixed Phi these per-step entries replace
+            j11, j12, j21, j22 = _rk4_jac(
+                [[a[k + 1:] for a in stage] for stage in stages], *gains)
+            b = band[:, :2 * (e - s)]
+            b[2, 0:-2:2], b[1, 1:-2:2] = -j11, -j12
+            b[3, 0:-2:2], b[2, 1:-2:2] = -j21, -j22
+            rhs = np.stack((r1[k:], r2[k:]), axis=1).ravel()
+            d = dtbsv(3, b, rhs, lower=1, diag=1, overwrite_x=1)
+            x1[s + 1:e + 1] += d[0::2]
+            x2[s + 1:e + 1] += d[1::2]
     return x1, x2, -1
 
 

@@ -9,14 +9,16 @@ flags), run one experiment, and write CSV tables:
     sweep       measured response table  -> ...,track_*,deriv_* columns
     estimate    disturbance estimation   -> t,y,u,delta_true,delta_hat
 
-Exit codes: 0 success, 2 flag/usage error or invalid value (NaN and
-infinite values and runs over the step budget included), 3 numerical
-failure.  All stochastic channels are controlled by --seed (default 12345,
-never wall-clock), so repeated runs are byte-identical.
+Exit codes: 0 success, 2 flag/usage error, invalid value (NaN and
+infinite values and runs over the step budget included) or an output file
+that cannot be written, 3 numerical failure.  All stochastic channels are
+controlled by --seed (default 12345, never wall-clock), so repeated runs
+are byte-identical.
 """
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -78,13 +80,18 @@ def _write_plot_script(path: str, csv_path: str, title: str) -> None:
 
 
 def _emit(args, header: list[str], columns, title: str, *notes: str) -> None:
-    """Write the --out CSV, report it and the notes, then the plot script."""
+    """Write the --out CSV and the plot script, then report them and notes."""
     _write_csv(args.out, header, columns)
+    if args.plot_script:
+        try:
+            _write_plot_script(args.plot_script, args.out, title)
+        except OSError:  # a failed command leaves no output file
+            os.remove(args.out)
+            raise
     print(f"wrote {args.out} ({len(columns[0])} rows)")
     for note in notes:
         print(note)
     if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, title)
         print(f"wrote {args.plot_script}")
 
 
@@ -304,6 +311,8 @@ def main(argv=None) -> int:
     except (OverdampedError, DegenerateError, InstabilityError) as exc:
         return _fail(exc, 3)
     except ValueError as exc:  # a bad value that the flag parser let through
+        return _fail(exc, 2)
+    except OSError as exc:  # an --out, --csv or --plot-script path
         return _fail(exc, 2)
 
 

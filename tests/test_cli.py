@@ -284,6 +284,26 @@ def test_bad_value_exits_2_without_traceback(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "{missing}/a.csv"],
+    ["simulate", "--out", "{dir}"],
+    ["simulate", "--out", "{dir}/a.csv", "--plot-script", "{missing}/p.py"],
+    ["linearize", "--csv", "{missing}/x.csv"],
+], ids=["out-missing-dir", "out-is-dir", "plot-script", "linearize-csv"])
+def test_unwritable_output_exits_2(argv, tmp_path, capsys):
+    # An output path that cannot be opened is a usage error, reported with
+    # the path, not a traceback, and the command leaves no output file.
+    argv = [a.format(dir=tmp_path, missing=tmp_path / "missing") for a in argv]
+    run = ["--preset", "paper-3A"] + (["--t-end", "0.1"]
+                                      if argv[0] == "simulate" else [])
+    rc = main(argv[:1] + run + argv[1:])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert str(tmp_path) in err
+    assert "wrote" not in out and os.listdir(tmp_path) == []
+
+
 class TestEstimateCommand:
     def test_schema(self, tmp_path, capsys):
         path = tmp_path / "est.csv"

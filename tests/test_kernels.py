@@ -199,16 +199,16 @@ def test_nonlinear_loop_matches_generic_step(hybrid, eps, gains, alpha,
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(**NONLINEAR_CASES, n=st.integers(1, 1200),
-       window=st.integers(100, 600))
+@given(**NONLINEAR_CASES, n=st.integers(1, 1200), slides=st.integers(3, 12))
 def test_newton_path_matches_loop(hybrid, eps, gains, alpha, dt_per_eps,
-                                  seed, n, window):
+                                  seed, n, slides):
     # The Newton path, certificate and fallback included, against the loop
-    # over lanes of several windows.  Every lane and alpha takes Newton
-    # here, so that the certificate is checked where the path would
-    # otherwise hand the lane to the loop at once.
+    # over lanes the window slides along several times (a window of at
+    # most n/3 steps).  Every lane and alpha takes Newton here, so that the
+    # certificate is checked where the path would otherwise hand the lane
+    # to the loop at once.
     args = _nonlinear_case(hybrid, eps, gains, alpha, dt_per_eps, seed, n)
-    with mock.patch.multiple(_kernels, _WINDOW_STEPS=window,
+    with mock.patch.multiple(_kernels, _WINDOW_STEPS=max(1, n // slides),
                              _MIN_NEWTON_STEPS=1, _MIN_NEWTON_ALPHA=0.0):
         *got, bad = _kernels._newton_hybrid(*args)
     *want, want_bad = _LOOP(*args)
@@ -264,7 +264,8 @@ def test_small_alpha_lane_falls_back(monkeypatch, alpha, steps):
 
 def test_presets_take_the_newton_path(monkeypatch):
     # The fixed kernel input of benchmarks/bench_kernels.py (paper-5 gains,
-    # 5 sin 2t, 20 000 steps) is certified window by window: no loop call.
+    # 5 sin 2t, 20 000 steps) is certified as the window slides along it:
+    # no loop call.
     # Newton stops at its rounding floor, so the trajectory agrees with the
     # loop far inside the property's 1e-10.
     dt, n = 1e-4, 20_000
@@ -280,20 +281,28 @@ def test_presets_take_the_newton_path(monkeypatch):
 
 
 def test_limit_crossed_in_a_later_window(monkeypatch):
-    # x1 tracks a ramp past limit = 10 near step 2500, inside the second
-    # of three windows (steps 1666..3333): the first window is certified,
-    # the loop runs the second from its start and reports the crossing as
-    # a step of the whole lane.
+    # x1 tracks a ramp past limit = 10 near step 2600, after the first
+    # 2048-step window: Newton retires that window, and when a certified
+    # step lies past limit the loop runs one window from a frontier before
+    # the crossing and reports it as a step of the whole lane.
     dt, n = 1e-3, 5000
     t = np.arange(n + 1) * dt
     v, vm = 4.0 * t, 4.0 * (t[:-1] + dt / 2)
     args = (0.0, 0.0, v, vm, 1 / 45, 0.05, 0.015, 0.3, 0.015, 0.6, dt, 10.0)
     *want, want_bad = _LOOP(*args)
-    calls = _count_loop_calls(monkeypatch)
+    starts = []
+
+    def counting(*a):
+        starts.append((a[0], len(a[3])))
+        return _LOOP(*a)
+
+    monkeypatch.setattr(_kernels, "_hybrid_loop", counting)
     monkeypatch.setattr(_kernels, "_WINDOW_STEPS", 2048)
     *got, bad = _kernels._newton_hybrid(*args)
-    assert calls == [1667] and 1666 < want_bad <= 3333
     _assert_agree(got, bad, want, want_bad)
+    [(x1_start, steps)] = starts
+    start = int(np.flatnonzero(got[0][:bad] == x1_start)[0])
+    assert steps == 2048 and 2048 <= start < want_bad <= start + steps
 
 
 @pytest.mark.parametrize("gains", [(0.0, 0.099, 0.0, 0.268, 0.5),
@@ -301,23 +310,62 @@ def test_limit_crossed_in_a_later_window(monkeypatch):
                          ids=["nonlinear", "hybrid"])
 def test_rk4_map_jacobian_matches_central_differences(gains):
     # Newton converges quadratically only with the exact Jacobian; away
-    # from e = 0 and eps*x2 = 0 it matches central differences of the map.
+    # from e = 0 and eps*x2 = 0, _rk4_jac on the stage values of _rk4_f
+    # matches central differences of the map F that _rk4_f evaluates.
     rng = np.random.default_rng(3)
     n, dt, eps = 64, 1e-3, 1 / 45
     y = rng.uniform(0.5, 2.0, (2, n)) * rng.choice([-1.0, 1.0], (2, n))
     v, vm = rng.uniform(-0.2, 0.2, n + 1), rng.uniform(-0.2, 0.2, n)
-    f1, f2, *jac = _kernels._rk4_map(y[0], y[1], v, vm, eps, *gains, dt)
+    _, stages = _kernels._rk4_f(y[0], y[1], v, vm, eps, *gains, dt)
+    jac = _kernels._rk4_jac(stages, eps, *gains, dt)
     for col in range(2):
         h = 1e-6 * np.abs(y[col])
         up, down = y.copy(), y.copy()
         up[col] += h
         down[col] -= h
-        fu = _kernels._rk4_map(up[0], up[1], v, vm, eps, *gains, dt)[:2]
-        fd = _kernels._rk4_map(down[0], down[1], v, vm, eps, *gains, dt)[:2]
+        fu = _kernels._rk4_f(up[0], up[1], v, vm, eps, *gains, dt)[0]
+        fd = _kernels._rk4_f(down[0], down[1], v, vm, eps, *gains, dt)[0]
         for row in range(2):
             fd_slope = (fu[row] - fd[row]) / (2.0 * h)
             np.testing.assert_allclose(jac[2 * row + col], fd_slope,
                                        rtol=1e-6, atol=1e-6)
+
+
+def test_jacobian_pass_skips_retired_steps(monkeypatch):
+    # On the input of test_presets_take_the_newton_path the window slides
+    # along the lane without a loop call.  Each step is retired once, by
+    # an evaluation that takes no Jacobian of it, and the step after the
+    # frontier needs none either (its correction starts from d = 0): so
+    # the Jacobian pass sees every evaluated step but those.  The last
+    # evaluation certifies the rest of the lane and takes no Jacobian.
+    dt, n = 1e-4, 20_000
+    t = np.arange(n + 1) * dt
+    v, vm = 5.0 * np.sin(2.0 * t), 5.0 * np.sin(2.0 * (t[:-1] + dt / 2))
+    args = (0.0, 0.0, v, vm, 1 / 45, 0.05, 0.015, 0.3, 0.015, 0.6, dt, 1e9)
+    f_pass, j_pass, events = _kernels._rk4_f, _kernels._rk4_jac, []
+
+    def counting_f(y1, *a):
+        events.append(("F", len(y1)))
+        return f_pass(y1, *a)
+
+    def counting_j(stages, *a):
+        events.append(("J", len(stages[0][0])))
+        return j_pass(stages, *a)
+
+    monkeypatch.setattr(_kernels, "_rk4_f", counting_f)
+    monkeypatch.setattr(_kernels, "_rk4_jac", counting_j)
+    calls = _count_loop_calls(monkeypatch)
+    *_, bad = _kernels._newton_hybrid(*args)
+    assert calls == [] and bad == -1
+    f_steps = [m for name, m in events if name == "F"]
+    j_steps = [m for name, m in events if name == "J"]
+    assert n > _kernels._WINDOW_STEPS and j_steps
+    assert sum(j_steps) == sum(f_steps) - n - len(j_steps)
+    assert events[-1][0] == "F"
+    # the pass never runs on more than the window after the frontier step
+    for (first, m), (second, j) in zip(events, events[1:]):
+        if second == "J":
+            assert first == "F" and j < m
 
 
 def test_python_fallback_matches_active_backend():
