@@ -18,7 +18,7 @@ Usage:
 
 PARENT_CHECKOUT is a checkout of the commit to compare against, e.g. a
 ``git clone`` of this repository at the parent commit.  A full record
-(10 pairs of 25 s on three workloads) takes about 40 minutes.
+(10 pairs of 25 s on three workloads) takes about 35 minutes.
 """
 
 import argparse
@@ -110,8 +110,8 @@ def main(argv=None):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             run = {"seed": seed, "order": list(order)}
             for side in order:
-                run[side], full = bench(trees[side], workload, seed,
-                                        args.seconds, 0)
+                run[side], _ = bench(trees[side], workload, seed,
+                                     args.seconds, 0)
                 print(f"{workload} pair {pair + 1} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in run[side].items()),
                       flush=True)

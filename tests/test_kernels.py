@@ -293,15 +293,15 @@ def test_limit_crossed_in_a_later_window(monkeypatch):
     starts = []
 
     def counting(*a):
-        starts.append((a[0], len(a[3])))
+        starts.append((a[2][0], len(a[3])))
         return _LOOP(*a)
 
     monkeypatch.setattr(_kernels, "_hybrid_loop", counting)
     monkeypatch.setattr(_kernels, "_WINDOW_STEPS", 2048)
     *got, bad = _kernels._newton_hybrid(*args)
     _assert_agree(got, bad, want, want_bad)
-    [(x1_start, steps)] = starts
-    start = int(np.flatnonzero(got[0][:bad] == x1_start)[0])
+    [(v_start, steps)] = starts
+    start = int(np.flatnonzero(v == v_start)[0])  # the ramp is increasing
     assert steps == 2048 and 2048 <= start < want_bad <= start + steps
 
 
