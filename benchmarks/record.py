@@ -2,19 +2,19 @@
 """Record the benchmark of this checkout against a parent checkout.
 
 Runs ``bench/run.py`` of both trees in alternating pairs: for every
-workload of BENCHMARK.json, ``--pairs`` pairs at seeds 1, 2, ..., the
-parent first in odd pairs and this checkout first in even ones, so that a
-drift of the host's speed falls on both sides alike.  Then one ``--trace
-1`` run per side and workload.  Writes ``BENCH_<label>.json`` at the root
-of this checkout with every run's end-to-end values, their medians and
-quartiles per side, how many pairs this checkout won on each metric, the
-per-layer metrics of the traced runs (``kernels.busy_s`` and
-``kernels.us_per_step`` among them), the backend, the Python, numpy and
-scipy versions, ``nproc`` and the git revision of each tree.
+workload of BENCHMARK.json, 10 pairs at seeds 1 to 10, each run as long as
+BENCHMARK.json's ``run_seconds``, the parent first in odd pairs and this
+checkout first in even ones, so that a drift of the host's speed falls on
+both sides alike.  Then one ``--trace 1`` run per side and workload.
+Writes ``BENCH_<label>.json`` at the root of this checkout with every
+run's end-to-end values, their medians and quartiles per side, how many
+pairs this checkout won on each metric, the per-layer metrics of the
+traced runs (``kernels.busy_s`` and ``kernels.us_per_step`` among them),
+the backend, the Python, numpy and scipy versions, ``nproc`` and the git
+revision of each tree.
 
 Usage:
     python benchmarks/record.py PARENT_CHECKOUT --label L
-        [--pairs 10] [--seconds 25] [--workloads sweep ...]
 
 PARENT_CHECKOUT is a checkout of the commit to compare against, e.g. a
 ``git clone`` of this repository at the parent commit.  A full record
@@ -32,6 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: Alternating pairs per workload: enough for a claim of 9 wins in 10.
+PAIRS = 10
 
 
 def revision(tree):
@@ -87,39 +89,35 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("--label", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--workloads", nargs="+")
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
 
     result = {"label": args.label,
               "date": datetime.datetime.now(datetime.timezone.utc)
               .isoformat(timespec="seconds"),
-              "seconds": args.seconds, "pairs": args.pairs,
+              "seconds": seconds, "pairs": PAIRS,
               "nproc": len(os.sched_getaffinity(0)),
               "trees": {side: {"revision": revision(tree)}
                         for side, tree in trees.items()},
               "workloads": {}}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = []
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             seed = pair + 1
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             run = {"seed": seed, "order": list(order)}
             for side in order:
-                run[side], _ = bench(trees[side], workload, seed,
-                                     args.seconds, 0)
+                run[side], _ = bench(trees[side], workload, seed, seconds, 0)
                 print(f"{workload} pair {pair + 1} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in run[side].items()),
                       flush=True)
             runs.append(run)
         traced = {}
         for side in SIDES:
-            traced[side], full = bench(trees[side], workload, args.pairs + 1,
-                                       args.seconds, 1)
+            traced[side], full = bench(trees[side], workload, PAIRS + 1,
+                                       seconds, 1)
             result["trees"][side].update(
                 {key: full[key] for key in ("backend", "python", "numpy",
                                             "scipy")})

@@ -335,7 +335,7 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                 x1[c:e + 1], x2[c:e + 1] = y
                 if bad >= 0:
                     return x1, x2, c + bad
-                s, c, it = e, e, 0
+                prev[e:], s, c, it = np.inf, e, e, 0  # x[e] has moved
                 continue
             it += 1
             # row block i+1 holds -J_{i+1}; band[d, j] = L[j + d, j] as in

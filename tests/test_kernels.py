@@ -262,22 +262,75 @@ def test_small_alpha_lane_falls_back(monkeypatch, alpha, steps):
     _assert_agree(got, bad, want, want_bad)
 
 
-def test_presets_take_the_newton_path(monkeypatch):
-    # The fixed kernel input of benchmarks/bench_kernels.py (paper-5 gains,
-    # 5 sin 2t, 20 000 steps) is certified as the window slides along it:
-    # no loop call.
-    # Newton stops at its rounding floor, so the trajectory agrees with the
-    # loop far inside the property's 1e-10.
+def _bench_kernels_input():
+    """The fixed kernel input of benchmarks/bench_kernels.py: paper-5 gains,
+    5 sin 2t, 20 000 steps."""
     dt, n = 1e-4, 20_000
     t = np.arange(n + 1) * dt
     v, vm = 5.0 * np.sin(2.0 * t), 5.0 * np.sin(2.0 * (t[:-1] + dt / 2))
-    args = (0.0, 0.0, v, vm, 1 / 45, 0.05, 0.015, 0.3, 0.015, 0.6, dt, 1e9)
+    return (0.0, 0.0, v, vm, 1 / 45, 0.05, 0.015, 0.3, 0.015, 0.6, dt, 1e9)
+
+
+def test_presets_take_the_newton_path(monkeypatch):
+    # The bench_kernels input is certified as the window slides along it:
+    # no loop call.  Newton stops at its rounding floor, so the trajectory
+    # agrees with the loop far inside the property's 1e-10.
+    # Each step is retired once, by an evaluation that takes no Jacobian
+    # of it, and the step after the frontier needs none either (its
+    # correction starts from d = 0): so the Jacobian pass sees every
+    # evaluated step but those.  The last evaluation certifies the rest of
+    # the lane and takes no Jacobian.
+    args = _bench_kernels_input()
     *want, want_bad = _LOOP(*args)
+    f_pass, j_pass, events = _kernels._rk4_f, _kernels._rk4_jac, []
+
+    def counting_f(y1, *a):
+        events.append(("F", len(y1)))
+        return f_pass(y1, *a)
+
+    def counting_j(stages, *a):
+        events.append(("J", len(stages[0][0])))
+        return j_pass(stages, *a)
+
+    monkeypatch.setattr(_kernels, "_rk4_f", counting_f)
+    monkeypatch.setattr(_kernels, "_rk4_jac", counting_j)
     calls = _count_loop_calls(monkeypatch)
     *got, bad = _kernels._newton_hybrid(*args)
     assert calls == [] and bad == want_bad == -1
     for g, w in zip(got, want):
         assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    n = len(args[3])
+    f_steps = [m for name, m in events if name == "F"]
+    j_steps = [m for name, m in events if name == "J"]
+    assert n > _kernels._WINDOW_STEPS and j_steps
+    assert sum(j_steps) == sum(f_steps) - n - len(j_steps)
+    assert events[-1][0] == "F"
+    # the pass never runs on more than the window after the frontier step
+    for (first, m), (second, j) in zip(events, events[1:]):
+        if second == "J":
+            assert first == "F" and j < m
+
+
+@pytest.mark.parametrize("window, iters, loop_steps",
+                         [(1000, 3, 10_000), (2048, 4, 2048)])
+def test_steps_after_a_fallback_reach_the_rounding_floor(
+        monkeypatch, window, iters, loop_steps):
+    # A cap of 3 or 4 iterations sends windows of the bench_kernels input
+    # to the loop while Newton has already evaluated the steps after them
+    # from the old end state.  The loop moves that state, so those
+    # evaluations say nothing of the floor: the steps after a fallback
+    # are certified at the rounding floor, as where none is taken.
+    args = _bench_kernels_input()
+    *want, want_bad = _LOOP(*args)
+    calls = _count_loop_calls(monkeypatch)
+    monkeypatch.setattr(_kernels, "_WINDOW_STEPS", window)
+    monkeypatch.setattr(_kernels, "_NEWTON_ITERS", iters)
+    x1, x2, bad = _kernels._newton_hybrid(*args)
+    assert sum(calls) == loop_steps and bad == want_bad == -1
+    _assert_agree((x1, x2), bad, want, want_bad)
+    (f1, f2), _ = _kernels._rk4_f(x1[:-1], x2[:-1], *args[2:11])
+    for f, x in ((f1, x1[1:]), (f2, x2[1:])):
+        assert np.all(np.abs(f - x) <= 1e-14 * np.maximum(1.0, np.abs(x)))
 
 
 def test_limit_crossed_in_a_later_window(monkeypatch):
@@ -329,43 +382,6 @@ def test_rk4_map_jacobian_matches_central_differences(gains):
             fd_slope = (fu[row] - fd[row]) / (2.0 * h)
             np.testing.assert_allclose(jac[2 * row + col], fd_slope,
                                        rtol=1e-6, atol=1e-6)
-
-
-def test_jacobian_pass_skips_retired_steps(monkeypatch):
-    # On the input of test_presets_take_the_newton_path the window slides
-    # along the lane without a loop call.  Each step is retired once, by
-    # an evaluation that takes no Jacobian of it, and the step after the
-    # frontier needs none either (its correction starts from d = 0): so
-    # the Jacobian pass sees every evaluated step but those.  The last
-    # evaluation certifies the rest of the lane and takes no Jacobian.
-    dt, n = 1e-4, 20_000
-    t = np.arange(n + 1) * dt
-    v, vm = 5.0 * np.sin(2.0 * t), 5.0 * np.sin(2.0 * (t[:-1] + dt / 2))
-    args = (0.0, 0.0, v, vm, 1 / 45, 0.05, 0.015, 0.3, 0.015, 0.6, dt, 1e9)
-    f_pass, j_pass, events = _kernels._rk4_f, _kernels._rk4_jac, []
-
-    def counting_f(y1, *a):
-        events.append(("F", len(y1)))
-        return f_pass(y1, *a)
-
-    def counting_j(stages, *a):
-        events.append(("J", len(stages[0][0])))
-        return j_pass(stages, *a)
-
-    monkeypatch.setattr(_kernels, "_rk4_f", counting_f)
-    monkeypatch.setattr(_kernels, "_rk4_jac", counting_j)
-    calls = _count_loop_calls(monkeypatch)
-    *_, bad = _kernels._newton_hybrid(*args)
-    assert calls == [] and bad == -1
-    f_steps = [m for name, m in events if name == "F"]
-    j_steps = [m for name, m in events if name == "J"]
-    assert n > _kernels._WINDOW_STEPS and j_steps
-    assert sum(j_steps) == sum(f_steps) - n - len(j_steps)
-    assert events[-1][0] == "F"
-    # the pass never runs on more than the window after the frontier step
-    for (first, m), (second, j) in zip(events, events[1:]):
-        if second == "J":
-            assert first == "F" and j < m
 
 
 def test_python_fallback_matches_active_backend():
