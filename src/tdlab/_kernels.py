@@ -28,13 +28,15 @@ certificate, and only those still in it take the Jacobian pass
 (``_rk4_jac``) after the map pass (``_rk4_f``); the loop runs whatever
 Newton does not certify.  On the paper-5 input of
 ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step on a
-2-vCPU machine.
+2-vCPU machine.  ``periodic_orbit`` solves the steps of one input period
+with x[n] = x[0] by the same Newton, on every backend, from the closed
+orbit of the linearization (``linear_orbit``); sweeps measure on it.
 """
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
 
-from .describing import _equivalent_gains
+from .describing import _equivalent_gains, natural_frequency
 from .dynamics import DiffParams
 
 try:
@@ -338,18 +340,83 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                 prev[e:], s, c, it = np.inf, e, e, 0  # x[e] has moved
                 continue
             it += 1
-            # row block i+1 holds -J_{i+1}; band[d, j] = L[j + d, j] as in
-            # _linear_rk4, whose fixed Phi these per-step entries replace
-            j11, j12, j21, j22 = _rk4_jac(
-                [[a[k + 1:] for a in stage] for stage in stages], *gains)
-            b = band[:, :2 * (e - s)]
-            b[2, 0:-2:2], b[1, 1:-2:2] = -j11, -j12
-            b[3, 0:-2:2], b[2, 1:-2:2] = -j21, -j22
-            rhs = np.stack((r1[k:], r2[k:]), axis=1).ravel()
-            d = dtbsv(3, b, rhs, lower=1, diag=1, overwrite_x=1)
-            x1[s + 1:e + 1] += d[0::2]
-            x2[s + 1:e + 1] += d[1::2]
+            d1, d2 = _correct(band, _rk4_jac(
+                [[a[k + 1:] for a in stage] for stage in stages], *gains),
+                (r1[k:], r2[k:]))
+            x1[s + 1:e + 1] += d1
+            x2[s + 1:e + 1] += d2
     return x1, x2, -1
+
+
+def _correct(band, jac, r):
+    """Newton's correction d[i+1] = J_i d[i] + r_i of m steps from d[0] = 0.
+
+    _linear_rk4's band with -J_{i+1} (jac: steps 1..m-1) for -Phi in row
+    block i+1; r holds (r1, r2) of all m steps.  Returns d[1..m].
+    """
+    b = band[:, :2 * len(r[0])]
+    b[2, 0:-2:2], b[1, 1:-2:2], b[3, 0:-2:2], b[2, 1:-2:2] = (-j for j in jac)
+    d = dtbsv(3, b, np.stack(r, axis=1).ravel(), lower=1, diag=1,
+              overwrite_x=1)
+    return d[0::2], d[1::2]
+
+
+def _close(q, m1, m2):
+    """(q + c1*m1 + c2*m2, M): the (2, m) trajectory that ends where it starts.
+
+    m1 and m2 run q's linear recurrence without input from (1, 0) and
+    (0, 1); c = (I - M)^-1 q[:, -1] with M = (m1[:, -1], m2[:, -1]).
+    """
+    M = np.stack((m1[:, -1], m2[:, -1]), axis=1)
+    (a, b), (c, d) = np.eye(2) - M
+    c1, c2 = np.array(((d, -b), (-c, a))) @ q[:, -1] / (a * d - b * c)
+    return q + c1 * m1 + c2 * m2, M
+
+
+def linear_orbit(v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
+    """The closed _linear_rk4 orbit at the describing gains of max |v|."""
+    p, A = DiffParams(eps, a0, a1, b0, b1, alpha), np.max(np.abs(v_grid))
+    natural_frequency(p, float(A) or 1.0)  # DegenerateError without one
+    lin = _linear_differentiator(eps, *_equivalent_gains(p, float(A) or 1.0))
+    z = np.zeros_like(v_grid)
+    with np.errstate(all="ignore"):
+        return _close(*(np.array(_linear_rk4(*lin, x0, v, vm, dt, np.inf)[:2])
+                        for x0, v, vm in (((0.0, 0.0), v_grid, v_mid),
+                                          ((1.0, 0.0), z, z[1:]),
+                                          ((0.0, 1.0), z, z[1:]))))[0]
+
+
+def periodic_orbit(guess, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
+    """The (2, n + 1) periodic orbit of integrate_hybrid over n input steps.
+
+    Newton on x[i+1] = F_i(x[i]), x[n] = x[0] (Aprille & Trick, Proc. IEEE
+    60, 1972) from guess[:, :n]: _close of the _correct runs from d[0] = 0
+    and the unit starts.  None unless it meets _newton_hybrid's certificate
+    within its iteration and stall limits, and attracts (|eig M| < 1).
+    """
+    n, gains = v_mid.shape[0], (eps, a0, a1, b0, b1, alpha, dt)
+    x = np.concatenate((guess[:, :n], guess[:, :1]), axis=1)
+    band, prev = np.zeros((4, 2 * n), order="F"), np.inf
+    starts = np.zeros((2, 2, n))
+    with np.errstate(all="ignore"):
+        for it in range(_NEWTON_ITERS + 1):
+            f, stages = _rk4_f(x[0, :-1], x[1, :-1], v_grid, v_mid, *gains)
+            r = np.array(f) - x[:, 1:]
+            rel = float(np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:]))))
+            done = rel <= _NEWTON_TOL and (
+                rel <= _ROUNDING_TOL or _FLOOR_GAIN * rel >= prev)
+            if not done and (it == _NEWTON_ITERS or not rel < (
+                    1.0 if it >= _STALL_ITERS else np.inf)):
+                return None
+            prev, jac = rel, np.array(_rk4_jac(stages, *gains))
+            starts[:, :, 0] = jac[:, 0].reshape(2, 2).T  # columns of J_0
+            d, M = _close(*(np.array(_correct(band, jac[:, 1:], rhs))
+                            for rhs in (r, *starts)))
+            if done:  # Jury's test of |eig M| < 1
+                det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+                return x if abs(det) < 1.0 > abs(np.trace(M)) - det else None
+            x[:, 1:] += d
+            x[:, 0] = x[:, -1]
 
 
 def integrate_highgain(w1_0, w2_0, v_grid, v_mid, eps, a0, b0, dt, limit):

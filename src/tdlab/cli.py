@@ -306,6 +306,9 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "plot_script", None) and (
+            os.path.realpath(args.plot_script) == os.path.realpath(args.out)):
+        parser.error("--out and --plot-script name the same file")
     try:
         return args.func(args, parser)
     except (OverdampedError, DegenerateError, InstabilityError) as exc:

@@ -1,27 +1,30 @@
 """Swept-sine identification of differentiator frequency characteristics.
 
-Each frequency point drives the differentiator with a clean sinusoid, waits
-out the transient, and extracts the fundamental component of both states by
-in-phase/quadrature correlation over an integer number of periods (which
-makes all higher harmonics of the nonlinear response integrate to zero).
-The derivative channel is normalized by the ideal derivative amplitude A*w,
-so a perfect differentiator reads magnitude 1 and phase 0 on both channels.
+Each frequency point drives the differentiator with a clean sinusoid and
+measures one period of its RK4 periodic orbit (_kernels.periodic_orbit, as
+run by integrate_hybrid): the DFT bin of both states over that period
+rejects every higher harmonic of the nonlinear response.  The derivative
+channel is normalized by the ideal derivative amplitude A*w, so a perfect
+differentiator reads magnitude 1 and phase 0 on both channels.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .describing import natural_frequency
-from .dynamics import DiffParams
-from .signals import SignalSpec
-from .simulate import MAX_STEPS, SimConfig, TimeSeries, default_dt, run
+from . import _kernels
+from .dynamics import DiffParams, DiffState
+from .signals import SignalSpec, sinusoid
+from .simulate import (MAX_STEPS, InstabilityError, SimConfig, TimeSeries,
+                       default_dt, run, time_grid)
 
-#: Measured periods per sweep point (more periods change the estimate by
-#: < 0.1 % on clean linear inputs).
-MEASURE_PERIODS = 5
+#: Periods a point may run from states that are not its orbit, in warm-up
+#: runs of _WARM_PERIODS, before it fails as not settled.
+SETTLE_PERIODS, _WARM_PERIODS = 30, 3
+#: Most |x[n] - x[0]| of the measured period, relative to 1 + |x[0]|.
+_CLOSURE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,47 @@ def fundamental_component(ts: TimeSeries, channel: str, omega: float,
     return float(np.hypot(a, b)), float(math.degrees(math.atan2(b, a)))
 
 
+def _steady_period(p: DiffParams, A: float, omega: float,
+                   n_sub: int) -> np.ndarray:
+    """(x1, x2) over one period of n_sub steps of the settled response.
+
+    The integrate_hybrid pass from Newton's orbit, which must close within
+    _CLOSURE_TOL; else Newton retries from the last period of a warm-up run,
+    until SETTLE_PERIODS periods have run.
+    """
+    period = 2.0 * math.pi / omega
+    spec, cfg = SignalSpec(A, omega), SimConfig(period / n_sub, period)
+    t, tm = time_grid(cfg)
+    v, vm = sinusoid(A, omega, t), sinusoid(A, omega, tm)
+    gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, cfg.dt)
+    guess = _kernels.linear_orbit(v, vm, *gains)
+    for _ in range(SETTLE_PERIODS // _WARM_PERIODS):
+        orbit = _kernels.periodic_orbit(guess, v, vm, *gains)
+        x0, periods = ((guess[:, -1], _WARM_PERIODS) if orbit is None
+                       else (orbit[:, 0], 1))
+        ts = run(p, spec, replace(cfg, t_end=periods * period,
+                                  initial=DiffState(*np.nan_to_num(x0))))
+        guess = np.array((ts.channel("x1"), ts.channel("x2")))[:, -n_sub - 1:]
+        if orbit is not None and np.allclose(guess[:, -1], guess[:, 0],
+                                             _CLOSURE_TOL, _CLOSURE_TOL):
+            return guess
+    raise InstabilityError(f"did not settle within {SETTLE_PERIODS} periods "
+                           f"of {period:g} s", t=SETTLE_PERIODS * period)
+
+
 def measure_point(p: DiffParams, A: float, omega: float,
                   dt: Optional[float] = None) -> MeasuredResponse:
     """Measure tracking and derivative responses at one frequency.
 
-    Runs on the clean input A*sin(omega*t), skips the transient
-    max(10/omega_n(A), 5 periods) and measures MEASURE_PERIODS whole
-    periods.  dt is the target step size (default: default_dt(p)); the
+    Runs on the clean input A*sin(omega*t) and takes the DFT bin of one
+    period of its periodic orbit (_steady_period): Newton's orbit passes the
+    residual certificate of the sliding Newton path and attracts, and one
+    integrate_hybrid pass from its start, which is what gets measured,
+    closes within _CLOSURE_TOL.  Without such an orbit after SETTLE_PERIODS
+    periods of warm-up the point raises InstabilityError ("did not
+    settle").  dt is the target step size (default: default_dt(p)); the
     actual step is shrunk so that an integer number (>= 16) of steps spans
-    one period.  A point that would take more than MAX_STEPS steps raises
+    one period.  A point whose warm-up run would exceed MAX_STEPS raises
     ValueError before anything is integrated.
     """
     if dt is None:
@@ -91,27 +126,21 @@ def measure_point(p: DiffParams, A: float, omega: float,
     if not (0.0 < A < math.inf and 0.0 < omega < math.inf):
         raise ValueError("amplitude and omega must be finite and positive")
     period = 2.0 * math.pi / omega
-    skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
     # a lower bound of the steps, checked before math.ceil meets an inf
-    steps = (skip + MEASURE_PERIODS * period) / min(dt, period / 16)
+    steps = _WARM_PERIODS * period / min(dt, period / 16)
     if steps > MAX_STEPS:
         raise ValueError(f"dt={dt:g} needs {steps:.4g} steps, more than "
                          f"MAX_STEPS={MAX_STEPS}")
-    n_sub = max(math.ceil(period / dt), 16)
-    step = period / n_sub
-    i0 = math.ceil(skip / step)
-    n_steps = i0 + MEASURE_PERIODS * n_sub
-    window = (i0 * step, n_steps * step)
-    ts = run(p, SignalSpec(amplitude=A, omega=omega),
-             SimConfig(dt=step, t_end=window[1]))
-    amp1, ph1 = fundamental_component(ts, "x1", omega, window)
-    amp2, ph2 = fundamental_component(ts, "x2", omega, window)
+    n = max(math.ceil(period / dt), 16)
+    wt = omega * (np.arange(n) * (period / n))
+    (a1, b1), (a2, b2) = 2.0 / n * (_steady_period(p, A, omega, n)[:, :-1]
+                                    @ np.stack((np.sin(wt), np.cos(wt)), 1))
     return MeasuredResponse(
         omega=omega,
-        track_mag=amp1 / A,
-        track_phase_deg=ph1,
-        deriv_mag=amp2 / (A * omega),
-        deriv_phase_deg=ph2 - 90.0,
+        track_mag=math.hypot(a1, b1) / A,
+        track_phase_deg=math.degrees(math.atan2(b1, a1)),
+        deriv_mag=math.hypot(a2, b2) / (A * omega),
+        deriv_phase_deg=math.degrees(math.atan2(b2, a2)) - 90.0,
     )
 
 

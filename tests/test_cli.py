@@ -177,6 +177,18 @@ class TestSimulateCommand:
         assert "matplotlib" in text
         assert str(out) in text
 
+    @pytest.mark.parametrize("script", ["same.csv", "./same.csv"])
+    def test_one_path_for_both_outputs_exits_2(self, script, tmp_path, capsys,
+                                               monkeypatch):
+        # the plot script would replace the CSV that it plots
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--preset", "paper-3A", "--t-end", "0.1",
+                  "--out", "same.csv", "--plot-script", script])
+        assert exc.value.code == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestBodeCommand:
     def test_row_count_contract(self, tmp_path, capsys):
@@ -232,6 +244,18 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "omega=0.5 rad/s" in err
         assert "t=" in err
+
+    def test_unsettled_point_exits_3(self, tmp_path, capsys):
+        # at alpha = 0.1 the step chatters and no orbit attracts: an error
+        # naming the frequency, never a reading of the transient
+        path = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--eps", str(1 / 45), "--a1", "0.015", "--b1",
+                   "0.015", "--alpha", "0.1", "--omega-min", "2",
+                   "--omega-max", "2", "--points", "1", "--out", str(path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "did not settle" in err and "omega=2 rad/s" in err
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("argv", [

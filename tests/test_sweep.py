@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdlab.describing import freq_response, linearize, natural_frequency
+from tdlab import _kernels
+from tdlab.describing import freq_response, linearize
 from tdlab.dynamics import DiffParams
-from tdlab.signals import SignalSpec
-from tdlab.simulate import InstabilityError, SimConfig, TimeSeries, run, time_grid
+from tdlab.signals import sinusoid
+from tdlab.simulate import (STATE_LIMIT, InstabilityError, SimConfig,
+                            TimeSeries, default_dt, time_grid)
 from tdlab.sweep import (
-    MEASURE_PERIODS,
     MeasuredResponse,
     fundamental_component,
     measure_point,
@@ -123,21 +124,6 @@ class TestMeasurePoint:
         with pytest.raises(ValueError, match="MAX_STEPS"):
             measure_point(P3A, 1.0, 1.0, dt=1e-320)
 
-    def test_window_invariance(self):
-        # doubling the measured periods moves the estimate by < 0.1 %: the
-        # reference measures 10 periods on the same plan, step and skip
-        omega = 5.0
-        a = measure_point(P3A, 1.0, omega, dt=1e-3)
-        period = 2 * math.pi / omega
-        n_sub = math.ceil(period / 1e-3)
-        dt = period / n_sub
-        skip = max(10.0 / natural_frequency(P3A, 1.0), 5.0 * period)
-        i0 = math.ceil(skip / dt)
-        window = (i0 * dt, (i0 + 10 * n_sub) * dt)
-        ts = run(P3A, SignalSpec(1.0, omega), SimConfig(dt=dt, t_end=window[1]))
-        ref, _ = fundamental_component(ts, "x1", omega, window)
-        assert abs(ref - a.track_mag) / a.track_mag < 1e-3
-
 
 class TestSweep:
     def test_empty_grid(self):
@@ -203,86 +189,132 @@ class TestSweep:
         assert bw[0] > bw[1] > bw[2]
 
 
-def _measured_periods(window, omega):
-    return (window[1] - window[0]) * omega / (2 * math.pi)
+def _closes(x, tol):
+    """Whether (x1, x2) ends within tol * max(1, |x|) of where it starts."""
+    return bool(np.all(np.abs(x[:, -1] - x[:, 0])
+                       <= tol * np.maximum(1.0, np.abs(x[:, 0]))))
 
 
-class TestPointPlan:
-    """Every point, through sweep or measure_point, measures exactly
-    MEASURE_PERIODS periods that end where the run ends."""
-
-    @pytest.fixture
-    def plans(self, monkeypatch):
-        # a steady synthetic response on the planned grid: x1 = v, x2 = v';
-        # records the run's end and each measured window
-        seen = []
-
-        def fake_run(p, spec, cfg):
-            t, _ = time_grid(cfg)
-            w, A = spec.omega, spec.amplitude
-            return TimeSeries(t=t, channels={"x1": A * np.sin(w * t),
-                                             "x2": A * w * np.cos(w * t)})
-
-        def recording(ts, channel, omega, window):
-            seen.append((ts.t[-1], window))
-            return fundamental_component(ts, channel, omega, window)
-
-        monkeypatch.setattr(sweep_module, "run", fake_run)
-        monkeypatch.setattr(sweep_module, "fundamental_component", recording)
-        return seen
-
-    def _check(self, plans, omega):
-        assert len(plans) == 2  # x1 and x2, on one window
-        for t_end, window in plans:
-            assert window[1] == pytest.approx(t_end, abs=1e-9)
-            assert _measured_periods(window, omega) == pytest.approx(
-                MEASURE_PERIODS, abs=1e-9)
-
-    @pytest.mark.parametrize("omega", [0.89, 3.22, 7.12])
-    def test_sweep_measures_measure_periods(self, plans, omega):
-        (pt,) = sweep(P3A, 1.0, [omega])
-        self._check(plans, omega)
-        assert pt.track_mag == pytest.approx(1.0, abs=1e-6)
-        assert pt.deriv_phase_deg == pytest.approx(0.0, abs=1e-4)
-
-    @pytest.mark.parametrize("omega", [0.89, 3.22, 7.12])
-    def test_config_sized_for_five_periods_measures_five(self, plans, omega):
-        # the SimConfig measure_point plans covers the skip plus exactly
-        # MEASURE_PERIODS (five) periods, and all of them are measured
-        pt = measure_point(P3A, 1.0, omega, dt=1e-3)
-        self._check(plans, omega)
-        assert pt.track_mag == pytest.approx(1.0, abs=1e-6)
+def _n_sub(p, omega):
+    return max(math.ceil(2 * math.pi / omega / default_dt(p)), 16)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(p=st.sampled_from([P3A, P4_HYBRID, P4_NONLINEAR]),
-       A=st.floats(0.1, 10.0),
-       omega=st.floats(0.05, 500.0),
-       dt_target=st.floats(1e-4, 1e-2))
-def test_point_plan_property(p, A, omega, dt_target):
-    # run and fundamental_component only record the plan, so grids of
-    # millions of steps cost nothing
-    plans = []
+class TestSteadyPeriod:
+    """measure_point reads the periodic orbit, which a plain run reaches
+    only after hundreds of periods."""
 
-    def check(cfg, window):
+    @pytest.mark.parametrize("omega", [5.0, 32.07, 90.56])
+    def test_orbit_is_where_a_long_loop_run_settles(self, omega):
+        # _hybrid_loop runs 500 periods from rest on the orbit's step grid;
+        # its last period is the settled response
+        p, n = P4_NONLINEAR, _n_sub(P4_NONLINEAR, omega)
         period = 2 * math.pi / omega
-        n_sub = period / cfg.dt
-        assert cfg.dt <= dt_target * (1 + 1e-12)
-        assert n_sub >= 16 and n_sub == pytest.approx(round(n_sub), abs=1e-6)
-        skip = max(10.0 / natural_frequency(p, A), 5.0 * period)
-        # the first grid step at or after the skip (a rounding error may
-        # push it one step later when the skip is a whole number of steps)
-        assert skip - 1e-9 <= window[0] <= skip + cfg.dt + 1e-9
-        assert window[1] == cfg.t_end
-        return _measured_periods(window, omega)
+        x = sweep_module._steady_period(p, 1.0, omega, n)
+        t, tm = time_grid(SimConfig(dt=period / n, t_end=500 * period))
+        *long_run, bad = _kernels._hybrid_loop(
+            0.0, 0.0, sinusoid(1.0, omega, t), sinusoid(1.0, omega, tm),
+            p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, period / n, STATE_LIMIT)
+        assert bad == -1
+        want = np.array(long_run)[:, -n - 1:]
+        assert np.all(np.abs(x - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
+    @pytest.mark.parametrize("p", [P3A, P4_HYBRID, P4_NONLINEAR],
+                             ids=["linear", "hybrid", "nonlinear"])
+    def test_measured_pass_closes(self, p):
+        # the integrate_hybrid pass from the orbit's start returns to it at
+        # the rounding floor, far inside the _CLOSURE_TOL that it must meet
+        for omega in np.logspace(math.log10(2.0), math.log10(90.0), 5):
+            x = sweep_module._steady_period(p, 1.0, omega, _n_sub(p, omega))
+            assert _closes(x, 1e-12)
+
+    def test_warm_up_recovers_where_newton_fails_from_the_guess(
+            self, monkeypatch):
+        # at A = 5 Newton does not certify the orbit from the linearization's
+        # orbit; after one warm-up run it does
+        found, orbit = [], _kernels.periodic_orbit
+        monkeypatch.setattr(_kernels, "periodic_orbit",
+                            lambda *a: found.append(orbit(*a)) or found[-1])
+        omega = 1.3618
+        x = sweep_module._steady_period(P4_NONLINEAR, 5.0, omega,
+                                        _n_sub(P4_NONLINEAR, omega))
+        assert [orbit is not None for orbit in found] == [False, True]
+        assert _closes(x, 1e-12)
+
+    def test_unsettled_point_raises(self, monkeypatch):
+        # at alpha = 0.1 the explicit step chatters: the start of each period
+        # drifts, there is no attracting orbit, and no reading is printed
+        monkeypatch.setattr(sweep_module, "SETTLE_PERIODS", 6)
+        p = DiffParams(eps=1 / 45, a1=0.015, b1=0.015, alpha=0.1)
+        with pytest.raises(InstabilityError, match="did not settle") as err:
+            sweep(p, 1.0, [2.0])
+        assert err.value.__notes__ == ["omega=2 rad/s"]
+        assert err.value.t == pytest.approx(6 * math.pi)
+
+    def test_dft_bin_is_fundamental_component_on_whole_periods(
+            self, monkeypatch):
+        # one period of the settled response, repeated three times, is a
+        # record fundamental_component accepts; its trapezoid rule then is
+        # the DFT bin that measure_point takes of the single period
+        omega, A, n = 7.0, 1.0, 200
+        x = sweep_module._steady_period(P4_NONLINEAR, A, omega, n)
+        monkeypatch.setattr(sweep_module, "_steady_period", lambda *a: x)
+        pt = measure_point(P4_NONLINEAR, A, omega, 2 * math.pi / omega / 199.5)
+        t = np.arange(3 * n + 1) * (2 * math.pi / omega / n)
+        record = TimeSeries(t=t, channels={
+            c: np.append(np.tile(y[:-1], 3), y[0])
+            for c, y in zip(("x1", "x2"), x)})
+        track = fundamental_component(record, "x1", omega, (0.0, t[-1]))
+        deriv = fundamental_component(record, "x2", omega, (0.0, t[-1]))
+        assert pt.track_mag == pytest.approx(track[0] / A, rel=1e-12)
+        assert pt.track_phase_deg == pytest.approx(track[1], abs=1e-9)
+        assert pt.deriv_mag == pytest.approx(deriv[0] / (A * omega), rel=1e-12)
+        assert pt.deriv_phase_deg == pytest.approx(deriv[1] - 90.0, abs=1e-9)
+
+
+_GAIN = st.floats(0.0, 2.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(linear=st.booleans(), eps=st.floats(0.02, 0.2), a0=_GAIN, a1=_GAIN,
+       b0=_GAIN, b1=_GAIN, alpha=st.floats(0.05, 1.0),
+       A=st.floats(0.1, 10.0), omega=st.floats(2.0, 100.0))
+def test_point_certifies_its_orbit_or_names_omega(linear, eps, a0, a1, b0,
+                                                  b1, alpha, A, omega):
+    # every reading comes from a certified, attracting orbit whose measured
+    # pass closes; any point without one fails with an error naming omega.
+    # A short warm-up budget keeps the points that chatter cheap.
+    try:
+        p = DiffParams(eps=eps, a0=a0, a1=0.0 if linear else a1, b0=b0,
+                       b1=0.0 if linear else b1, alpha=alpha)
+    except ValueError:
+        return
+    orbits, passes = [], []
+    orbit, steady = _kernels.periodic_orbit, sweep_module._steady_period
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep_module, "run", lambda p, spec, cfg: cfg)
-        mp.setattr(sweep_module, "fundamental_component",
-                   lambda cfg, channel, w, window: plans.append(
-                       check(cfg, window)) or (1.0, 0.0))
-        sweep(p, A, [omega], dt_target)
-        assert plans == [pytest.approx(MEASURE_PERIODS, abs=1e-9)] * 2
+        mp.setattr(sweep_module, "SETTLE_PERIODS", 6)
+        mp.setattr(_kernels, "periodic_orbit",
+                   lambda *a: orbits.append((a, orbit(*a))) or orbits[-1][1])
+        mp.setattr(sweep_module, "_steady_period",
+                   lambda *a: passes.append(steady(*a)) or passes[-1])
+        try:
+            (pt,) = sweep(p, A, [omega])
+        except ValueError as exc:  # DegenerateError included
+            assert exc.__notes__ == [f"omega={omega:g} rad/s"]
+            return
+        except InstabilityError as exc:
+            assert exc.__notes__ == [f"omega={omega:g} rad/s"]
+            assert math.isfinite(exc.t)
+            return
+    (args, x), (measured,) = orbits[-1], passes
+    assert x is not None and _closes(measured, 2 * sweep_module._CLOSURE_TOL)
+    assert np.array_equal(measured[:, 0], x[:, 0])
+    # the orbit meets its residual certificate
+    (f1, f2), _ = _kernels._rk4_f(x[0, :-1], x[1, :-1], *args[1:])
+    for f, y in ((f1, x[0, 1:]), (f2, x[1, 1:])):
+        assert np.all(np.abs(f - y) <= 1e-12 * np.maximum(1.0, np.abs(y)))
+    assert all(math.isfinite(v) for v in (pt.track_mag, pt.deriv_mag,
+                                          pt.track_phase_deg,
+                                          pt.deriv_phase_deg))
 
 
 class TestTrackingBandwidth:
