@@ -6,11 +6,14 @@ log-uniform in [1e-3, 0.5], gains uniform in [1e-3, 10] and alpha uniform
 in [0.05, 0.95], and runs each for 6000 steps at dt = default_dt times 1,
 2 or 5 on a noisy sine (amplitude in [0.5, 5], omega in [0.5, 10] rad/s,
 Gaussian noise of level [0, 0.5] at the grid points and the midpoints).
-Each case runs once through ``_kernels._hybrid_loop`` and once through
+Each case runs REPEATS times through ``_kernels._hybrid_loop`` and through
 ``_kernels._newton_hybrid`` (the path of ``integrate_hybrid`` without
-numba), whose calls of the loop are counted: every window that failed its
-certificate and every lane handed over whole.  Prints the total time of
-both, per alpha band too, the loop calls, the steps they ran, the steps
+numba), alternating which goes first, and each path's time is the median
+of its runs: single runs move band totals by up to 16 %.  The Newton
+path's calls of the loop are counted: every window that failed its
+certificate and every lane handed over whole.  Prints the total of the
+median times of both, per alpha band too, the loop calls, the steps they
+ran, the steps
 given to the map pass ``_rk4_f`` (F) and to the Jacobian pass
 ``_rk4_jac`` (J) per step of the band's lanes, and the largest difference
 from the loop relative to max(1, |x|).
@@ -20,6 +23,7 @@ Usage:
 """
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -32,7 +36,7 @@ from tdlab import _kernels  # noqa: E402
 from tdlab.dynamics import DiffParams  # noqa: E402
 from tdlab.simulate import default_dt  # noqa: E402
 
-CASES, STEPS = 120, 6000
+CASES, STEPS, REPEATS = 120, 6000, 3
 BANDS = ((0.05, 0.25), (0.25, 0.3), (0.3, 0.6), (0.6, 0.95))
 
 
@@ -84,15 +88,21 @@ def main(argv=None):
     rows = []
     worst, mismatched = 0.0, 0
     for alpha, kargs in cases(args.seed):
-        t0 = time.perf_counter()
-        *want, want_bad = loop(*kargs)
-        t1 = time.perf_counter()
-        calls.clear()
-        evals.update(F=0, J=0)
-        *got, bad = _kernels._newton_hybrid(*kargs)
-        t2 = time.perf_counter()
-        rows.append((alpha, t1 - t0, t2 - t1, len(calls), sum(calls),
-                     evals["F"], evals["J"]))
+        times = {loop: [], _kernels._newton_hybrid: []}
+        for rep in range(REPEATS):
+            for path in list(times)[::1 if rep % 2 == 0 else -1]:
+                calls.clear()
+                evals.update(F=0, J=0)
+                t0 = time.perf_counter()
+                *out, out_bad = path(*kargs)
+                times[path].append(time.perf_counter() - t0)
+                if path is loop:
+                    want, want_bad = out, out_bad
+                else:
+                    got, bad, counts = out, out_bad, (
+                        len(calls), sum(calls), evals["F"], evals["J"])
+        rows.append((alpha, *map(statistics.median, times.values()),
+                     *counts))
         mismatched += bad != want_bad
         end = len(want[0]) if want_bad < 0 else want_bad + 1
         for g, w in zip(got, want):
@@ -100,7 +110,7 @@ def main(argv=None):
             worst = max(worst, float(np.max(
                 np.abs(g[:end] - w) / np.maximum(1.0, np.abs(w)))))
     print(f"{CASES} cases of {STEPS} steps, seed {args.seed}, "
-          f"backend {_kernels.backend()}")
+          f"backend {_kernels.backend()}, median of {REPEATS} runs per path")
     for lo, hi in BANDS + ((0.05, 0.95),):
         sel = [r for r in rows if lo <= r[0] < hi or (hi == 0.95 == r[0])]
         print(f"alpha [{lo:.2f}, {hi:.2f}): {len(sel):3d} cases, "

@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Count how sweep points reach their periodic orbit, and time them.
+
+Draws 60 valid nonlinear (a0 = b0 = 0) and hybrid gain sets, with eps
+log-uniform in [0.01, 0.2], gains uniform in [1e-3, 2] and alpha uniform
+in [0.05, 0.95], each with an amplitude uniform in [0.5, 5] and a
+frequency log-uniform in [1, 100] rad/s, and measures each point with
+``tdlab.sweep.measure_point`` at the default step.  The Newton solves of
+``_kernels.periodic_orbit`` are counted: a point certifies its orbit from
+the linearization's guess, after warm-up runs, or not at all (it fails
+with "did not settle"); its iterations are the map passes ``_rk4_f`` that
+the solves take.  Prints these per alpha band.
+
+Given the ``src`` of another checkout (e.g. the parent commit), its
+``measure_point`` runs on the same points too: each point runs REPEATS
+times on each tree, alternating which goes first, and each tree's time is
+the median of its runs.  The band totals of those medians are printed,
+with the largest relative difference of track_mag between the trees.
+
+Usage:
+    python benchmarks/orbit_cases.py [PARENT_SRC] [--seed N]
+"""
+
+import argparse
+import importlib.util
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tdlab import _kernels  # noqa: E402
+from tdlab.dynamics import DiffParams  # noqa: E402
+from tdlab.sweep import measure_point  # noqa: E402
+
+CASES, REPEATS = 60, 3
+BANDS = ((0.05, 0.25), (0.25, 0.3), (0.3, 0.6), (0.6, 0.95))
+
+
+def cases(seed):
+    """Yield (alpha, p, A, omega) of each drawn point."""
+    rng = np.random.default_rng(seed)
+    while True:
+        hybrid = rng.random() < 0.5
+        eps = float(np.exp(rng.uniform(np.log(0.01), np.log(0.2))))
+        a0, a1, b0, b1 = (float(g) for g in rng.uniform(1e-3, 2.0, 4))
+        if not hybrid:
+            a0 = b0 = 0.0
+        alpha = float(rng.uniform(0.05, 0.95))
+        A = float(rng.uniform(0.5, 5.0))
+        omega = float(np.exp(rng.uniform(0.0, np.log(100.0))))
+        yield alpha, DiffParams(eps, a0, a1, b0, b1, alpha), A, omega
+
+
+def load_tree(src):
+    """The tdlab package of another source tree, as module tdlab_other."""
+    pkg = Path(src) / "tdlab"
+    spec = importlib.util.spec_from_file_location(
+        "tdlab_other", pkg / "__init__.py",
+        submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["tdlab_other"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def attempt(measure, p, A, omega):
+    """(track_mag or None, seconds) of one measure_point call."""
+    t0 = time.perf_counter()
+    try:
+        mag = measure(p, A, omega).track_mag
+    except (ValueError, RuntimeError):  # InstabilityError of either tree
+        mag = None
+    return mag, time.perf_counter() - t0
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", nargs="?", help="src of another checkout")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    other = load_tree(args.parent) if args.parent else None
+    solves, f_pass, orbit = [], _kernels._rk4_f, _kernels.periodic_orbit
+
+    def counting_orbit(*a):
+        solves.append([0, None])
+        x = orbit(*a)
+        solves[-1][1] = x is not None
+        return x
+
+    def counting_f(*a):
+        if solves and solves[-1][1] is None:
+            solves[-1][0] += 1
+        return f_pass(*a)
+
+    _kernels.periodic_orbit, _kernels._rk4_f = counting_orbit, counting_f
+    rows, drawn = [], cases(args.seed)
+    for alpha, p, A, omega in (next(drawn) for _ in range(CASES)):
+        sides = [measure_point] + ([other.measure_point] if other else [])
+        times = [[] for _ in sides]
+        for rep in range(REPEATS):
+            for k in range(len(sides))[::1 if rep % 2 == 0 else -1]:
+                if k == 0:
+                    solves.clear()
+                mag, seconds = attempt(sides[k], p, A, omega)
+                times[k].append(seconds)
+                if k == 0:
+                    new_mag, outcome = mag, [ok for _, ok in solves]
+                else:
+                    old_mag = mag
+        drift = (abs(new_mag - old_mag) / old_mag
+                 if other and new_mag and old_mag else math.nan)
+        rows.append((alpha, outcome, sum(n for n, _ in solves),
+                     [statistics.median(t) for t in times], drift))
+    print(f"{CASES} points, seed {args.seed}, backend {_kernels.backend()}"
+          + (f", median of {REPEATS} runs per tree" if other else ""))
+    for lo, hi in BANDS + ((0.05, 0.95),):
+        sel = [r for r in rows if lo <= r[0] < hi or (hi == 0.95 == r[0])]
+        first = sum(r[1][:1] == [True] for r in sel)
+        warm = sum(True in r[1][1:] for r in sel)
+        line = (f"alpha [{lo:.2f}, {hi:.2f}): {len(sel):2d} points, "
+                f"{first:2d} certified from the guess, {warm:2d} after "
+                f"warm-up, {len(sel) - first - warm:2d} not; "
+                f"{sum(r[2] for r in sel):4d} Newton iterations, "
+                f"orbit {sum(r[3][0] for r in sel):6.2f} s")
+        if other:
+            drifts = [r[4] for r in sel if not math.isnan(r[4])]
+            line += (f", other tree {sum(r[3][1] for r in sel):6.2f} s, "
+                     f"track_mag differs by up to "
+                     f"{max(drifts, default=0.0):.3g}")
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

@@ -291,10 +291,8 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
         guess = None
         if n >= _MIN_NEWTON_STEPS and alpha >= _MIN_NEWTON_ALPHA:
             try:
-                A = float(np.max(np.abs(v_grid))) or 1.0
-                p = DiffParams(eps, a0, a1, b0, b1, alpha)
-                guess = _linear_differentiator(eps, *_equivalent_gains(p, A))
-            except ValueError:  # values DiffParams rejects, or no gain
+                guess = _describing_system(v_grid, eps, a0, a1, b0, b1, alpha)
+            except ValueError:  # values DiffParams rejects, no gain or omega_n
                 pass
         if guess is None:
             return _hybrid_loop(x1_0, x2_0, v_grid, v_mid, *gains, limit)
@@ -373,11 +371,20 @@ def _close(q, m1, m2):
     return q + c1 * m1 + c2 * m2, M
 
 
+def _describing_system(v_grid, eps, a0, a1, b0, b1, alpha):
+    """_linear_differentiator at the describing gains of max |v| (or 1).
+
+    Raises DegenerateError when that system has no natural frequency.
+    """
+    p = DiffParams(eps, a0, a1, b0, b1, alpha)
+    A = float(np.max(np.abs(v_grid))) or 1.0
+    natural_frequency(p, A)
+    return _linear_differentiator(eps, *_equivalent_gains(p, A))
+
+
 def linear_orbit(v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
-    """The closed _linear_rk4 orbit at the describing gains of max |v|."""
-    p, A = DiffParams(eps, a0, a1, b0, b1, alpha), np.max(np.abs(v_grid))
-    natural_frequency(p, float(A) or 1.0)  # DegenerateError without one
-    lin = _linear_differentiator(eps, *_equivalent_gains(p, float(A) or 1.0))
+    """The closed _linear_rk4 orbit of _describing_system over the input."""
+    lin = _describing_system(v_grid, eps, a0, a1, b0, b1, alpha)
     z = np.zeros_like(v_grid)
     with np.errstate(all="ignore"):
         return _close(*(np.array(_linear_rk4(*lin, x0, v, vm, dt, np.inf)[:2])
@@ -409,12 +416,13 @@ def periodic_orbit(guess, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
                     1.0 if it >= _STALL_ITERS else np.inf)):
                 return None
             prev, jac = rel, np.array(_rk4_jac(stages, *gains))
-            starts[:, :, 0] = jac[:, 0].reshape(2, 2).T  # columns of J_0
+            starts[:, :, 0] = jac[:, 0].reshape(2, 2).T  # run c: J_0 e_c
             d, M = _close(*(np.array(_correct(band, jac[:, 1:], rhs))
                             for rhs in (r, *starts)))
             if done:  # Jury's test of |eig M| < 1
                 det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-                return x if abs(det) < 1.0 > abs(np.trace(M)) - det else None
+                attracts = abs(det) < 1.0 and abs(np.trace(M)) < 1.0 + det
+                return x if attracts else None
             x[:, 1:] += d
             x[:, 0] = x[:, -1]
 

@@ -216,7 +216,8 @@ class TestSteadyPeriod:
             p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, period / n, STATE_LIMIT)
         assert bad == -1
         want = np.array(long_run)[:, -n - 1:]
-        assert np.all(np.abs(x - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+        assert np.all(np.abs(x - want)
+                      <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("p", [P3A, P4_HYBRID, P4_NONLINEAR],
                              ids=["linear", "hybrid", "nonlinear"])
@@ -239,6 +240,33 @@ class TestSteadyPeriod:
                                         _n_sub(P4_NONLINEAR, omega))
         assert [orbit is not None for orbit in found] == [False, True]
         assert _closes(x, 1e-12)
+
+    def test_repelling_orbit_is_rejected(self):
+        # at dt = 0.28 the RK4 step of P3A grows its modes by 1.23 a step:
+        # the linearization's orbit solves the periodic system, but a run
+        # leaves it, so it is no reading
+        n, period = 16, 16 * 0.28
+        omega = 2 * math.pi / period
+        t, tm = time_grid(SimConfig(dt=period / n, t_end=period))
+        args = (sinusoid(1.0, omega, t), sinusoid(1.0, omega, tm), P3A.eps,
+                P3A.a0, P3A.a1, P3A.b0, P3A.b1, P3A.alpha, period / n)
+        x = _kernels.linear_orbit(*args)
+        (f1, f2), _ = _kernels._rk4_f(x[0, :-1], x[1, :-1], *args)
+        assert np.allclose(f1, x[0, 1:], 1e-13, 1e-13)
+        assert np.allclose(f2, x[1, 1:], 1e-13, 1e-13)
+        assert _kernels.periodic_orbit(x, *args) is None
+
+    def test_start_that_does_not_close_is_no_reading(self, monkeypatch):
+        # a certified orbit whose pass does not return to its start is not
+        # measured: the point fails once the warm-up budget is spent
+        orbit = _kernels.periodic_orbit
+        monkeypatch.setattr(_kernels, "periodic_orbit",
+                            lambda *a: None if (x := orbit(*a)) is None
+                            else x + 1e-3)
+        monkeypatch.setattr(sweep_module, "SETTLE_PERIODS", 6)
+        with pytest.raises(InstabilityError, match="did not settle"):
+            sweep_module._steady_period(P4_NONLINEAR, 1.0, 32.07,
+                                        _n_sub(P4_NONLINEAR, 32.07))
 
     def test_unsettled_point_raises(self, monkeypatch):
         # at alpha = 0.1 the explicit step chatters: the start of each period
