@@ -9,8 +9,11 @@ preset, the full-length commands of the benchmark's ``timeseries`` and
 at seed 12345.  For each command the script prints whether the exit code,
 stdout and stderr match (with each tree's directory written as ``<dir>``)
 and whether every file written is byte-identical.  For a CSV that is not,
-it prints the largest relative difference of each column.  The exit
-status is 1 on any difference, 0 otherwise.
+it prints the largest relative difference of each column.  Each tree also
+records the library outputs that no command writes, the slopes of the
+eps ladders of ``LADDERS``; the script prints them side by side with
+their relative difference.  The exit status is 1 on any difference
+(a command's or a library output's), 0 otherwise.
 
 Usage:
     python benchmarks/compare_outputs.py OLD_SRC NEW_SRC
@@ -31,6 +34,12 @@ import tempfile
 SEED = "12345"
 PRESETS = ("paper-3A", "paper-3B", "paper-3C-linear", "paper-3C-hybrid",
            "paper-4-linear", "paper-4-nonlinear", "paper-4-hybrid", "paper-5")
+#: (preset, eps scale) of each convergence_order ladder recorded: the eps
+#: 1/20 .. 1/160 ladders of acceptance criterion 10 (paper-4-hybrid's is
+#: also the benchmark's ensemble ladder) and the doubled-eps ladder of
+#: test_slope_scale_invariant, all on SignalSpec(1, 2).
+LADDERS = (("paper-3A", 1), ("paper-4-hybrid", 1), ("paper-3A", 2))
+LADDER_EPS = (1 / 20, 1 / 40, 1 / 80, 1 / 160)
 
 
 def commands() -> list[list[str]]:
@@ -90,8 +99,25 @@ def commands() -> list[list[str]]:
     return cmds
 
 
+def library_outputs() -> dict:
+    """The slope of each ladder of LADDERS, or its error, by name."""
+    import tdlab
+
+    out = {}
+    for preset, scale in LADDERS:
+        family = tdlab.eps_ladder(tdlab.get_preset(preset).params,
+                                  [scale * e for e in LADDER_EPS])
+        name = f"convergence_order {preset} eps {scale}/20..{scale}/160"
+        try:
+            out[name] = tdlab.convergence_order(family,
+                                                tdlab.SignalSpec(1.0, 2.0))
+        except Exception as exc:  # recorded, not raised: a finding
+            out[name] = f"{type(exc).__name__}: {exc}"
+    return out
+
+
 def run_tree(workdir: str) -> None:
-    """Run every command in workdir; write results.json there."""
+    """Run every command in workdir; write results.json and library.json."""
     from tdlab.cli import main
 
     os.chdir(workdir)
@@ -113,6 +139,8 @@ def run_tree(workdir: str) -> None:
                         "stderr": err.getvalue().replace(workdir, "<dir>")})
     with open(os.path.join(workdir, "results.json"), "w") as fh:
         json.dump(results, fh)
+    with open(os.path.join(workdir, "library.json"), "w") as fh:
+        json.dump(library_outputs(), fh)
 
 
 def _read_csv(path: str):
@@ -178,7 +206,28 @@ def compare(old_dir: str, new_dir: str) -> int:
                 print(f"     new {key}: {b[key].strip()[-200:]!r}")
         differences += bool(notes)
     print(f"{differences} of {len(new)} commands differ")
-    return 1 if differences else 0
+    return 1 if differences + compare_library(old_dir, new_dir) else 0
+
+
+def compare_library(old_dir: str, new_dir: str) -> int:
+    """Print each library output of both trees; return how many differ."""
+    with open(os.path.join(old_dir, "library.json")) as fh:
+        old = json.load(fh)
+    with open(os.path.join(new_dir, "library.json")) as fh:
+        new = json.load(fh)
+    differences = 0
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name), new.get(name)
+        if a == b:
+            status, rel = "same", ""
+        else:
+            status, differences = "DIFF", differences + 1
+            numbers = all(isinstance(x, float) for x in (a, b))
+            rel = (f", rel diff {abs(a - b) / max(abs(a), abs(b)):.3g}"
+                   if numbers else "")
+        print(f"{status} {name}: {a!r} -> {b!r}{rel}")
+    print(f"{differences} of {len(new)} library outputs differ")
+    return differences
 
 
 def main(argv=None) -> int:

@@ -45,9 +45,7 @@ from .simulate import (
     InstabilityError,
     SimConfig,
     TimeSeries,
-    convergence_order,
     default_dt,
-    default_skip,
     eps_ladder,
     rk4_step,
     rms_error,
@@ -56,6 +54,7 @@ from .simulate import (
 )
 from .sweep import (
     MeasuredResponse,
+    convergence_order,
     fundamental_component,
     measure_point,
     sweep,
@@ -88,7 +87,6 @@ __all__ = [
     "bode_table",
     "convergence_order",
     "default_dt",
-    "default_skip",
     "describing_gain",
     "eps_ladder",
     "estimate_delta",

@@ -30,8 +30,10 @@ Newton does not certify.  On the paper-5 input of
 ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step on a
 2-vCPU machine.  ``periodic_orbit`` solves the steps of one input period
 with x[n] = x[0] by the same Newton, on every backend, from the closed
-orbit of the linearization (``linear_orbit``); sweeps measure on it.
+orbit of the linearization (``linear_orbit``); ``sweep`` measures on it.
 """
+
+import itertools
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
@@ -62,15 +64,15 @@ _MIN_NEWTON_STEPS = 256
 #: that most windows stall, and trying Newton first costs more than the
 #: loop saves (measured by benchmarks/newton_cases.py).
 _MIN_NEWTON_ALPHA = 0.25
-#: Newton iterations a window may take before _hybrid_loop runs it.
+#: Newton iterations a window or an orbit may take (_gives_up).
 _NEWTON_ITERS = 20
-#: A window whose residual is still above its state scale after this many
-#: iterations has stalled, and _hybrid_loop runs it.
+#: A residual still above its state scale after this many iterations has
+#: stalled: _hybrid_loop runs the window, and the orbit is not found.
 _STALL_ITERS = 8
 #: Residual certificate of a Newton window, relative to max(1, |state|).
 #: A residual within it is accepted once Newton has reached its rounding
-#: floor: at most _ROUNDING_TOL, or cut by less than _FLOOR_GAIN in the
-#: last iteration.
+#: floor: at most _ROUNDING_TOL, or cut by less than _FLOOR_GAIN since the
+#: previous evaluation (_certified).
 _NEWTON_TOL = 1e-12
 _ROUNDING_TOL = 1e-15
 _FLOOR_GAIN = 4.0
@@ -270,20 +272,18 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
     the residuals r_i = F_i(x[i]) - x[i+1] of the _WINDOW_STEPS steps after
     the frontier, the last state known to be final, and retires the
     longest prefix that is certified as a window: its largest
-    |r_i|/max(1, |x[i+1]|) at most _NEWTON_TOL and at Newton's rounding
-    floor (at most _ROUNDING_TOL, or cut by less than _FLOOR_GAIN since its
-    steps' previous evaluation), and every x[i+1] inside limit.  The steps
+    |r_i|/max(1, |x[i+1]|) passes _certified against the same steps'
+    previous evaluation, and every x[i+1] is inside limit.  The steps
     after the new frontier are corrected by d[i+1] = J_i d[i] + r_i from
     d = 0, so that rounding scales with the residual: the band of
     _linear_rk4 with per-step entries, and only those steps need J_i.
-    The _WINDOW_STEPS steps from where the count began must retire within
-    _NEWTON_ITERS iterations, with finite residuals, below 1 after
-    _STALL_ITERS, and no certified state past limit; else _hybrid_loop
-    runs them, so the divergent step reported is the loop's own.  Lanes
-    shorter than _MIN_NEWTON_STEPS or with alpha below _MIN_NEWTON_ALPHA
-    go to the loop whole.  All of it runs under np.errstate: a diverging
-    lane overflows, in the loop's numpy scalars too, before its step is
-    reported.
+    The _WINDOW_STEPS steps from where the count began must retire before
+    Newton _gives_up on their residuals, with no certified state past
+    limit; else _hybrid_loop runs them, so the divergent step reported is
+    the loop's own.  Lanes shorter than _MIN_NEWTON_STEPS or with alpha
+    below _MIN_NEWTON_ALPHA go to the loop whole.  All of it runs under
+    np.errstate: a diverging lane overflows, in the loop's numpy scalars
+    too, before its step is reported.
     """
     n = v_mid.shape[0]
     gains = (eps, a0, a1, b0, b1, alpha, dt)
@@ -313,9 +313,8 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
             rel = np.maximum(np.abs(r1) / np.maximum(1.0, np.abs(y1[1:])),
                              np.abs(r2) / np.maximum(1.0, np.abs(y2[1:])))
             top = np.maximum.accumulate(rel)  # of each prefix
-            cert = np.flatnonzero((top <= _NEWTON_TOL) & (
-                (top <= _ROUNDING_TOL)
-                | (_FLOOR_GAIN * top >= np.maximum.accumulate(prev[s:e]))))
+            cert = np.flatnonzero(
+                _certified(top, np.maximum.accumulate(prev[s:e])))
             prev[s:e] = rel
             k = int(cert[-1]) + 1 if cert.size else 0
             past = np.flatnonzero((np.abs(y1[1:k + 1]) > limit)
@@ -326,9 +325,8 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                 c, it = s, 0
             if s == e:
                 continue
-            if (past.size or it == _NEWTON_ITERS
-                    or not rel[k:c + _WINDOW_STEPS - s + k].max()
-                    < (1.0 if it >= _STALL_ITERS else np.inf)):
+            if past.size or _gives_up(rel[k:c + _WINDOW_STEPS - s + k].max(),
+                                      it):
                 e = min(c + _WINDOW_STEPS, n)
                 *y, bad = _hybrid_loop(x1[c], x2[c], v_grid[c:e + 1],
                                        v_mid[c:e], *gains, limit)
@@ -344,6 +342,18 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
             x1[s + 1:e + 1] += d1
             x2[s + 1:e + 1] += d2
     return x1, x2, -1
+
+
+def _certified(rel, prev):
+    """Newton's certificate of residuals rel (array or scalar) after prev."""
+    return (rel <= _NEWTON_TOL) & ((rel <= _ROUNDING_TOL)
+                                   | (_FLOOR_GAIN * rel >= prev))
+
+
+def _gives_up(rel, it):
+    """Whether Newton stops at iteration it on a largest residual rel."""
+    return it == _NEWTON_ITERS or not rel < (1.0 if it >= _STALL_ITERS
+                                             else np.inf)
 
 
 def _correct(band, jac, r):
@@ -398,22 +408,20 @@ def periodic_orbit(guess, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
 
     Newton on x[i+1] = F_i(x[i]), x[n] = x[0] (Aprille & Trick, Proc. IEEE
     60, 1972) from guess[:, :n]: _close of the _correct runs from d[0] = 0
-    and the unit starts.  None unless it meets _newton_hybrid's certificate
-    within its iteration and stall limits, and attracts (|eig M| < 1).
+    and the unit starts.  None unless it is _certified before Newton
+    _gives_up, and attracts (|eig M| < 1).
     """
     n, gains = v_mid.shape[0], (eps, a0, a1, b0, b1, alpha, dt)
     x = np.concatenate((guess[:, :n], guess[:, :1]), axis=1)
     band, prev = np.zeros((4, 2 * n), order="F"), np.inf
     starts = np.zeros((2, 2, n))
     with np.errstate(all="ignore"):
-        for it in range(_NEWTON_ITERS + 1):
+        for it in itertools.count():
             f, stages = _rk4_f(x[0, :-1], x[1, :-1], v_grid, v_mid, *gains)
             r = np.array(f) - x[:, 1:]
             rel = float(np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:]))))
-            done = rel <= _NEWTON_TOL and (
-                rel <= _ROUNDING_TOL or _FLOOR_GAIN * rel >= prev)
-            if not done and (it == _NEWTON_ITERS or not rel < (
-                    1.0 if it >= _STALL_ITERS else np.inf)):
+            done = _certified(rel, prev)
+            if not done and _gives_up(rel, it):
                 return None
             prev, jac = rel, np.array(_rk4_jac(stages, *gains))
             starts[:, :, 0] = jac[:, 0].reshape(2, 2).T  # run c: J_0 e_c

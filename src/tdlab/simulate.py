@@ -1,11 +1,11 @@
 """Fixed-step simulation of the differentiator family and tracking metrics.
 
-Integration uses the classical 4-stage Runge-Kutta method on a uniform grid
-(see _kernels for the compiled loops).  The step size must resolve the fast
-differentiator dynamics, whose rates scale as 1/eps, and must split each
-noise hold into whole steps: the default rule is dt = min(eps/20, Ts/10,
-1e-3), shrunk to the next step that divides the hold interval Ts.  A run
-takes at most MAX_STEPS steps; time_grid checks this before it allocates.
+Integration uses the classical 4-stage Runge-Kutta method on a uniform
+grid.  The step size must resolve the fast differentiator dynamics, whose
+rates scale as 1/eps, and must split each noise hold into whole steps: the
+default rule is dt = min(eps/20, Ts/10, 1e-3), shrunk to the next step
+that divides the hold interval Ts.  A run takes at most MAX_STEPS steps;
+time_grid checks this before it allocates.
 """
 
 import math
@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .describing import natural_frequency
 from .dynamics import DiffParams, DiffState
 from .signals import (NoiseSpec, SignalSpec, bl_white_noise, sinusoid,
                       sinusoid_derivative)
@@ -95,12 +94,6 @@ def default_dt(p: DiffParams, spec: Optional[SignalSpec] = None) -> float:
             raise ValueError(f"no step of at most {dt:g} s divides noise "
                              f"sample_time={hold:g}") from None
     return dt
-
-
-def default_skip(p: DiffParams, amplitude: float) -> float:
-    """Steady-state metrics skip max(5/omega_n, 2 s) by default."""
-    A = abs(amplitude) if amplitude else 1.0
-    return max(5.0 / natural_frequency(p, A), 2.0)
 
 
 def rk4_step(rhs, state, t: float, dt: float, u):
@@ -221,34 +214,3 @@ def rms_error(ts: TimeSeries, channel: str, reference: str,
 def eps_ladder(p: DiffParams, eps_values: Sequence[float]) -> list[DiffParams]:
     """Same gain set across a ladder of eps values."""
     return [replace(p, eps=float(e)) for e in eps_values]
-
-
-def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
-    """Empirical tracking-error order: slope of log RMS(x1 - v) vs log eps.
-
-    Requires at least 4 family members whose eps values span a factor >= 8
-    and a noise-free signal (an order fit under a noise floor is
-    meaningless).  Each member is simulated with the default step rule and
-    its own steady-state window; a positive slope certifies that the
-    tracking error vanishes as eps -> 0.
-    """
-    family = list(family)
-    if len(family) < 4:
-        raise ValueError("need at least 4 eps values")
-    eps = np.array([q.eps for q in family])
-    if np.max(eps) / np.min(eps) < 8.0:
-        raise ValueError("eps values must span at least a factor of 8")
-    if spec.noise is not None and spec.noise.power > 0.0:
-        raise ValueError("convergence order requires a noise-free signal")
-    if spec.omega <= 0.0 or spec.amplitude == 0.0:
-        raise ValueError("convergence order requires a nontrivial sinusoid")
-
-    period = 2.0 * math.pi / spec.omega
-    errs = []
-    for q in family:
-        skip = default_skip(q, spec.amplitude)
-        ts = run(q, spec, SimConfig(dt=default_dt(q, spec),
-                                    t_end=skip + 4.0 * period))
-        errs.append(rms_error(ts, "x1", "v_clean", (skip, float(ts.t[-1]))))
-    slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
-    return float(slope)

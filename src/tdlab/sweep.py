@@ -1,11 +1,13 @@
-"""Swept-sine identification of differentiator frequency characteristics.
+"""Steady-state measurements on the periodic orbit: swept sines and eps order.
 
-Each frequency point drives the differentiator with a clean sinusoid and
-measures one period of its RK4 periodic orbit (_kernels.periodic_orbit, as
-run by integrate_hybrid): the DFT bin of both states over that period
-rejects every higher harmonic of the nonlinear response.  The derivative
-channel is normalized by the ideal derivative amplitude A*w, so a perfect
-differentiator reads magnitude 1 and phase 0 on both channels.
+Each measurement drives the differentiator with a clean sinusoid and reads
+one period of its RK4 periodic orbit (_kernels.periodic_orbit, as run by
+integrate_hybrid), planned and certified by _steady_period.  A frequency
+point takes the DFT bin of both states over that period, which rejects
+every higher harmonic of the nonlinear response; convergence_order takes
+the RMS tracking error over it.  The derivative channel is normalized by
+the ideal derivative amplitude A*w, so a perfect differentiator reads
+magnitude 1 and phase 0 on both channels.
 """
 
 import math
@@ -20,8 +22,8 @@ from .signals import SignalSpec, sinusoid
 from .simulate import (MAX_STEPS, InstabilityError, SimConfig, TimeSeries,
                        default_dt, run, time_grid)
 
-#: Periods a point may run from states that are not its orbit, in warm-up
-#: runs of _WARM_PERIODS, before it fails as not settled.
+#: Periods a measurement may run from states that are not its orbit, in
+#: warm-up runs of _WARM_PERIODS, before it fails as not settled.
 SETTLE_PERIODS, _WARM_PERIODS = 30, 3
 #: Most |x[n] - x[0]| of the measured period, relative to 1 + |x[0]|.
 _CLOSURE_TOL = 1e-9
@@ -77,50 +79,17 @@ def fundamental_component(ts: TimeSeries, channel: str, omega: float,
 
 
 def _steady_period(p: DiffParams, A: float, omega: float,
-                   n_sub: int) -> np.ndarray:
-    """(x1, x2) over one period of n_sub steps of the settled response.
+                   dt: Optional[float] = None) -> np.ndarray:
+    """(x1, x2) over one period of n steps of the settled response.
 
-    The integrate_hybrid pass from Newton's orbit, which must close within
-    _CLOSURE_TOL; else Newton retries from the last period of a warm-up run,
-    until SETTLE_PERIODS periods have run.
+    n = max(ceil(period/dt), 16) for the target step dt (default:
+    default_dt(p)); a warm-up run over MAX_STEPS raises ValueError before
+    anything is integrated.  Returns the integrate_hybrid pass from
+    Newton's certified, attracting orbit, which must close within
+    _CLOSURE_TOL; else Newton retries from the last period of a warm-up
+    run, until SETTLE_PERIODS periods have run (InstabilityError).
     """
-    period = 2.0 * math.pi / omega
-    spec, cfg = SignalSpec(A, omega), SimConfig(period / n_sub, period)
-    t, tm = time_grid(cfg)
-    v, vm = sinusoid(A, omega, t), sinusoid(A, omega, tm)
-    gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, cfg.dt)
-    guess = _kernels.linear_orbit(v, vm, *gains)
-    for _ in range(SETTLE_PERIODS // _WARM_PERIODS):
-        orbit = _kernels.periodic_orbit(guess, v, vm, *gains)
-        x0, periods = ((guess[:, -1], _WARM_PERIODS) if orbit is None
-                       else (orbit[:, 0], 1))
-        ts = run(p, spec, replace(cfg, t_end=periods * period,
-                                  initial=DiffState(*np.nan_to_num(x0))))
-        guess = np.array((ts.channel("x1"), ts.channel("x2")))[:, -n_sub - 1:]
-        if orbit is not None and np.allclose(guess[:, -1], guess[:, 0],
-                                             _CLOSURE_TOL, _CLOSURE_TOL):
-            return guess
-    raise InstabilityError(f"did not settle within {SETTLE_PERIODS} periods "
-                           f"of {period:g} s", t=SETTLE_PERIODS * period)
-
-
-def measure_point(p: DiffParams, A: float, omega: float,
-                  dt: Optional[float] = None) -> MeasuredResponse:
-    """Measure tracking and derivative responses at one frequency.
-
-    Runs on the clean input A*sin(omega*t) and takes the DFT bin of one
-    period of its periodic orbit (_steady_period): Newton's orbit passes the
-    residual certificate of the sliding Newton path and attracts, and one
-    integrate_hybrid pass from its start, which is what gets measured,
-    closes within _CLOSURE_TOL.  Without such an orbit after SETTLE_PERIODS
-    periods of warm-up the point raises InstabilityError ("did not
-    settle").  dt is the target step size (default: default_dt(p)); the
-    actual step is shrunk so that an integer number (>= 16) of steps spans
-    one period.  A point whose warm-up run would exceed MAX_STEPS raises
-    ValueError before anything is integrated.
-    """
-    if dt is None:
-        dt = default_dt(p)
+    dt = default_dt(p) if dt is None else dt
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not (0.0 < A < math.inf and 0.0 < omega < math.inf):
@@ -132,9 +101,36 @@ def measure_point(p: DiffParams, A: float, omega: float,
         raise ValueError(f"dt={dt:g} needs {steps:.4g} steps, more than "
                          f"MAX_STEPS={MAX_STEPS}")
     n = max(math.ceil(period / dt), 16)
-    wt = omega * (np.arange(n) * (period / n))
-    (a1, b1), (a2, b2) = 2.0 / n * (_steady_period(p, A, omega, n)[:, :-1]
-                                    @ np.stack((np.sin(wt), np.cos(wt)), 1))
+    spec, cfg = SignalSpec(A, omega), SimConfig(period / n, period)
+    t, tm = time_grid(cfg)
+    v, vm = sinusoid(A, omega, t), sinusoid(A, omega, tm)
+    gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, cfg.dt)
+    guess = _kernels.linear_orbit(v, vm, *gains)
+    for _ in range(SETTLE_PERIODS // _WARM_PERIODS):
+        orbit = _kernels.periodic_orbit(guess, v, vm, *gains)
+        x0, periods = ((guess[:, -1], _WARM_PERIODS) if orbit is None
+                       else (orbit[:, 0], 1))
+        ts = run(p, spec, replace(cfg, t_end=periods * period,
+                                  initial=DiffState(*np.nan_to_num(x0))))
+        guess = np.array((ts.channel("x1"), ts.channel("x2")))[:, -n - 1:]
+        if orbit is not None and np.allclose(guess[:, -1], guess[:, 0],
+                                             _CLOSURE_TOL, _CLOSURE_TOL):
+            return guess
+    raise InstabilityError(f"did not settle within {SETTLE_PERIODS} periods "
+                           f"of {period:g} s", t=SETTLE_PERIODS * period)
+
+
+def measure_point(p: DiffParams, A: float, omega: float,
+                  dt: Optional[float] = None) -> MeasuredResponse:
+    """Measure tracking and derivative responses at one frequency.
+
+    The DFT bin of one period of the periodic orbit under A*sin(omega*t) at
+    the target step dt (_steady_period, which raises "did not settle").
+    """
+    x = _steady_period(p, A, omega, dt)[:, :-1]
+    n = x.shape[1]
+    wt = omega * (np.arange(n) * (2.0 * math.pi / omega / n))
+    (a1, b1), (a2, b2) = 2.0 / n * (x @ np.stack((np.sin(wt), np.cos(wt)), 1))
     return MeasuredResponse(
         omega=omega,
         track_mag=math.hypot(a1, b1) / A,
@@ -142,6 +138,40 @@ def measure_point(p: DiffParams, A: float, omega: float,
         deriv_mag=math.hypot(a2, b2) / (A * omega),
         deriv_phase_deg=math.degrees(math.atan2(b2, a2)) - 90.0,
     )
+
+
+def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
+    """Empirical tracking-error order: slope of log RMS(x1 - v) vs log eps.
+
+    Requires at least 4 family members whose eps values span a factor >= 8
+    and a noise-free signal (an order fit under a noise floor is
+    meaningless).  A member's error is the RMS of x1 - A*sin(omega*t) over
+    one period of its periodic orbit at the default step (_steady_period),
+    at |A| since the family is odd; a member without an orbit raises
+    InstabilityError ("did not settle"), and a failure is noted eps=<value>.
+    A positive slope certifies that the tracking error vanishes as eps -> 0.
+    """
+    family = list(family)
+    if len(family) < 4:
+        raise ValueError("need at least 4 eps values")
+    eps = np.array([q.eps for q in family])
+    if np.max(eps) / np.min(eps) < 8.0:
+        raise ValueError("eps values must span at least a factor of 8")
+    if spec.noise is not None and spec.noise.power > 0.0:
+        raise ValueError("convergence order requires a noise-free signal")
+    if spec.omega <= 0.0 or spec.amplitude == 0.0:
+        raise ValueError("convergence order requires a nontrivial sinusoid")
+    A, omega = abs(spec.amplitude), spec.omega
+    errs = []
+    for q in family:
+        try:
+            x1 = _steady_period(q, A, omega)[0, :-1]
+        except Exception as exc:
+            exc.add_note(f"eps={q.eps:g}")
+            raise
+        t = np.arange(len(x1)) * (2.0 * math.pi / omega / len(x1))
+        errs.append(math.sqrt(np.mean((x1 - sinusoid(A, omega, t)) ** 2)))
+    return float(np.polyfit(np.log(eps), np.log(errs), 1)[0])
 
 
 def sweep(p: DiffParams, A: float, omegas: Sequence[float],

@@ -23,13 +23,12 @@ from tdlab.presets import uncertainty_plant
 from tdlab.signals import NoiseSpec, SignalSpec
 from tdlab.simulate import (
     SimConfig,
-    convergence_order,
     eps_ladder,
     rms_error,
     run,
     run_highgain,
 )
-from tdlab.sweep import sweep, tracking_bandwidth
+from tdlab.sweep import convergence_order, sweep, tracking_bandwidth
 from tdlab.uncertainty import estimate_delta, simulate_plant
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)

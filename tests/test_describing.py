@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tdlab import _kernels
 from tdlab.describing import (
     DegenerateError,
     EquivalentLinearization,
@@ -21,8 +22,9 @@ from tdlab.describing import (
     omega_factor,
 )
 from tdlab.dynamics import DiffParams
-from tdlab.simulate import default_skip
-from tdlab.sweep import measure_point
+from tdlab.signals import SignalSpec
+from tdlab.simulate import eps_ladder
+from tdlab.sweep import convergence_order, measure_point
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
 P3B = DiffParams(eps=1 / 45, a1=0.099, b1=0.268, alpha=0.5)
@@ -181,11 +183,18 @@ class TestLinearize:
 
 @pytest.mark.parametrize("call", [
     lambda p: natural_frequency(p, 1.0),
-    lambda p: default_skip(p, 1.0),
+    lambda p: convergence_order(eps_ladder(p, [p.eps / 2**k
+                                               for k in range(4)]),
+                                SignalSpec(1.0, 1.0)),
     lambda p: measure_point(p, 1.0, 1.0, 1e-3),
-], ids=["natural_frequency", "default_skip", "measure_point"])
-def test_underflowing_natural_frequency_is_degenerate(call):
-    # sqrt(5e-324)/1e300 underflows to 0; the callers divide by it
+], ids=["natural_frequency", "convergence_order", "measure_point"])
+def test_underflowing_natural_frequency_is_degenerate(call, monkeypatch):
+    # sqrt(5e-324)/1e300 underflows to 0; every caller raises before it
+    # divides by it or integrates anything
+    def integrated(*args):
+        raise AssertionError("integrated a system without natural frequency")
+    monkeypatch.setattr(_kernels, "_linear_rk4", integrated)
+    monkeypatch.setattr(_kernels, "_hybrid_loop", integrated)
     p = DiffParams(eps=1e300, a0=5e-324, b0=5e-324)
     with pytest.raises(DegenerateError, match="natural frequency 0 rad/s"):
         call(p)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -13,16 +14,14 @@ from tdlab.simulate import (
     SimConfig,
     TimeSeries,
     MAX_STEPS,
-    convergence_order,
     default_dt,
-    default_skip,
     eps_ladder,
     rk4_step,
     rms_error,
     run,
     time_grid,
 )
-from tdlab.sweep import fundamental_component
+from tdlab.sweep import convergence_order, fundamental_component
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
 P3C_HYBRID = DiffParams(eps=1 / 45, a0=0.005, a1=0.005, b0=0.05, b1=0.005,
@@ -82,11 +81,6 @@ class TestSimConfig:
         assert default_dt(P3A, spec) == pytest.approx(
             min(P3A.eps / 20, 0.001, 1e-3))
         assert default_dt(P4_HYBRID) == pytest.approx(0.01 / 20)
-
-    def test_default_skip(self):
-        assert default_skip(P3A, 5.0) == 2.0  # 5/omega_n < 2 s
-        slow = DiffParams(eps=1.0, a0=0.25, b0=0.5)  # omega_n = 0.5
-        assert default_skip(slow, 5.0) == pytest.approx(10.0)
 
 
 #: The float fields of each config type.
@@ -282,6 +276,23 @@ class TestConvergenceOrder:
         doubled = convergence_order(eps_ladder(P3A, [2 * e for e in self.EPS]),
                                     SignalSpec(1.0, 2.0))
         assert abs(doubled - base) <= 0.05
+
+    def test_negative_amplitude_gives_the_same_slope(self):
+        # the family is odd in its input, so -A reads the errors of A
+        family = eps_ladder(P3A, self.EPS)
+        assert (convergence_order(family, SignalSpec(-1.0, 2.0))
+                == convergence_order(family, SignalSpec(1.0, 2.0)))
+
+    def test_unsettled_member_is_named(self, monkeypatch):
+        # at alpha = 0.1 the explicit step of the first member chatters:
+        # it has no attracting orbit, and the error names its eps
+        monkeypatch.setattr(importlib.import_module("tdlab.sweep"),
+                            "SETTLE_PERIODS", 6)
+        p = DiffParams(eps=1 / 45, a1=0.015, b1=0.015, alpha=0.1)
+        family = eps_ladder(p, [p.eps / 2**k for k in range(4)])
+        with pytest.raises(InstabilityError, match="did not settle") as err:
+            convergence_order(family, SignalSpec(1.0, 2.0))
+        assert err.value.__notes__ == [f"eps={1 / 45:g}"]
 
     def test_rejects_noisy_signal(self):
         spec = SignalSpec(1.0, 2.0, noise=NoiseSpec(0.01, 0.01, seed=1))

@@ -195,10 +195,6 @@ def _closes(x, tol):
                        <= tol * np.maximum(1.0, np.abs(x[:, 0]))))
 
 
-def _n_sub(p, omega):
-    return max(math.ceil(2 * math.pi / omega / default_dt(p)), 16)
-
-
 class TestSteadyPeriod:
     """measure_point reads the periodic orbit, which a plain run reaches
     only after hundreds of periods."""
@@ -207,9 +203,9 @@ class TestSteadyPeriod:
     def test_orbit_is_where_a_long_loop_run_settles(self, omega):
         # _hybrid_loop runs 500 periods from rest on the orbit's step grid;
         # its last period is the settled response
-        p, n = P4_NONLINEAR, _n_sub(P4_NONLINEAR, omega)
-        period = 2 * math.pi / omega
-        x = sweep_module._steady_period(p, 1.0, omega, n)
+        p, period = P4_NONLINEAR, 2 * math.pi / omega
+        x = sweep_module._steady_period(p, 1.0, omega, default_dt(p))
+        n = x.shape[1] - 1
         t, tm = time_grid(SimConfig(dt=period / n, t_end=500 * period))
         *long_run, bad = _kernels._hybrid_loop(
             0.0, 0.0, sinusoid(1.0, omega, t), sinusoid(1.0, omega, tm),
@@ -225,7 +221,7 @@ class TestSteadyPeriod:
         # the integrate_hybrid pass from the orbit's start returns to it at
         # the rounding floor, far inside the _CLOSURE_TOL that it must meet
         for omega in np.logspace(math.log10(2.0), math.log10(90.0), 5):
-            x = sweep_module._steady_period(p, 1.0, omega, _n_sub(p, omega))
+            x = sweep_module._steady_period(p, 1.0, omega, default_dt(p))
             assert _closes(x, 1e-12)
 
     def test_warm_up_recovers_where_newton_fails_from_the_guess(
@@ -237,7 +233,7 @@ class TestSteadyPeriod:
                             lambda *a: found.append(orbit(*a)) or found[-1])
         omega = 1.3618
         x = sweep_module._steady_period(P4_NONLINEAR, 5.0, omega,
-                                        _n_sub(P4_NONLINEAR, omega))
+                                        default_dt(P4_NONLINEAR))
         assert [orbit is not None for orbit in found] == [False, True]
         assert _closes(x, 1e-12)
 
@@ -266,7 +262,7 @@ class TestSteadyPeriod:
         monkeypatch.setattr(sweep_module, "SETTLE_PERIODS", 6)
         with pytest.raises(InstabilityError, match="did not settle"):
             sweep_module._steady_period(P4_NONLINEAR, 1.0, 32.07,
-                                        _n_sub(P4_NONLINEAR, 32.07))
+                                        default_dt(P4_NONLINEAR))
 
     def test_unsettled_point_raises(self, monkeypatch):
         # at alpha = 0.1 the explicit step chatters: the start of each period
@@ -284,9 +280,11 @@ class TestSteadyPeriod:
         # record fundamental_component accepts; its trapezoid rule then is
         # the DFT bin that measure_point takes of the single period
         omega, A, n = 7.0, 1.0, 200
-        x = sweep_module._steady_period(P4_NONLINEAR, A, omega, n)
+        dt = 2 * math.pi / omega / 199.5  # n steps a period
+        x = sweep_module._steady_period(P4_NONLINEAR, A, omega, dt)
+        assert x.shape == (2, n + 1)
         monkeypatch.setattr(sweep_module, "_steady_period", lambda *a: x)
-        pt = measure_point(P4_NONLINEAR, A, omega, 2 * math.pi / omega / 199.5)
+        pt = measure_point(P4_NONLINEAR, A, omega, dt)
         t = np.arange(3 * n + 1) * (2 * math.pi / omega / n)
         record = TimeSeries(t=t, channels={
             c: np.append(np.tile(y[:-1], 3), y[0])
