@@ -7,16 +7,15 @@ in [0.05, 0.95], and runs each for 6000 steps at dt = default_dt times 1,
 2 or 5 on a noisy sine (amplitude in [0.5, 5], omega in [0.5, 10] rad/s,
 Gaussian noise of level [0, 0.5] at the grid points and the midpoints).
 Each case runs REPEATS times through ``_kernels._hybrid_loop`` and through
-``_kernels._newton_hybrid`` (the path of ``integrate_hybrid`` without
-numba), alternating which goes first, and each path's time is the median
-of its runs: single runs move band totals by up to 16 %.  The Newton
-path's calls of the loop are counted: every window that failed its
-certificate and every lane handed over whole.  Prints the total of the
-median times of both, per alpha band too, the loop calls, the steps they
-ran, the steps
-given to the map pass ``_rk4_f`` (F) and to the Jacobian pass
-``_rk4_jac`` (J) per step of the band's lanes, and the largest difference
-from the loop relative to max(1, |x|).
+``_kernels._newton_hybrid`` (the path of ``integrate_hybrid``),
+alternating which goes first, and each path's time is the median of its
+runs: single runs move band totals by up to 16 %.  The Newton path calls
+the loop at most once per lane, on the lane's tail from the window that
+failed its certificate, or on the whole lane.  Prints the total of the
+median times of both, per alpha band too, the lanes whose tail the loop
+ran, the steps it ran, the steps given to the map pass ``_rk4_f`` (F) and
+to the Jacobian pass ``_rk4_jac`` (J) per step of the band's lanes, and
+the largest difference from the loop relative to max(1, |x|).
 
 Usage:
     python benchmarks/newton_cases.py [--seed N]
@@ -116,9 +115,8 @@ def main(argv=None):
         print(f"alpha [{lo:.2f}, {hi:.2f}): {len(sel):3d} cases, "
               f"loop {sum(r[1] for r in sel):6.2f} s, "
               f"newton {sum(r[2] for r in sel):6.2f} s, "
-              f"{sum(r[3] > 0 for r in sel):3d} cases and "
-              f"{sum(r[3] for r in sel):3d} windows or lanes handed to the "
-              f"loop ({sum(r[4] for r in sel)} steps), "
+              f"{sum(r[3] for r in sel):3d} lanes whose tail the loop ran "
+              f"({sum(r[4] for r in sel)} steps), "
               f"F {sum(r[5] for r in sel) / (STEPS * len(sel)):.2f} and "
               f"J {sum(r[6] for r in sel) / (STEPS * len(sel)):.2f} per step")
     print(f"first divergent step differs in {mismatched} cases; largest "

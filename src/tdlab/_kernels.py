@@ -13,24 +13,23 @@ Linear systems (the linear differentiator, its gain-scaled realization and
 the scalar relaxation) take ``_linear_rk4``: RK4 applied to
 ``x' = A x + b v`` is exactly the recurrence ``x[i+1] = Phi x[i] + u[i]``
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1), solved as a banded
-triangular system by BLAS on every backend.
+triangular system by BLAS.
 
 The nonlinear differentiator has a per-step loop, ``_hybrid_loop``.  Its
 acceleration x2' is written once, in ``_accel``; the x1 rate of each stage
-is the x2 of that stage's state.  When numba imports, the loop is compiled
-and ``integrate_hybrid`` runs it.  Without numba the loop runs as plain
-Python at about 8 us/step, and ``integrate_hybrid`` takes
-``_newton_hybrid`` instead: Newton's method on a window of RK4 steps that
-slides along the lane, whose first guess is the describing-function
-linearization of the lane and whose every iteration is one banded solve as
-in ``_linear_rk4``.  Steps leave the window only on a residual
-certificate, and only those still in it take the Jacobian pass
-(``_rk4_jac``) after the map pass (``_rk4_f``); the loop runs whatever
-Newton does not certify.  On the paper-5 input of
+is the x2 of that stage's state.  The loop runs as plain Python at about
+8 us/step, so ``integrate_hybrid`` takes ``_newton_hybrid``: Newton's
+method on a window of RK4 steps that slides along the lane, whose first
+guess is the describing-function linearization of the lane and whose every
+iteration is one banded solve as in ``_linear_rk4``.  Steps leave the
+window only on a residual certificate, and only those still in it take the
+Jacobian pass (``_rk4_jac``) after the map pass (``_rk4_f``).  Where Newton
+does not certify, the loop runs the rest of the lane, so every lane is a
+Newton prefix and at most one loop suffix.  On the paper-5 input of
 ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step on a
 2-vCPU machine.  ``periodic_orbit`` solves the steps of one input period
-with x[n] = x[0] by the same Newton, on every backend, from the closed
-orbit of the linearization (``linear_orbit``); ``sweep`` measures on it.
+with x[n] = x[0] by the same Newton, from the closed orbit of the
+linearization (``linear_orbit``); ``sweep`` measures on it.
 """
 
 import itertools
@@ -41,17 +40,6 @@ from scipy.linalg.blas import dtbsv
 from .describing import _equivalent_gains, natural_frequency
 from .dynamics import DiffParams
 
-try:
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:  # numba is optional (the "numba" extra)
-    NUMBA_ENABLED = False
-
-    def njit(**kwargs):
-        """No-op replacement for numba.njit (python backend)."""
-        return lambda func: func
-
 
 #: Steps per banded solve in _linear_rk4; bounds its temporaries.
 CHUNK_STEPS = 1024
@@ -61,13 +49,14 @@ _WINDOW_STEPS = 4096
 #: first guess and a few band solves) would not pay for itself.
 _MIN_NEWTON_STEPS = 256
 #: Below this alpha the slope alpha*|e|^(alpha-1) is so steep near e = 0
-#: that most windows stall, and trying Newton first costs more than the
-#: loop saves (measured by benchmarks/newton_cases.py).
+#: that most lanes stall in their first window, and trying Newton first
+#: costs more than the loop saves (measured by benchmarks/newton_cases.py).
 _MIN_NEWTON_ALPHA = 0.25
 #: Newton iterations a window or an orbit may take (_gives_up).
 _NEWTON_ITERS = 20
 #: A residual still above its state scale after this many iterations has
-#: stalled: _hybrid_loop runs the window, and the orbit is not found.
+#: stalled: _hybrid_loop runs the rest of the lane, and the orbit is not
+#: found.
 _STALL_ITERS = 8
 #: Residual certificate of a Newton window, relative to max(1, |state|).
 #: A residual within it is accepted once Newton has reached its rounding
@@ -81,8 +70,8 @@ _SLOPE_FLOOR = 1e-12
 
 
 def backend() -> str:
-    """Name of the backend of the nonlinear loop: 'numba' or 'python'."""
-    return "numba" if NUMBA_ENABLED else "python"
+    """Name of the backend of the nonlinear loop: always 'python'."""
+    return "python"
 
 
 def _linear_rk4(A, b, x0, v_grid, v_mid, dt, limit):
@@ -147,12 +136,10 @@ def integrate_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha,
     if a1 == 0.0 and b1 == 0.0:
         return _linear_rk4(*_linear_differentiator(eps, a0, b0), (x1_0, x2_0),
                            v_grid, v_mid, dt, limit)
-    solve = _hybrid_loop if NUMBA_ENABLED else _newton_hybrid
-    return solve(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
-                 limit)
+    return _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1,
+                          alpha, dt, limit)
 
 
-@njit(cache=True)
 def _accel(x1, x2, v, eps, a0, a1, b0, b1, alpha, inv_e2):
     """x2' of integrate_hybrid at state (x1, x2) and input value v."""
     e = x1 - v
@@ -162,7 +149,6 @@ def _accel(x1, x2, v, eps, a0, a1, b0, b1, alpha, inv_e2):
     return -(a0 * e + a1 * se + b0 * ev + b1 * sv) * inv_e2
 
 
-@njit(cache=True)
 def _hybrid_loop(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                  limit):
     """Per-step RK4 of integrate_hybrid, for nonzero a1 or b1."""
@@ -279,11 +265,11 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
     _linear_rk4 with per-step entries, and only those steps need J_i.
     The _WINDOW_STEPS steps from where the count began must retire before
     Newton _gives_up on their residuals, with no certified state past
-    limit; else _hybrid_loop runs them, so the divergent step reported is
-    the loop's own.  Lanes shorter than _MIN_NEWTON_STEPS or with alpha
-    below _MIN_NEWTON_ALPHA go to the loop whole.  All of it runs under
-    np.errstate: a diverging lane overflows, in the loop's numpy scalars
-    too, before its step is reported.
+    limit; else _hybrid_loop runs the lane from there to its end, so the
+    divergent step reported is the loop's own.  Lanes shorter than
+    _MIN_NEWTON_STEPS or with alpha below _MIN_NEWTON_ALPHA go to the loop
+    whole.  All of it runs under np.errstate: a diverging lane overflows,
+    in the loop's numpy scalars too, before its step is reported.
     """
     n = v_mid.shape[0]
     gains = (eps, a0, a1, b0, b1, alpha, dt)
@@ -299,7 +285,7 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
         # the guess is not held to limit, only to being finite
         x1, x2, bad = _linear_rk4(*guess, (x1_0, x2_0), v_grid, v_mid, dt,
                                   np.inf)
-        if bad >= 0:  # the windows that reach a non-finite guess fall back
+        if bad >= 0:  # a non-finite guess sends the lane's tail to the loop
             x1[bad:] = x2[bad:] = np.nan
         prev = np.full(n, np.inf)
         band = np.zeros((4, 2 * min(n, _WINDOW_STEPS)), order="F")
@@ -327,14 +313,10 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                 continue
             if past.size or _gives_up(rel[k:c + _WINDOW_STEPS - s + k].max(),
                                       it):
-                e = min(c + _WINDOW_STEPS, n)
-                *y, bad = _hybrid_loop(x1[c], x2[c], v_grid[c:e + 1],
-                                       v_mid[c:e], *gains, limit)
-                x1[c:e + 1], x2[c:e + 1] = y
-                if bad >= 0:
-                    return x1, x2, c + bad
-                prev[e:], s, c, it = np.inf, e, e, 0  # x[e] has moved
-                continue
+                *y, bad = _hybrid_loop(x1[c], x2[c], v_grid[c:], v_mid[c:],
+                                       *gains, limit)
+                x1[c:], x2[c:] = y
+                return x1, x2, c + bad if bad >= 0 else -1
             it += 1
             d1, d2 = _correct(band, _rk4_jac(
                 [[a[k + 1:] for a in stage] for stage in stages], *gains),
@@ -453,10 +435,3 @@ def integrate_relaxation(x_0, g_grid, g_mid, k, dt, limit):
     and the scalar plant x' = -x + u + delta (k = 1, g = u + delta).
     """
     return _linear_rk4([[-k]], [k], (x_0,), g_grid, g_mid, dt, limit)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the nonlinear loop (no-op without numba)."""
-    g = np.zeros(3)
-    m = np.zeros(2)
-    _hybrid_loop(0.0, 0.0, g, m, 0.1, 1.0, 0.1, 1.0, 0.1, 0.5, 1e-3, 1e9)

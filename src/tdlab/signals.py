@@ -87,9 +87,13 @@ def bl_white_noise(spec: NoiseSpec, t):
 
     The hold index is floor(t/Ts) with a tiny forward nudge so that grid
     times landing a rounding error below a hold boundary still pick up the
-    new hold.
+    new hold.  A negative or non-finite t has no hold: ValueError.
     """
     t = np.asarray(t, dtype=float)
+    bad = ~((0.0 <= t) & (t < np.inf))
+    if bad.any():
+        raise ValueError(
+            f"noise time must be finite and non-negative, got {t[bad][0]}")
     if spec.power == 0.0:
         return np.zeros_like(t) if t.ndim else 0.0
     k = np.floor(t / spec.sample_time + 1e-9).astype(np.int64)

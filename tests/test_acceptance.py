@@ -1,8 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py -v` to see the per-criterion
-report.  Runtime budgets are asserted after the session-wide kernel warmup
-(JIT compilation is a once-per-process cost, excluded like import time).
+report.  Runtime budgets time the call itself; import time is excluded.
 
 Criterion 9 is expected to fail; the shipped estimator reproduces the
 qualitative behaviour but its measured errors sit ~20 % above the stated

@@ -1,8 +1,8 @@
 """Kernel checks: the generic RK4 step as oracle of every kernel, the
-linear propagator and the Newton path against the nonlinear loop, when the
-Newton path hands a lane to the loop, and the loop's Python form against
-its backend."""
+linear propagator and the Newton path against the nonlinear loop, and when
+the Newton path hands the rest of a lane to the loop."""
 
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -26,7 +26,7 @@ def _inputs(n=400, dt=1e-3, A=1.0, omega=2.0):
 
 
 def test_backend_reports_mode():
-    assert _kernels.backend() in ("numba", "python")
+    assert _kernels.backend() == "python"
 
 
 def test_hybrid_kernel_matches_generic_step():
@@ -109,7 +109,7 @@ def test_divergence_reports_first_bad_step(gains):
     assert np.all(np.abs(x1[:bad]) <= 1e9) and np.all(np.abs(x2[:bad]) <= 1e9)
 
 
-_LOOP = getattr(_kernels._hybrid_loop, "py_func", _kernels._hybrid_loop)
+_LOOP = _kernels._hybrid_loop
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -215,6 +215,30 @@ def test_newton_path_matches_loop(hybrid, eps, gains, alpha, dt_per_eps,
     _assert_agree(got, bad, want, want_bad)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**NONLINEAR_CASES, n=st.integers(1, 1200), slides=st.integers(3, 12))
+def test_newton_path_runs_the_loop_once_on_the_tail(
+        hybrid, eps, gains, alpha, dt_per_eps, seed, n, slides):
+    # The lanes of test_newton_path_matches_loop: a lane is a Newton prefix
+    # and at most one _hybrid_loop call, which runs to the lane's last step.
+    args = _nonlinear_case(hybrid, eps, gains, alpha, dt_per_eps, seed, n)
+    inputs = []
+
+    def recording(*a):
+        inputs.append(a[2:4])
+        return _LOOP(*a)
+
+    with mock.patch.multiple(_kernels, _WINDOW_STEPS=max(1, n // slides),
+                             _MIN_NEWTON_STEPS=1, _MIN_NEWTON_ALPHA=0.0,
+                             _hybrid_loop=recording):
+        _kernels._newton_hybrid(*args)
+    assert len(inputs) <= 1
+    for v, vm in inputs:
+        start = n - len(vm)
+        assert np.array_equal(v, args[2][start:])
+        assert np.array_equal(vm, args[3][start:])
+
+
 def _count_loop_calls(monkeypatch):
     """Steps of each _hybrid_loop call made from here on."""
     calls = []
@@ -249,8 +273,7 @@ def test_divergent_lane_goes_through_loop(monkeypatch, min_steps):
                                           (0.6, [])])
 def test_small_alpha_lane_falls_back(monkeypatch, alpha, steps):
     # alpha = 0.1 goes to the loop by the alpha rule; at alpha = 0.3 Newton
-    # stalls on this noise-free sine and the loop runs the window.  With
-    # numba, integrate_hybrid runs the compiled loop on the whole lane.
+    # stalls on this noise-free sine and the loop runs the rest of the lane.
     n, dt = 1000, 0.002
     t = np.arange(n + 1) * dt
     v, vm = 2.0 * np.sin(3.0 * t), 2.0 * np.sin(3.0 * (t[:-1] + dt / 2))
@@ -258,7 +281,7 @@ def test_small_alpha_lane_falls_back(monkeypatch, alpha, steps):
     *want, want_bad = _LOOP(*args)
     calls = _count_loop_calls(monkeypatch)
     *got, bad = _kernels.integrate_hybrid(*args)
-    assert calls == ([n] if _kernels.NUMBA_ENABLED else steps)
+    assert calls == steps
     _assert_agree(got, bad, want, want_bad)
 
 
@@ -312,32 +335,59 @@ def test_presets_take_the_newton_path(monkeypatch):
 
 
 @pytest.mark.parametrize("window, iters, loop_steps",
-                         [(1000, 3, 10_000), (2048, 4, 2048)])
+                         [(1000, 3, 18_999), (2048, 4, 13_851)])
 def test_steps_after_a_fallback_reach_the_rounding_floor(
         monkeypatch, window, iters, loop_steps):
-    # A cap of 3 or 4 iterations sends windows of the bench_kernels input
-    # to the loop while Newton has already evaluated the steps after them
-    # from the old end state.  The loop moves that state, so those
-    # evaluations say nothing of the floor: the steps after a fallback
-    # are certified at the rounding floor, as where none is taken.
+    # A cap of 3 or 4 iterations makes Newton give up on a window of the
+    # bench_kernels input after it has certified the windows before it.
+    # The loop then runs the rest of the lane in one call, so every step
+    # is either certified at the rounding floor or the loop's own.
     args = _bench_kernels_input()
     *want, want_bad = _LOOP(*args)
     calls = _count_loop_calls(monkeypatch)
     monkeypatch.setattr(_kernels, "_WINDOW_STEPS", window)
     monkeypatch.setattr(_kernels, "_NEWTON_ITERS", iters)
     x1, x2, bad = _kernels._newton_hybrid(*args)
-    assert sum(calls) == loop_steps and bad == want_bad == -1
+    assert calls == [loop_steps] and bad == want_bad == -1
     _assert_agree((x1, x2), bad, want, want_bad)
     (f1, f2), _ = _kernels._rk4_f(x1[:-1], x2[:-1], *args[2:11])
     for f, x in ((f1, x1[1:]), (f2, x2[1:])):
         assert np.all(np.abs(f - x) <= 1e-14 * np.maximum(1.0, np.abs(x)))
 
 
+def test_residuals_above_the_tolerance_are_not_certified(monkeypatch):
+    # A fresh jitter of 1e-11*max(1, |F|) on every map pass floors the
+    # residuals above _NEWTON_TOL, where the rounding-floor rule alone
+    # would accept them: no window of the bench_kernels input retires, so
+    # the loop runs the whole lane, and the orbit of one input period of
+    # P_HYBRID, found without the jitter, is not.
+    rng, f_pass = np.random.default_rng(0), _kernels._rk4_f
+    omega, n = 2.0, 3142
+    dt = 2 * np.pi / omega / n
+    t = np.arange(n + 1) * dt
+    args = (np.sin(omega * t), np.sin(omega * (t[:-1] + dt / 2)),
+            *astuple(P_HYBRID), dt)
+    guess = _kernels.linear_orbit(*args)
+    assert _kernels.periodic_orbit(guess, *args) is not None
+
+    def jittered(*a):
+        f, stages = f_pass(*a)
+        return tuple(x + 1e-11 * np.maximum(1.0, np.abs(x))
+                     * rng.choice((-1.0, 1.0), x.shape) for x in f), stages
+
+    monkeypatch.setattr(_kernels, "_rk4_f", jittered)
+    calls = _count_loop_calls(monkeypatch)
+    lane = _bench_kernels_input()
+    _kernels._newton_hybrid(*lane)
+    assert calls == [len(lane[3])]
+    assert _kernels.periodic_orbit(guess, *args) is None
+
+
 def test_limit_crossed_in_a_later_window(monkeypatch):
     # x1 tracks a ramp past limit = 10 near step 2600, after the first
     # 2048-step window: Newton retires that window, and when a certified
-    # step lies past limit the loop runs one window from a frontier before
-    # the crossing and reports it as a step of the whole lane.
+    # step lies past limit the loop runs the rest of the lane from a
+    # frontier before the crossing and reports it as a step of the lane.
     dt, n = 1e-3, 5000
     t = np.arange(n + 1) * dt
     v, vm = 4.0 * t, 4.0 * (t[:-1] + dt / 2)
@@ -355,7 +405,7 @@ def test_limit_crossed_in_a_later_window(monkeypatch):
     _assert_agree(got, bad, want, want_bad)
     [(v_start, steps)] = starts
     start = int(np.flatnonzero(v == v_start)[0])  # the ramp is increasing
-    assert steps == 2048 and 2048 <= start < want_bad <= start + steps
+    assert steps == n - start and 2048 <= start < want_bad
 
 
 @pytest.mark.parametrize("gains", [(0.0, 0.099, 0.0, 0.268, 0.5),

@@ -100,6 +100,14 @@ class TestBlWhiteNoise:
         for t, expected in zip(ts, arr):
             assert bl_white_noise(spec, t) == expected
 
+    @pytest.mark.parametrize("t", [[-0.05, 1.0], -0.05, float("nan"),
+                                   [0.0, float("inf")]],
+                             ids=["array", "scalar", "nan", "inf"])
+    def test_rejects_time_without_hold(self, t):
+        # a negative index would wrap to the last hold drawn
+        with pytest.raises(ValueError, match="non-negative"):
+            bl_white_noise(NoiseSpec(1.0, 0.1), t)
+
     def test_prefix_stability(self):
         # value at hold k does not depend on how many holds were generated
         spec = NoiseSpec(0.01, 0.01, seed=31)

@@ -201,17 +201,23 @@ class TestSteadyPeriod:
 
     @pytest.mark.parametrize("omega", [5.0, 32.07, 90.56])
     def test_orbit_is_where_a_long_loop_run_settles(self, omega):
-        # _hybrid_loop runs 500 periods from rest on the orbit's step grid;
-        # its last period is the settled response
+        # integrate_hybrid runs 499 periods from rest on the orbit's step
+        # grid and _hybrid_loop the 500th from there: the settled response
         p, period = P4_NONLINEAR, 2 * math.pi / omega
         x = sweep_module._steady_period(p, 1.0, omega, default_dt(p))
         n = x.shape[1] - 1
         t, tm = time_grid(SimConfig(dt=period / n, t_end=500 * period))
-        *long_run, bad = _kernels._hybrid_loop(
-            0.0, 0.0, sinusoid(1.0, omega, t), sinusoid(1.0, omega, tm),
-            p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, period / n, STATE_LIMIT)
+        v, vm = sinusoid(1.0, omega, t), sinusoid(1.0, omega, tm)
+        gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, period / n,
+                 STATE_LIMIT)
+        m = len(vm) - n
+        *settle, bad = _kernels.integrate_hybrid(0.0, 0.0, v[:m + 1], vm[:m],
+                                                 *gains)
         assert bad == -1
-        want = np.array(long_run)[:, -n - 1:]
+        *last, bad = _kernels._hybrid_loop(settle[0][-1], settle[1][-1],
+                                           v[m:], vm[m:], *gains)
+        assert bad == -1
+        want = np.array(last)
         assert np.all(np.abs(x - want)
                       <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
