@@ -9,7 +9,10 @@ frequency log-uniform in [1, 100] rad/s, and measures each point with
 ``_kernels.periodic_orbit`` are counted: a point certifies its orbit from
 the linearization's guess, after warm-up runs, or not at all (it fails
 with "did not settle"); its iterations are the map passes ``_rk4_f`` that
-the solves take.  Prints these per alpha band.
+the solves take.  Next to them are counted the map passes of the measured
+passes (the ``integrate_hybrid`` calls that start from an orbit, i.e. get
+a 13th argument) and the steps of every ``_hybrid_loop`` call, warm-up
+runs included.  Prints these per alpha band.
 
 Given the ``src`` of another checkout (e.g. the parent commit), its
 ``measure_point`` runs on the same points too: each point runs REPEATS
@@ -22,6 +25,7 @@ Usage:
 """
 
 import argparse
+import collections
 import importlib.util
 import math
 import statistics
@@ -68,6 +72,50 @@ def load_tree(src):
     return module
 
 
+def instrument():
+    """Count what this tree's measure_point does from here on.
+
+    Returns (solves, tally): one [map passes, certified] per periodic_orbit
+    call, and a Counter of the measured passes' map passes ("pass") and
+    the _hybrid_loop steps ("loop").
+    """
+    solves, tally, phase = [], collections.Counter(), []
+    f_pass, orbit, kernel, loop = (_kernels._rk4_f, _kernels.periodic_orbit,
+                                   _kernels.integrate_hybrid,
+                                   _kernels._hybrid_loop)
+
+    def counting_orbit(*a):
+        solves.append([0, None])
+        phase.append("orbit")
+        x = orbit(*a)
+        phase.pop()
+        solves[-1][1] = x is not None
+        return x
+
+    def counting_kernel(*a):
+        phase.append("pass" if len(a) == 13 else "run")
+        try:
+            return kernel(*a)
+        finally:
+            phase.pop()
+
+    def counting_f(*a):
+        if phase == ["orbit"]:
+            solves[-1][0] += 1
+        elif phase == ["pass"]:
+            tally["pass"] += 1
+        return f_pass(*a)
+
+    def counting_loop(*a):
+        tally["loop"] += len(a[3])
+        return loop(*a)
+
+    (_kernels.periodic_orbit, _kernels.integrate_hybrid, _kernels._rk4_f,
+     _kernels._hybrid_loop) = (counting_orbit, counting_kernel, counting_f,
+                               counting_loop)
+    return solves, tally
+
+
 def attempt(measure, p, A, omega):
     """(track_mag or None, seconds) of one measure_point call."""
     t0 = time.perf_counter()
@@ -84,20 +132,7 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     other = load_tree(args.parent) if args.parent else None
-    solves, f_pass, orbit = [], _kernels._rk4_f, _kernels.periodic_orbit
-
-    def counting_orbit(*a):
-        solves.append([0, None])
-        x = orbit(*a)
-        solves[-1][1] = x is not None
-        return x
-
-    def counting_f(*a):
-        if solves and solves[-1][1] is None:
-            solves[-1][0] += 1
-        return f_pass(*a)
-
-    _kernels.periodic_orbit, _kernels._rk4_f = counting_orbit, counting_f
+    solves, tally = instrument()
     rows, drawn = [], cases(args.seed)
     for alpha, p, A, omega in (next(drawn) for _ in range(CASES)):
         sides = [measure_point] + ([other.measure_point] if other else [])
@@ -106,15 +141,18 @@ def main(argv=None):
             for k in range(len(sides))[::1 if rep % 2 == 0 else -1]:
                 if k == 0:
                     solves.clear()
+                    tally.clear()
                 mag, seconds = attempt(sides[k], p, A, omega)
                 times[k].append(seconds)
                 if k == 0:
                     new_mag, outcome = mag, [ok for _, ok in solves]
+                    counts = (sum(n for n, _ in solves), tally["pass"],
+                              tally["loop"])
                 else:
                     old_mag = mag
         drift = (abs(new_mag - old_mag) / old_mag
                  if other and new_mag and old_mag else math.nan)
-        rows.append((alpha, outcome, sum(n for n, _ in solves),
+        rows.append((alpha, outcome, counts,
                      [statistics.median(t) for t in times], drift))
     print(f"{CASES} points, seed {args.seed}, backend {_kernels.backend()}"
           + (f", median of {REPEATS} runs per tree" if other else ""))
@@ -125,7 +163,9 @@ def main(argv=None):
         line = (f"alpha [{lo:.2f}, {hi:.2f}): {len(sel):2d} points, "
                 f"{first:2d} certified from the guess, {warm:2d} after "
                 f"warm-up, {len(sel) - first - warm:2d} not; "
-                f"{sum(r[2] for r in sel):4d} Newton iterations, "
+                f"{sum(r[2][0] for r in sel):4d} Newton iterations, "
+                f"{sum(r[2][1] for r in sel):3d} pass map passes, "
+                f"{sum(r[2][2] for r in sel):7d} loop steps, "
                 f"orbit {sum(r[3][0] for r in sel):6.2f} s")
         if other:
             drifts = [r[4] for r in sel if not math.isnan(r[4])]

@@ -28,8 +28,10 @@ does not certify, the loop runs the rest of the lane, so every lane is a
 Newton prefix and at most one loop suffix.  On the paper-5 input of
 ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step on a
 2-vCPU machine.  ``periodic_orbit`` solves the steps of one input period
-with x[n] = x[0] by the same Newton, from the closed orbit of the
-linearization (``linear_orbit``); ``sweep`` measures on it.
+with x[n] = x[0] by the same Newton, from the periodic orbit of the
+linearization (``linear_orbit``, in closed form); ``sweep`` measures the
+``integrate_hybrid`` pass given that orbit as its guess, which Newton
+re-certifies in one or two map passes.
 """
 
 import itertools
@@ -74,34 +76,36 @@ def backend() -> str:
     return "python"
 
 
+def _rk4_coefficients(A, b, dt):
+    """(Phi, g_a, g_m, g_b) of RK4 on x' = A x + b v as a recurrence.
+
+    With M = dt*A and beta = dt*b, Phi = I + M + M^2/2 + M^3/6 + M^4/24,
+    and a step adds u[i] = g_a v_grid[i] + g_m v_mid[i] + g_b v_grid[i+1].
+    """
+    M, beta = dt * np.asarray(A, dtype=float), dt * np.asarray(b, dtype=float)
+    M2 = M @ M
+    phi = np.eye(len(M)) + M + M2 / 2.0 + M2 @ M / 6.0 + M2 @ M2 / 24.0
+    Mb, M2b = M @ beta, M2 @ beta
+    return (phi, (beta + Mb + M2b / 2.0 + M2 @ Mb / 4.0) / 6.0,
+            (4.0 * beta + 2.0 * Mb + M2b / 2.0) / 6.0, beta / 6.0)
+
+
 def _linear_rk4(A, b, x0, v_grid, v_mid, dt, limit):
     """RK4 for x' = A x + b v(t) as the exact recurrence x[i+1] = Phi x[i] + u[i].
 
-    With M = dt*A and beta = dt*b, Phi = I + M + M^2/2 + M^3/6 + M^4/24 and
-    u[i] = g_a v_grid[i] + g_m v_mid[i] + g_b v_grid[i+1].  Stacking the
-    states of consecutive steps turns the recurrence into a unit lower
-    triangular system of bandwidth 2*n_states - 1, solved chunk by chunk.
-    Returns one trajectory per state and the first divergent step (or -1).
+    Phi and u[i] are those of _rk4_coefficients.  Stacking the states of
+    consecutive steps turns the recurrence into a unit lower triangular
+    system of bandwidth 2*n_states - 1, solved chunk by chunk.  Returns one
+    trajectory per state and the first divergent step (or -1).
     """
-    ns = len(x0)
-    n = v_mid.shape[0]
-    M = dt * np.asarray(A, dtype=float)
-    beta = dt * np.asarray(b, dtype=float)
-    M2 = M @ M
-    phi = np.eye(ns) + M + M2 / 2.0 + M2 @ M / 6.0 + M2 @ M2 / 24.0
-    Mb = M @ beta
-    M2b, M3b = M2 @ beta, M2 @ Mb
-    g_a = (beta + Mb + M2b / 2.0 + M3b / 4.0) / 6.0
-    g_m = (4.0 * beta + 2.0 * Mb + M2b / 2.0) / 6.0
-    g_b = beta / 6.0
-
+    ns, n = len(x0), v_mid.shape[0]
+    phi, g_a, g_m, g_b = _rk4_coefficients(A, b, dt)
     # Lower band storage: band[d, j] = L[j + d, j].  Unknown j = i*ns + c
     # enters row (i+1)*ns + r with coefficient -Phi[r, c], d = ns + r - c.
     k = 2 * ns - 1
     band = np.zeros((k + 1, ns * min(n, CHUNK_STEPS)), order="F")
-    for r in range(ns):
-        for c in range(ns):
-            band[ns + r - c, c::ns] = -phi[r, c]
+    for r, c in itertools.product(range(ns), repeat=2):
+        band[ns + r - c, c::ns] = -phi[r, c]
 
     x = np.empty((ns, n + 1))
     x[:, 0] = x0
@@ -126,18 +130,22 @@ def _linear_differentiator(eps, a0, b0):
 
 
 def integrate_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha,
-                     dt, limit):
+                     dt, limit, guess=None):
     """Integrate the differentiator state (x1, x2) over a sampled input.
 
     Dynamics: x1' = x2,
               eps^2 * x2' = -a0*e - a1*sig(e)^alpha - b0*eps*x2
                             - b1*sig(eps*x2)^alpha,   e = x1 - v(t).
+    guess, a (2, n + 1) trajectory such as a periodic_orbit, is where the
+    Newton path of a nonlinear lane starts; linear lanes ignore it.
     """
+    if guess is not None and np.shape(guess) != (2, len(v_grid)):
+        raise ValueError(f"guess must have shape (2, {len(v_grid)})")
     if a1 == 0.0 and b1 == 0.0:
         return _linear_rk4(*_linear_differentiator(eps, a0, b0), (x1_0, x2_0),
                            v_grid, v_mid, dt, limit)
     return _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1,
-                          alpha, dt, limit)
+                          alpha, dt, limit, guess)
 
 
 def _accel(x1, x2, v, eps, a0, a1, b0, b1, alpha, inv_e2):
@@ -247,46 +255,49 @@ def _rk4_jac(stages, eps, a0, a1, b0, b1, alpha, dt):
 
 
 def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
-                   limit):
+                   limit, guess=None):
     """_hybrid_loop's trajectory by Newton on a sliding window (DEER).
 
     The RK4 steps of a lane form one nonlinear system in all its states
     (Lim et al., "Parallelizing non-linear sequential models over the
-    sequence length", ICLR 2024).  Its first guess is the linear propagator
-    at the describing-function gains (a0 + a1*N(A), b0 + b1*N(A)), with A
-    the largest |v| of the lane (1 when that is 0).  Each iteration takes
-    the residuals r_i = F_i(x[i]) - x[i+1] of the _WINDOW_STEPS steps after
-    the frontier, the last state known to be final, and retires the
-    longest prefix that is certified as a window: its largest
-    |r_i|/max(1, |x[i+1]|) passes _certified against the same steps'
-    previous evaluation, and every x[i+1] is inside limit.  The steps
-    after the new frontier are corrected by d[i+1] = J_i d[i] + r_i from
-    d = 0, so that rounding scales with the residual: the band of
+    sequence length", ICLR 2024).  Its first guess is guess from the lane's
+    start, else the linear propagator at the describing-function gains
+    (a0 + a1*N(A), b0 + b1*N(A)), A the largest |v| of the lane (or 1).
+    Each iteration takes the residuals r_i = F_i(x[i]) - x[i+1] of the
+    _WINDOW_STEPS steps after the frontier, the last state known to be
+    final, and retires the longest prefix that is certified as a window:
+    its largest |r_i|/max(1, |x[i+1]|) passes _certified against the same
+    steps' previous evaluation, and every x[i+1] is inside limit.  The
+    steps after the new frontier are corrected by d[i+1] = J_i d[i] + r_i
+    from d = 0, so that rounding scales with the residual: the band of
     _linear_rk4 with per-step entries, and only those steps need J_i.
     The _WINDOW_STEPS steps from where the count began must retire before
     Newton _gives_up on their residuals, with no certified state past
     limit; else _hybrid_loop runs the lane from there to its end, so the
     divergent step reported is the loop's own.  Lanes shorter than
     _MIN_NEWTON_STEPS or with alpha below _MIN_NEWTON_ALPHA go to the loop
-    whole.  All of it runs under np.errstate: a diverging lane overflows,
-    in the loop's numpy scalars too, before its step is reported.
+    whole unless guess is given: the gates judge the describing-function
+    guess only.  All of it runs under np.errstate: a diverging lane
+    overflows, in the loop's numpy scalars too, before its step is reported.
     """
     n = v_mid.shape[0]
     gains = (eps, a0, a1, b0, b1, alpha, dt)
     with np.errstate(all="ignore"):
-        guess = None
-        if n >= _MIN_NEWTON_STEPS and alpha >= _MIN_NEWTON_ALPHA:
-            try:
-                guess = _describing_system(v_grid, eps, a0, a1, b0, b1, alpha)
-            except ValueError:  # values DiffParams rejects, no gain or omega_n
-                pass
-        if guess is None:
+        if guess is not None:
+            x1, x2 = np.array(guess, dtype=float)
+            x1[0], x2[0] = x1_0, x2_0
+        elif n < _MIN_NEWTON_STEPS or alpha < _MIN_NEWTON_ALPHA:
             return _hybrid_loop(x1_0, x2_0, v_grid, v_mid, *gains, limit)
-        # the guess is not held to limit, only to being finite
-        x1, x2, bad = _linear_rk4(*guess, (x1_0, x2_0), v_grid, v_mid, dt,
-                                  np.inf)
-        if bad >= 0:  # a non-finite guess sends the lane's tail to the loop
-            x1[bad:] = x2[bad:] = np.nan
+        else:
+            try:
+                lin = _describing_system(v_grid, eps, a0, a1, b0, b1, alpha)
+            except ValueError:  # values DiffParams rejects, no gain or omega_n
+                return _hybrid_loop(x1_0, x2_0, v_grid, v_mid, *gains, limit)
+            # the guess is not held to limit, only to being finite
+            x1, x2, bad = _linear_rk4(*lin, (x1_0, x2_0), v_grid, v_mid, dt,
+                                      np.inf)
+            if bad >= 0:  # a non-finite guess sends the tail to the loop
+                x1[bad:] = x2[bad:] = np.nan
         prev = np.full(n, np.inf)
         band = np.zeros((4, 2 * min(n, _WINDOW_STEPS)), order="F")
         s = c = it = 0  # the frontier, where the count began, iterations
@@ -318,7 +329,7 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                 x1[c:], x2[c:] = y
                 return x1, x2, c + bad if bad >= 0 else -1
             it += 1
-            d1, d2 = _correct(band, _rk4_jac(
+            [(d1, d2)] = _correct(band, _rk4_jac(
                 [[a[k + 1:] for a in stage] for stage in stages], *gains),
                 (r1[k:], r2[k:]))
             x1[s + 1:e + 1] += d1
@@ -338,17 +349,17 @@ def _gives_up(rel, it):
                                              else np.inf)
 
 
-def _correct(band, jac, r):
-    """Newton's correction d[i+1] = J_i d[i] + r_i of m steps from d[0] = 0.
+def _correct(band, jac, *rhs):
+    """Newton's corrections d[i+1] = J_i d[i] + r_i of m steps from d[0] = 0.
 
     _linear_rk4's band with -J_{i+1} (jac: steps 1..m-1) for -Phi in row
-    block i+1; r holds (r1, r2) of all m steps.  Returns d[1..m].
+    block i+1, filled once for every r of rhs, which holds (r1, r2) of all
+    m steps.  Returns d[1..m] of each r as a (2, m) array.
     """
-    b = band[:, :2 * len(r[0])]
+    b = band[:, :2 * len(rhs[0][0])]
     b[2, 0:-2:2], b[1, 1:-2:2], b[3, 0:-2:2], b[2, 1:-2:2] = (-j for j in jac)
-    d = dtbsv(3, b, np.stack(r, axis=1).ravel(), lower=1, diag=1,
-              overwrite_x=1)
-    return d[0::2], d[1::2]
+    return [dtbsv(3, b, np.stack(r, axis=1).ravel(), lower=1, diag=1,
+                  overwrite_x=1).reshape(-1, 2).T for r in rhs]
 
 
 def _close(q, m1, m2):
@@ -363,35 +374,44 @@ def _close(q, m1, m2):
     return q + c1 * m1 + c2 * m2, M
 
 
-def _describing_system(v_grid, eps, a0, a1, b0, b1, alpha):
+def _describing_system(v, eps, a0, a1, b0, b1, alpha):
     """_linear_differentiator at the describing gains of max |v| (or 1).
 
     Raises DegenerateError when that system has no natural frequency.
     """
     p = DiffParams(eps, a0, a1, b0, b1, alpha)
-    A = float(np.max(np.abs(v_grid))) or 1.0
+    A = float(np.max(np.abs(v))) or 1.0
     natural_frequency(p, A)
     return _linear_differentiator(eps, *_equivalent_gains(p, A))
 
 
-def linear_orbit(v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
-    """The closed _linear_rk4 orbit of _describing_system over the input."""
-    lin = _describing_system(v_grid, eps, a0, a1, b0, b1, alpha)
-    z = np.zeros_like(v_grid)
+def linear_orbit(A, omega, n, dt, eps, a0, a1, b0, b1, alpha):
+    """The periodic _linear_rk4 orbit of _describing_system under A sin wt.
+
+    The (2, n + 1) solution of x[i+1] = Phi x[i] + u[i] on t = i*dt in
+    closed form: x[i] = Im(X z^i) with z = e^(j w dt) and
+    (zI - Phi) X = A (g_a + g_m z^(1/2) + g_b z), solved as _close solves.
+    """
+    lin = _describing_system(A, eps, a0, a1, b0, b1, alpha)
+    h = np.exp(0.5j * omega * dt)  # z^(1/2)
     with np.errstate(all="ignore"):
-        return _close(*(np.array(_linear_rk4(*lin, x0, v, vm, dt, np.inf)[:2])
-                        for x0, v, vm in (((0.0, 0.0), v_grid, v_mid),
-                                          ((1.0, 0.0), z, z[1:]),
-                                          ((0.0, 1.0), z, z[1:]))))[0]
+        phi, g_a, g_m, g_b = _rk4_coefficients(*lin, dt)
+        # (z - 1)I - (Phi - I) keeps the digits that z and Phi round off
+        (a, b), (c, d) = (np.expm1(1j * omega * dt) * np.eye(2)
+                          - (phi - np.eye(2)))
+        X = np.array(((d, -b), (-c, a))) @ (A * (g_a + h * (g_m + h * g_b)))
+        X /= a * d - b * c
+    return np.outer(X, np.exp(1j * omega * dt * np.arange(n + 1))).imag.copy()
 
 
 def periodic_orbit(guess, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
     """The (2, n + 1) periodic orbit of integrate_hybrid over n input steps.
 
     Newton on x[i+1] = F_i(x[i]), x[n] = x[0] (Aprille & Trick, Proc. IEEE
-    60, 1972) from guess[:, :n]: _close of the _correct runs from d[0] = 0
-    and the unit starts.  None unless it is _certified before Newton
-    _gives_up, and attracts (|eig M| < 1).
+    60, 1972) from guess[:, :n]: _close of the three _correct runs of an
+    iteration, from d[0] = 0 and the unit starts, on one band fill.  None
+    unless it is _certified before Newton _gives_up, and attracts
+    (|eig M| < 1).
     """
     n, gains = v_mid.shape[0], (eps, a0, a1, b0, b1, alpha, dt)
     x = np.concatenate((guess[:, :n], guess[:, :1]), axis=1)
@@ -399,22 +419,22 @@ def periodic_orbit(guess, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
     starts = np.zeros((2, 2, n))
     with np.errstate(all="ignore"):
         for it in itertools.count():
-            f, stages = _rk4_f(x[0, :-1], x[1, :-1], v_grid, v_mid, *gains)
-            r = np.array(f) - x[:, 1:]
+            r, stages = _rk4_f(x[0, :-1], x[1, :-1], v_grid, v_mid, *gains)
+            r = np.array(r) - x[:, 1:]
             rel = float(np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:]))))
             done = _certified(rel, prev)
             if not done and _gives_up(rel, it):
                 return None
             prev, jac = rel, np.array(_rk4_jac(stages, *gains))
             starts[:, :, 0] = jac[:, 0].reshape(2, 2).T  # run c: J_0 e_c
-            d, M = _close(*(np.array(_correct(band, jac[:, 1:], rhs))
-                            for rhs in (r, *starts)))
+            d, M = _close(*_correct(band, jac[:, 1:], r, *starts))
             if done:  # Jury's test of |eig M| < 1
                 det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
                 attracts = abs(det) < 1.0 and abs(np.trace(M)) < 1.0 + det
                 return x if attracts else None
             x[:, 1:] += d
             x[:, 0] = x[:, -1]
+            del stages, jac, r, d  # not kept through the next map pass
 
 
 def integrate_highgain(w1_0, w2_0, v_grid, v_mid, eps, a0, b0, dt, limit):

@@ -1,8 +1,8 @@
 """Steady-state measurements on the periodic orbit: swept sines and eps order.
 
 Each measurement drives the differentiator with a clean sinusoid and reads
-one period of its RK4 periodic orbit (_kernels.periodic_orbit, as run by
-integrate_hybrid), planned and certified by _steady_period.  A frequency
+one period of its RK4 periodic orbit (_kernels.periodic_orbit, re-certified
+by an integrate_hybrid pass from it), planned by _steady_period.  A frequency
 point takes the DFT bin of both states over that period, which rejects
 every higher harmonic of the nonlinear response; convergence_order takes
 the RMS tracking error over it.  The derivative channel is normalized by
@@ -19,8 +19,9 @@ import numpy as np
 from . import _kernels
 from .dynamics import DiffParams, DiffState
 from .signals import SignalSpec, sinusoid
-from .simulate import (MAX_STEPS, InstabilityError, SimConfig, TimeSeries,
-                       default_dt, run, time_grid)
+from .simulate import (MAX_STEPS, STATE_LIMIT, InstabilityError, SimConfig,
+                       TimeSeries, _raise_if_diverged, default_dt, run,
+                       time_grid)
 
 #: Periods a measurement may run from states that are not its orbit, in
 #: warm-up runs of _WARM_PERIODS, before it fails as not settled.
@@ -85,9 +86,10 @@ def _steady_period(p: DiffParams, A: float, omega: float,
     n = max(ceil(period/dt), 16) for the target step dt (default:
     default_dt(p)); a warm-up run over MAX_STEPS raises ValueError before
     anything is integrated.  Returns the integrate_hybrid pass from
-    Newton's certified, attracting orbit, which must close within
-    _CLOSURE_TOL; else Newton retries from the last period of a warm-up
-    run, until SETTLE_PERIODS periods have run (InstabilityError).
+    Newton's certified, attracting orbit, given to it as the guess that its
+    Newton re-certifies; the pass must close within _CLOSURE_TOL.  Else
+    Newton retries from the last period of a warm-up run, or from the
+    pass, until SETTLE_PERIODS periods have run (InstabilityError).
     """
     dt = default_dt(p) if dt is None else dt
     if not 0.0 < dt < math.inf:
@@ -102,19 +104,22 @@ def _steady_period(p: DiffParams, A: float, omega: float,
                          f"MAX_STEPS={MAX_STEPS}")
     n = max(math.ceil(period / dt), 16)
     spec, cfg = SignalSpec(A, omega), SimConfig(period / n, period)
-    t, tm = time_grid(cfg)
-    v, vm = sinusoid(A, omega, t), sinusoid(A, omega, tm)
+    v, vm = (sinusoid(A, omega, t) for t in time_grid(cfg))
     gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, cfg.dt)
-    guess = _kernels.linear_orbit(v, vm, *gains)
+    guess = _kernels.linear_orbit(A, omega, n, cfg.dt, *gains[:-1])
     for _ in range(SETTLE_PERIODS // _WARM_PERIODS):
         orbit = _kernels.periodic_orbit(guess, v, vm, *gains)
-        x0, periods = ((guess[:, -1], _WARM_PERIODS) if orbit is None
-                       else (orbit[:, 0], 1))
-        ts = run(p, spec, replace(cfg, t_end=periods * period,
-                                  initial=DiffState(*np.nan_to_num(x0))))
-        guess = np.array((ts.channel("x1"), ts.channel("x2")))[:, -n - 1:]
-        if orbit is not None and np.allclose(guess[:, -1], guess[:, 0],
-                                             _CLOSURE_TOL, _CLOSURE_TOL):
+        if orbit is None:
+            ts = run(p, spec, replace(cfg, t_end=_WARM_PERIODS * period,
+                                      initial=DiffState(*np.nan_to_num(
+                                          guess[:, -1]))))
+            guess = np.array((ts.channel("x1"), ts.channel("x2")))[:, -n - 1:]
+            continue
+        *x, bad = _kernels.integrate_hybrid(orbit[0, 0], orbit[1, 0], v, vm,
+                                            *gains, STATE_LIMIT, orbit)
+        _raise_if_diverged(bad, cfg.dt, "state")
+        guess = np.array(x)
+        if np.allclose(guess[:, -1], guess[:, 0], _CLOSURE_TOL, _CLOSURE_TOL):
             return guess
     raise InstabilityError(f"did not settle within {SETTLE_PERIODS} periods "
                            f"of {period:g} s", t=SETTLE_PERIODS * period)

@@ -7,10 +7,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tdlab import _kernels
+from tdlab.describing import _equivalent_gains, natural_frequency
 from tdlab.dynamics import (DiffParams, DiffState, first_order_filter_rhs,
                             highgain_rhs, hybrid_rhs)
 from tdlab.simulate import rk4_step
@@ -367,7 +368,7 @@ def test_residuals_above_the_tolerance_are_not_certified(monkeypatch):
     t = np.arange(n + 1) * dt
     args = (np.sin(omega * t), np.sin(omega * (t[:-1] + dt / 2)),
             *astuple(P_HYBRID), dt)
-    guess = _kernels.linear_orbit(*args)
+    guess = _kernels.linear_orbit(1.0, omega, n, dt, *args[2:-1])
     assert _kernels.periodic_orbit(guess, *args) is not None
 
     def jittered(*a):
@@ -442,3 +443,108 @@ def test_python_fallback_matches_active_backend():
     assert bad == want == -1
     np.testing.assert_allclose(y1, x1, rtol=0, atol=1e-12)
     np.testing.assert_allclose(y2, x2, rtol=0, atol=1e-12)
+
+
+def _recurrence_orbit(A, omega, n, eps, a0, a1, b0, b1, alpha):
+    """The closed orbit of the linearization by recurrence: _linear_rk4 from
+    rest with the input and from the two unit starts without it, closed by
+    _close.  Also returns the spectral radius of the step's Phi."""
+    p = DiffParams(eps, a0, a1, b0, b1, alpha)
+    natural_frequency(p, A)  # raises DegenerateError as linear_orbit does
+    lin = _kernels._linear_differentiator(eps, *_equivalent_gains(p, A))
+    dt = 2 * np.pi / omega / n
+    v, vm = _inputs(n, dt, A, omega)
+    z = np.zeros(n + 1)
+    with np.errstate(all="ignore"):
+        return _kernels._close(*(
+            np.array(_kernels._linear_rk4(*lin, x0, u, um, dt, np.inf)[:2])
+            for x0, u, um in (((0.0, 0.0), v, vm), ((1.0, 0.0), z, z[1:]),
+                              ((0.0, 1.0), z, z[1:]))))[0], max(abs(
+                                  np.linalg.eigvals(_kernels._rk4_coefficients(
+                                      *lin, dt)[0])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["linear", "hybrid", "nonlinear"]),
+       eps=st.floats(0.005, 0.2), gains=st.lists(st.floats(1e-3, 2.0),
+                                                 min_size=4, max_size=4),
+       alpha=st.floats(0.05, 1.0), A=st.floats(0.1, 10.0),
+       omega=st.floats(1.0, 100.0), n=st.integers(16, 4096))
+def test_linear_orbit_is_the_closed_recurrence(kind, eps, gains, alpha, A,
+                                               omega, n):
+    # the closed form solves the periodic system that the three recurrence
+    # runs solve, to rounding of each state's amplitude |x| (near a
+    # resonance both constructions leave that rounding on the samples near
+    # zero); a linearization without a natural frequency is rejected by
+    # both.  A step that grows its modes (rho >= 1) is left out: there the
+    # runs amplify their own rounding by rho^n.
+    a0, a1, b0, b1 = gains
+    if kind == "linear":
+        a1 = b1 = 0.0
+    elif kind == "nonlinear":
+        a0 = b0 = 0.0
+    args = (eps, a0, a1, b0, b1, alpha)
+    try:
+        want, rho = _recurrence_orbit(A, omega, n, *args)
+    except ValueError:  # DegenerateError included
+        with pytest.raises(ValueError):
+            _kernels.linear_orbit(A, omega, n, 2 * np.pi / omega / n, *args)
+        return
+    assume(rho < 1.0)
+    got = _kernels.linear_orbit(A, omega, n, 2 * np.pi / omega / n, *args)
+    assert got.shape == (2, n + 1)
+    scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def _orbit_case(gains, omega=2.0, n=3142):
+    """integrate_hybrid's arguments over one input period of n steps, and
+    the certified periodic_orbit of the differentiator with these gains."""
+    dt = 2 * np.pi / omega / n
+    v, vm = _inputs(n, dt, 1.0, omega)
+    args = (v, vm, 1 / 45, *gains, dt)
+    orbit = _kernels.periodic_orbit(
+        _kernels.linear_orbit(1.0, omega, n, dt, *args[2:-1]), *args)
+    assert orbit is not None
+    return (orbit[0, 0], orbit[1, 0], *args, 1e9), orbit
+
+
+_ORBIT_GAINS = pytest.mark.parametrize(
+    "gains", [(0.0, 0.015, 0.0, 0.015, 0.6), (0.05, 0.015, 0.3, 0.015, 0.6)],
+    ids=["nonlinear", "hybrid"])
+
+
+@_ORBIT_GAINS
+def test_pass_from_a_certified_orbit_recertifies_it(monkeypatch, gains):
+    # started from its orbit, the Newton path only re-certifies it: one or
+    # two map passes, no loop step, and the loop's trajectory
+    args, orbit = _orbit_case(gains)
+    *want, want_bad = _LOOP(*args)
+    passes, f_pass = [], _kernels._rk4_f
+    monkeypatch.setattr(_kernels, "_rk4_f",
+                        lambda *a: passes.append(len(a[3])) or f_pass(*a))
+    calls = _count_loop_calls(monkeypatch)
+    *got, bad = _kernels.integrate_hybrid(*args, orbit)
+    assert 1 <= len(passes) <= 2 and calls == []
+    _assert_agree(got, bad, want, want_bad)
+
+
+@_ORBIT_GAINS
+def test_guess_off_the_orbit_gives_the_same_trajectory(gains):
+    # the certificate decides what is returned, not the guess: from the
+    # orbit shifted by 1e-3 Newton reaches the same trajectory
+    args, orbit = _orbit_case(gains)
+    *want, want_bad = _kernels.integrate_hybrid(*args, orbit)
+    *got, bad = _kernels.integrate_hybrid(*args, orbit + 1e-3)
+    _assert_agree(got, bad, want, want_bad)
+
+
+@pytest.mark.parametrize("shape", [(2, 400), (3, 401), (401,), (2, 401, 1)])
+@pytest.mark.parametrize("gains", [(0.05, 0.0, 0.3, 0.0, 1.0),
+                                   (0.05, 0.015, 0.3, 0.015, 0.6)],
+                         ids=["linear", "hybrid"])
+def test_guess_of_another_shape_is_rejected(shape, gains):
+    v, vm = _inputs()
+    with pytest.raises(ValueError, match="shape"):
+        _kernels.integrate_hybrid(0.0, 0.0, v, vm, 1 / 45, *gains, 1e-3, 1e9,
+                                  np.zeros(shape))

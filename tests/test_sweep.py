@@ -252,7 +252,7 @@ class TestSteadyPeriod:
         t, tm = time_grid(SimConfig(dt=period / n, t_end=period))
         args = (sinusoid(1.0, omega, t), sinusoid(1.0, omega, tm), P3A.eps,
                 P3A.a0, P3A.a1, P3A.b0, P3A.b1, P3A.alpha, period / n)
-        x = _kernels.linear_orbit(*args)
+        x = _kernels.linear_orbit(1.0, omega, n, period / n, *args[2:-1])
         (f1, f2), _ = _kernels._rk4_f(x[0, :-1], x[1, :-1], *args)
         assert np.allclose(f1, x[0, 1:], 1e-13, 1e-13)
         assert np.allclose(f2, x[1, 1:], 1e-13, 1e-13)
@@ -301,6 +301,16 @@ class TestSteadyPeriod:
         assert pt.track_phase_deg == pytest.approx(track[1], abs=1e-9)
         assert pt.deriv_mag == pytest.approx(deriv[0] / (A * omega), rel=1e-12)
         assert pt.deriv_phase_deg == pytest.approx(deriv[1] - 90.0, abs=1e-9)
+
+    def test_measured_pass_passes_the_orbit_positionally(self, monkeypatch):
+        # bench/workloads.py captures integrate_hybrid through a wrapper
+        # that forwards positional arguments only, so the orbit the
+        # measured pass starts from is its 13th positional argument
+        calls, kernel = [], _kernels.integrate_hybrid
+        monkeypatch.setattr(_kernels, "integrate_hybrid",
+                            lambda *a: calls.append(len(a)) or kernel(*a))
+        pt = measure_point(P4_NONLINEAR, 1.0, 2.0)
+        assert 13 in calls and math.isfinite(pt.track_mag)
 
 
 _GAIN = st.floats(0.0, 2.0)
