@@ -396,7 +396,7 @@ def linear_orbit(A, omega, n, dt, eps, a0, a1, b0, b1, alpha):
     h = np.exp(0.5j * omega * dt)  # z^(1/2)
     with np.errstate(all="ignore"):
         phi, g_a, g_m, g_b = _rk4_coefficients(*lin, dt)
-        # (z - 1)I - (Phi - I) keeps the digits that z and Phi round off
+        # (z - 1)I - (Phi - I): zI - Phi cancels the digits of z, Phi near 1
         (a, b), (c, d) = (np.expm1(1j * omega * dt) * np.eye(2)
                           - (phi - np.eye(2)))
         X = np.array(((d, -b), (-c, a))) @ (A * (g_a + h * (g_m + h * g_b)))

@@ -455,13 +455,12 @@ def _recurrence_orbit(A, omega, n, eps, a0, a1, b0, b1, alpha):
     dt = 2 * np.pi / omega / n
     v, vm = _inputs(n, dt, A, omega)
     z = np.zeros(n + 1)
+    rho = max(abs(np.linalg.eigvals(_kernels._rk4_coefficients(*lin, dt)[0])))
     with np.errstate(all="ignore"):
         return _kernels._close(*(
             np.array(_kernels._linear_rk4(*lin, x0, u, um, dt, np.inf)[:2])
             for x0, u, um in (((0.0, 0.0), v, vm), ((1.0, 0.0), z, z[1:]),
-                              ((0.0, 1.0), z, z[1:]))))[0], max(abs(
-                                  np.linalg.eigvals(_kernels._rk4_coefficients(
-                                      *lin, dt)[0])))
+                              ((0.0, 1.0), z, z[1:]))))[0], rho
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
