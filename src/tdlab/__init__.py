@@ -55,7 +55,6 @@ from .simulate import (
 from .sweep import (
     MeasuredResponse,
     convergence_order,
-    fundamental_component,
     measure_point,
     sweep,
     tracking_bandwidth,
@@ -93,7 +92,6 @@ __all__ = [
     "first_order_filter_rhs",
     "first_order_response",
     "freq_response",
-    "fundamental_component",
     "get_preset",
     "highgain_rhs",
     "hybrid_rhs",

@@ -13,7 +13,7 @@ Linear systems (the linear differentiator, its gain-scaled realization and
 the scalar relaxation) take ``_linear_rk4``: RK4 applied to
 ``x' = A x + b v`` is exactly the recurrence ``x[i+1] = Phi x[i] + u[i]``
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1), solved as a banded
-triangular system by BLAS.
+triangular system by BLAS in ``_solve_recurrence``, which Newton shares.
 
 The nonlinear differentiator has a per-step loop, ``_hybrid_loop``.  Its
 acceleration x2' is written once, in ``_accel``; the x1 rate of each stage
@@ -21,14 +21,14 @@ is the x2 of that stage's state.  The loop runs as plain Python at about
 8 us/step, so ``integrate_hybrid`` takes ``_newton_hybrid``: Newton's
 method on a window of RK4 steps that slides along the lane, whose first
 guess is the describing-function linearization of the lane and whose every
-iteration is one banded solve as in ``_linear_rk4``.  Steps leave the
-window only on a residual certificate, and only those still in it take the
-Jacobian pass (``_rk4_jac``) after the map pass (``_rk4_f``).  Where Newton
-does not certify, the loop runs the rest of the lane, so every lane is a
-Newton prefix and at most one loop suffix.  On the paper-5 input of
-``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step on a
-2-vCPU machine.  ``periodic_orbit`` solves the steps of one input period
-with x[n] = x[0] by the same Newton, from the periodic orbit of the
+iteration is one ``_solve_recurrence`` with per-step Jacobians.  Steps
+leave the window only on a residual certificate, and only those still in
+it take the Jacobian pass (``_rk4_jac``) after the map pass (``_rk4_f``).
+Where Newton does not certify, the loop runs the rest of the lane, so
+every lane is a Newton prefix and at most one loop suffix.  On the paper-5
+input of ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step
+on a 2-vCPU machine.  ``periodic_orbit`` solves the steps of one input
+period with x[n] = x[0] by the same Newton, from the periodic orbit of the
 linearization (``linear_orbit``, in closed form); ``sweep`` measures the
 ``integrate_hybrid`` pass given that orbit as its guess, which Newton
 re-certifies in one or two map passes.
@@ -93,34 +93,44 @@ def _rk4_coefficients(A, b, dt):
 def _linear_rk4(A, b, x0, v_grid, v_mid, dt, limit):
     """RK4 for x' = A x + b v(t) as the exact recurrence x[i+1] = Phi x[i] + u[i].
 
-    Phi and u[i] are those of _rk4_coefficients.  Stacking the states of
-    consecutive steps turns the recurrence into a unit lower triangular
-    system of bandwidth 2*n_states - 1, solved chunk by chunk.  Returns one
+    Phi and u[i] are those of _rk4_coefficients; each chunk of CHUNK_STEPS
+    steps is one _solve_recurrence from its start state.  Returns one
     trajectory per state and the first divergent step (or -1).
     """
     ns, n = len(x0), v_mid.shape[0]
     phi, g_a, g_m, g_b = _rk4_coefficients(A, b, dt)
-    # Lower band storage: band[d, j] = L[j + d, j].  Unknown j = i*ns + c
-    # enters row (i+1)*ns + r with coefficient -Phi[r, c], d = ns + r - c.
-    k = 2 * ns - 1
-    band = np.zeros((k + 1, ns * min(n, CHUNK_STEPS)), order="F")
-    for r, c in itertools.product(range(ns), repeat=2):
-        band[ns + r - c, c::ns] = -phi[r, c]
-
+    band = np.zeros((2 * ns, ns * min(n, CHUNK_STEPS)), order="F")
     x = np.empty((ns, n + 1))
     x[:, 0] = x0
     for i0 in range(0, n, CHUNK_STEPS):
         i1 = min(i0 + CHUNK_STEPS, n)
-        rhs = (np.outer(v_grid[i0:i1], g_a) + np.outer(v_mid[i0:i1], g_m)
-               + np.outer(v_grid[i0 + 1:i1 + 1], g_b))
-        rhs[0] += phi @ x[:, i0]
-        sol = dtbsv(k, band[:, :rhs.size], rhs.ravel(), lower=1, diag=1,
-                    overwrite_x=1).reshape(-1, ns)
-        x[:, i0 + 1:i1 + 1] = sol.T
-        out = ~(np.abs(sol) <= limit).all(axis=1)
+        rhs = (np.outer(g_a, v_grid[i0:i1]) + np.outer(g_m, v_mid[i0:i1])
+               + np.outer(g_b, v_grid[i0 + 1:i1 + 1]))
+        rhs[:, 0] += phi @ x[:, i0]
+        [sol] = _solve_recurrence(band, phi, rhs)
+        x[:, i0 + 1:i1 + 1] = sol
+        out = ~(np.abs(sol) <= limit).all(axis=0)
         if out.any():
             return tuple(x) + (i0 + 1 + int(out.argmax()),)
     return tuple(x) + (-1,)
+
+
+def _solve_recurrence(band, blocks, *rhs):
+    """d[1..m] of d[i+1] = B_i d[i] + r_i from d[0] = 0, for each (ns, m) r.
+
+    blocks is B[r][c], one value or one per step 1..m-1 (B_0 meets d[0]).
+    Stacked, d[1..m] solve a unit lower triangular system of bandwidth
+    2*ns - 1, filled once for all of rhs into band (2*ns rows, ns*m columns
+    or more) as lower band storage band[k, j] = L[j + k, j]: unknown
+    j = i*ns + c enters row (i+1)*ns + r with -B[r][c], so k = ns + r - c.
+    Returns one (ns, m) array per r.
+    """
+    ns, m = np.shape(rhs[0])
+    b = band[:, :ns * m]
+    for r, c in itertools.product(range(ns), repeat=2):
+        b[ns + r - c, c:ns * (m - 1):ns] = -blocks[r][c]
+    return [dtbsv(2 * ns - 1, b, np.stack(y, axis=1).ravel(), lower=1,
+                  diag=1, overwrite_x=1).reshape(m, ns).T for y in rhs]
 
 
 def _linear_differentiator(eps, a0, b0):
@@ -269,8 +279,8 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
     its largest |r_i|/max(1, |x[i+1]|) passes _certified against the same
     steps' previous evaluation, and every x[i+1] is inside limit.  The
     steps after the new frontier are corrected by d[i+1] = J_i d[i] + r_i
-    from d = 0, so that rounding scales with the residual: the band of
-    _linear_rk4 with per-step entries, and only those steps need J_i.
+    from d = 0 by _solve_recurrence, so that rounding scales with the
+    residual, and only those steps need J_i.
     The _WINDOW_STEPS steps from where the count began must retire before
     Newton _gives_up on their residuals, with no certified state past
     limit; else _hybrid_loop runs the lane from there to its end, so the
@@ -329,11 +339,10 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                 x1[c:], x2[c:] = y
                 return x1, x2, c + bad if bad >= 0 else -1
             it += 1
-            [(d1, d2)] = _correct(band, _rk4_jac(
-                [[a[k + 1:] for a in stage] for stage in stages], *gains),
-                (r1[k:], r2[k:]))
-            x1[s + 1:e + 1] += d1
-            x2[s + 1:e + 1] += d2
+            j = _rk4_jac([[a[k + 1:] for a in st] for st in stages], *gains)
+            [d] = _solve_recurrence(band, (j[:2], j[2:]), (r1[k:], r2[k:]))
+            x1[s + 1:e + 1] += d[0]
+            x2[s + 1:e + 1] += d[1]
     return x1, x2, -1
 
 
@@ -349,19 +358,6 @@ def _gives_up(rel, it):
                                              else np.inf)
 
 
-def _correct(band, jac, *rhs):
-    """Newton's corrections d[i+1] = J_i d[i] + r_i of m steps from d[0] = 0.
-
-    _linear_rk4's band with -J_{i+1} (jac: steps 1..m-1) for -Phi in row
-    block i+1, filled once for every r of rhs, which holds (r1, r2) of all
-    m steps.  Returns d[1..m] of each r as a (2, m) array.
-    """
-    b = band[:, :2 * len(rhs[0][0])]
-    b[2, 0:-2:2], b[1, 1:-2:2], b[3, 0:-2:2], b[2, 1:-2:2] = (-j for j in jac)
-    return [dtbsv(3, b, np.stack(r, axis=1).ravel(), lower=1, diag=1,
-                  overwrite_x=1).reshape(-1, 2).T for r in rhs]
-
-
 def _close(q, m1, m2):
     """(q + c1*m1 + c2*m2, M): the (2, m) trajectory that ends where it starts.
 
@@ -369,9 +365,14 @@ def _close(q, m1, m2):
     (0, 1); c = (I - M)^-1 q[:, -1] with M = (m1[:, -1], m2[:, -1]).
     """
     M = np.stack((m1[:, -1], m2[:, -1]), axis=1)
-    (a, b), (c, d) = np.eye(2) - M
-    c1, c2 = np.array(((d, -b), (-c, a))) @ q[:, -1] / (a * d - b * c)
+    c1, c2 = _solve_2x2(np.eye(2) - M, q[:, -1])
     return q + c1 * m1 + c2 * m2, M
+
+
+def _solve_2x2(K, y):
+    """K^-1 y for a 2x2 K: its adjugate times y, over its determinant."""
+    (a, b), (c, d) = K
+    return np.array(((d, -b), (-c, a))) @ y / (a * d - b * c)
 
 
 def _describing_system(v, eps, a0, a1, b0, b1, alpha):
@@ -390,17 +391,15 @@ def linear_orbit(A, omega, n, dt, eps, a0, a1, b0, b1, alpha):
 
     The (2, n + 1) solution of x[i+1] = Phi x[i] + u[i] on t = i*dt in
     closed form: x[i] = Im(X z^i) with z = e^(j w dt) and
-    (zI - Phi) X = A (g_a + g_m z^(1/2) + g_b z), solved as _close solves.
+    (zI - Phi) X = A (g_a + g_m z^(1/2) + g_b z), solved by _solve_2x2.
     """
     lin = _describing_system(A, eps, a0, a1, b0, b1, alpha)
     h = np.exp(0.5j * omega * dt)  # z^(1/2)
     with np.errstate(all="ignore"):
         phi, g_a, g_m, g_b = _rk4_coefficients(*lin, dt)
         # (z - 1)I - (Phi - I): zI - Phi cancels the digits of z, Phi near 1
-        (a, b), (c, d) = (np.expm1(1j * omega * dt) * np.eye(2)
-                          - (phi - np.eye(2)))
-        X = np.array(((d, -b), (-c, a))) @ (A * (g_a + h * (g_m + h * g_b)))
-        X /= a * d - b * c
+        K = np.expm1(1j * omega * dt) * np.eye(2) - (phi - np.eye(2))
+        X = _solve_2x2(K, A * (g_a + h * (g_m + h * g_b)))
     return np.outer(X, np.exp(1j * omega * dt * np.arange(n + 1))).imag.copy()
 
 
@@ -408,8 +407,8 @@ def periodic_orbit(guess, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
     """The (2, n + 1) periodic orbit of integrate_hybrid over n input steps.
 
     Newton on x[i+1] = F_i(x[i]), x[n] = x[0] (Aprille & Trick, Proc. IEEE
-    60, 1972) from guess[:, :n]: _close of the three _correct runs of an
-    iteration, from d[0] = 0 and the unit starts, on one band fill.  None
+    60, 1972) from guess[:, :n]: _close of an iteration's three
+    _solve_recurrence runs, from d[0] = 0 and the unit starts.  None
     unless it is _certified before Newton _gives_up, and attracts
     (|eig M| < 1).
     """
@@ -425,9 +424,9 @@ def periodic_orbit(guess, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
             done = _certified(rel, prev)
             if not done and _gives_up(rel, it):
                 return None
-            prev, jac = rel, np.array(_rk4_jac(stages, *gains))
-            starts[:, :, 0] = jac[:, 0].reshape(2, 2).T  # run c: J_0 e_c
-            d, M = _close(*_correct(band, jac[:, 1:], r, *starts))
+            prev, jac = rel, np.reshape(_rk4_jac(stages, *gains), (2, 2, n))
+            starts[:, :, 0] = jac[:, :, 0].T  # run c: J_0 e_c
+            d, M = _close(*_solve_recurrence(band, jac[:, :, 1:], r, *starts))
             if done:  # Jury's test of |eig M| < 1
                 det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
                 attracts = abs(det) < 1.0 and abs(np.trace(M)) < 1.0 + det

@@ -2,26 +2,26 @@
 
 Each measurement drives the differentiator with a clean sinusoid and reads
 one period of its RK4 periodic orbit (_kernels.periodic_orbit, re-certified
-by an integrate_hybrid pass from it), planned by _steady_period.  A frequency
-point takes the DFT bin of both states over that period, which rejects
-every higher harmonic of the nonlinear response; convergence_order takes
-the RMS tracking error over it.  The derivative channel is normalized by
-the ideal derivative amplitude A*w, so a perfect differentiator reads
+by an integrate_hybrid pass from it; where Newton finds none, a warm-up
+integrate_hybrid pass gives it a new guess), planned by _steady_period.  A
+frequency point takes the DFT bin of both states over that period, which
+rejects every higher harmonic of the nonlinear response; convergence_order
+takes the RMS tracking error over it.  The derivative channel is normalized
+by the ideal derivative amplitude A*w, so a perfect differentiator reads
 magnitude 1 and phase 0 on both channels.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .dynamics import DiffParams, DiffState
+from .dynamics import DiffParams
 from .signals import SignalSpec, sinusoid
 from .simulate import (MAX_STEPS, STATE_LIMIT, InstabilityError, SimConfig,
-                       TimeSeries, _raise_if_diverged, default_dt, run,
-                       time_grid)
+                       _raise_if_diverged, default_dt, time_grid)
 
 #: Periods a measurement may run from states that are not its orbit, in
 #: warm-up runs of _WARM_PERIODS, before it fails as not settled.
@@ -46,50 +46,18 @@ class MeasuredResponse:
     deriv_phase_deg: float
 
 
-def fundamental_component(ts: TimeSeries, channel: str, omega: float,
-                          window: tuple[float, float]) -> tuple[float, float]:
-    """Amplitude and phase (degrees, vs sin(omega*t)) of the fundamental.
-
-    Correlates the channel with sin/cos over the window by trapezoidal
-    integration.  The window must span an integer number (>= 3) of periods,
-    otherwise the harmonic-rejection property of the correlation is lost.
-    """
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    t0, t1 = window
-    i0 = int(np.searchsorted(ts.t, t0 - 1e-12))
-    i1 = int(np.searchsorted(ts.t, t1 + 1e-12)) - 1
-    if i1 <= i0:
-        raise ValueError("window contains no samples")
-    span = ts.t[i1] - ts.t[i0]
-    period = 2.0 * math.pi / omega
-    n_per = span / period
-    # both window edges snap to the grid, so allow up to one step of
-    # quantization; anything beyond that breaks harmonic rejection
-    if abs(n_per - round(n_per)) * period > 1.01 * ts.dt + 1e-9 * span:
-        raise ValueError(
-            f"window of {span:g} s is not an integer number of periods "
-            f"({n_per:.6f} periods of {period:g} s)")
-    if round(n_per) < 3:
-        raise ValueError("window must cover at least 3 periods")
-    tt = ts.t[i0:i1 + 1]
-    yy = ts.channel(channel)[i0:i1 + 1]
-    a = 2.0 / span * np.trapezoid(yy * np.sin(omega * tt), tt)
-    b = 2.0 / span * np.trapezoid(yy * np.cos(omega * tt), tt)
-    return float(np.hypot(a, b)), float(math.degrees(math.atan2(b, a)))
-
-
 def _steady_period(p: DiffParams, A: float, omega: float,
                    dt: Optional[float] = None) -> np.ndarray:
     """(x1, x2) over one period of n steps of the settled response.
 
     n = max(ceil(period/dt), 16) for the target step dt (default:
-    default_dt(p)); a warm-up run over MAX_STEPS raises ValueError before
+    default_dt(p)); a warm-up pass over MAX_STEPS raises ValueError before
     anything is integrated.  Returns the integrate_hybrid pass from
     Newton's certified, attracting orbit, given to it as the guess that its
     Newton re-certifies; the pass must close within _CLOSURE_TOL.  Else
-    Newton retries from the last period of a warm-up run, or from the
-    pass, until SETTLE_PERIODS periods have run (InstabilityError).
+    Newton retries from the last period of a warm-up integrate_hybrid pass
+    of _WARM_PERIODS periods, or from the measured pass, until
+    SETTLE_PERIODS periods have run (InstabilityError).
     """
     dt = default_dt(p) if dt is None else dt
     if not 0.0 < dt < math.inf:
@@ -103,17 +71,20 @@ def _steady_period(p: DiffParams, A: float, omega: float,
         raise ValueError(f"dt={dt:g} needs {steps:.4g} steps, more than "
                          f"MAX_STEPS={MAX_STEPS}")
     n = max(math.ceil(period / dt), 16)
-    spec, cfg = SignalSpec(A, omega), SimConfig(period / n, period)
+    SignalSpec(A, omega)  # raises where the peak derivative A*omega overflows
+    cfg = SimConfig(period / n, period)
     v, vm = (sinusoid(A, omega, t) for t in time_grid(cfg))
     gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, cfg.dt)
     guess = _kernels.linear_orbit(A, omega, n, cfg.dt, *gains[:-1])
     for _ in range(SETTLE_PERIODS // _WARM_PERIODS):
         orbit = _kernels.periodic_orbit(guess, v, vm, *gains)
         if orbit is None:
-            ts = run(p, spec, replace(cfg, t_end=_WARM_PERIODS * period,
-                                      initial=DiffState(*np.nan_to_num(
-                                          guess[:, -1]))))
-            guess = np.array((ts.channel("x1"), ts.channel("x2")))[:, -n - 1:]
+            w, wm = (sinusoid(A, omega, t) for t in time_grid(
+                SimConfig(cfg.dt, _WARM_PERIODS * period)))
+            *x, bad = _kernels.integrate_hybrid(*np.nan_to_num(guess[:, -1]),
+                                                w, wm, *gains, STATE_LIMIT)
+            _raise_if_diverged(bad, cfg.dt, "state")
+            guess = np.array(x)[:, -n - 1:]
             continue
         *x, bad = _kernels.integrate_hybrid(orbit[0, 0], orbit[1, 0], v, vm,
                                             *gains, STATE_LIMIT, orbit)

@@ -292,6 +292,9 @@ class TestSweepCommand:
      "1e200", "--points", "3"],
     # flags that exclude each other
     ["linearize", "--eps", "1", "--r", "2", "--a0", "1", "--b0", "1"],
+    # a sweep point whose input's derivative overflows
+    ["sweep", "--preset", "paper-3A", "--dt", "0.02", "--omega-min", "1",
+     "--omega-max", "1.7e308", "--points", "2"],
 ])
 def test_bad_value_exits_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"

@@ -445,6 +445,32 @@ def test_python_fallback_matches_active_backend():
     np.testing.assert_allclose(y2, x2, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_rhs", [1, 3])
+@pytest.mark.parametrize("per_step", [False, True],
+                         ids=["one-block", "per-step"])
+@pytest.mark.parametrize("ns", [1, 2])
+def test_solve_recurrence_matches_a_loop(ns, per_step, n_rhs):
+    # one band serves a run of 300 steps and then one of a single step,
+    # which uses no block; the right-hand sides are left as they were
+    rng = np.random.default_rng([ns, per_step, n_rhs])
+    band = np.zeros((2 * ns, ns * 300), order="F")
+    for m in (300, 1):
+        B = rng.uniform(-1.0, 1.0, (ns, ns) + ((m - 1,) if per_step else ()))
+        B /= ns  # each |B_i| at most 1 in the row-sum norm
+        rhs = [rng.uniform(-10.0, 10.0, (ns, m)) for _ in range(n_rhs)]
+        kept = [r.copy() for r in rhs]
+        got = _kernels._solve_recurrence(band, B, *rhs)
+        assert len(got) == n_rhs
+        for g, r, r0 in zip(got, rhs, kept):
+            want, d = np.empty((ns, m)), np.zeros(ns)
+            for i in range(m):  # d[i+1] = B_i d[i] + r_i, B_0 unused
+                if i:
+                    d = (B[..., i - 1] if per_step else B) @ d
+                want[:, i] = d = d + r[:, i]
+            assert g.shape == (ns, m) and np.array_equal(r, r0)
+            assert np.all(np.abs(g - want) <= 1e-13 * np.abs(want).max())
+
+
 def _recurrence_orbit(A, omega, n, eps, a0, a1, b0, b1, alpha):
     """The closed orbit of the linearization by recurrence: _linear_rk4 from
     rest with the input and from the two unit starts without it, closed by

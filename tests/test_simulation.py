@@ -21,7 +21,9 @@ from tdlab.simulate import (
     run,
     time_grid,
 )
-from tdlab.sweep import convergence_order, fundamental_component
+from tdlab.sweep import convergence_order
+
+from oracles import fundamental_component
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
 P3C_HYBRID = DiffParams(eps=1 / 45, a0=0.005, a1=0.005, b0=0.05, b1=0.005,

@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from tdlab import _kernels
 from tdlab.describing import freq_response, linearize
-from tdlab.dynamics import DiffParams
-from tdlab.signals import sinusoid
+from tdlab.dynamics import DiffParams, DiffState
+from tdlab.signals import SignalSpec, sinusoid
 from tdlab.simulate import (STATE_LIMIT, InstabilityError, SimConfig,
-                            TimeSeries, default_dt, time_grid)
+                            TimeSeries, default_dt, run, time_grid)
 from tdlab.sweep import (
     MeasuredResponse,
-    fundamental_component,
     measure_point,
     sweep,
     tracking_bandwidth,
 )
+
+from oracles import fundamental_component
 
 # the module itself: the package re-exports its sweep() under the same name
 sweep_module = importlib.import_module("tdlab.sweep")
@@ -242,6 +243,22 @@ class TestSteadyPeriod:
                                         default_dt(P4_NONLINEAR))
         assert [orbit is not None for orbit in found] == [False, True]
         assert _closes(x, 1e-12)
+
+    def test_warm_up_is_the_last_period_of_a_run(self, monkeypatch):
+        # where Newton fails, the next guess is the last period of a run of
+        # _WARM_PERIODS periods from the end of the failed guess
+        guesses, orbit = [], _kernels.periodic_orbit
+        monkeypatch.setattr(_kernels, "periodic_orbit",
+                            lambda g, *a: guesses.append(g) or (
+                                orbit(g, *a) if len(guesses) > 1 else None))
+        A, omega, p = 5.0, 1.3618, P4_NONLINEAR
+        sweep_module._steady_period(p, A, omega, default_dt(p))
+        first, second = guesses[:2]
+        n, period = first.shape[1] - 1, 2 * math.pi / omega
+        ts = run(p, SignalSpec(A, omega), SimConfig(
+            period / n, 3 * period, DiffState(*np.nan_to_num(first[:, -1]))))
+        assert np.array_equal(second, np.array(
+            (ts.channel("x1"), ts.channel("x2")))[:, -n - 1:])
 
     def test_repelling_orbit_is_rejected(self):
         # at dt = 0.28 the RK4 step of P3A grows its modes by 1.23 a step:
