@@ -10,10 +10,10 @@ integration stayed bounded; the returned arrays are only valid up to that
 index).
 
 Linear systems (the linear differentiator, its gain-scaled realization and
-the scalar relaxation) take ``_linear_rk4``: RK4 applied to
-``x' = A x + b v`` is exactly the recurrence ``x[i+1] = Phi x[i] + u[i]``
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.1), solved as a banded
-triangular system by BLAS in ``_solve_recurrence``, which Newton shares.
+the scalar relaxation) take ``_linear_rk4``: RK4 on ``x' = A x + b v`` is
+exactly ``x[i+1] = Phi x[i] + u[i]`` (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.1), a banded triangular system that ``_solve_recurrence``,
+which Newton shares, solves by BLAS ``dtbsv`` (``_dtbsv_from_fblas``).
 
 The nonlinear differentiator has a per-step loop, ``_hybrid_loop``.  Its
 acceleration x2' is written once, in ``_accel``; the x1 rate of each stage
@@ -34,10 +34,11 @@ linearization (``linear_orbit``, in closed form); ``sweep`` measures the
 re-certifies in one or two map passes.
 """
 
+import importlib.util as util
 import itertools
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
 
 from .describing import _equivalent_gains, natural_frequency
 from .dynamics import DiffParams
@@ -69,6 +70,23 @@ _ROUNDING_TOL = 1e-15
 _FLOOR_GAIN = 4.0
 #: |e| and |eps*x2| are clipped below here in the slope alpha*|.|^(alpha-1).
 _SLOPE_FLOOR = 1e-12
+
+
+def _dtbsv_from_fblas():
+    """BLAS dtbsv from scipy's _fblas file, without scipy.linalg's init."""
+    try:
+        root = util.find_spec("scipy").submodule_search_locations[0]
+        [path] = Path(root, "linalg").glob("_fblas.*")
+        spec = util.spec_from_file_location("scipy.linalg._fblas", path)
+        fblas = util.module_from_spec(spec)
+        spec.loader.exec_module(fblas)
+        return fblas.dtbsv
+    except Exception:  # e.g. another file layout of scipy: the public import
+        from scipy.linalg.blas import dtbsv
+        return dtbsv
+
+
+dtbsv = _dtbsv_from_fblas()
 
 
 def backend() -> str:

@@ -1,7 +1,12 @@
 """Kernel checks: the generic RK4 step as oracle of every kernel, the
-linear propagator and the Newton path against the nonlinear loop, and when
-the Newton path hands the rest of a lane to the loop."""
+linear propagator and the Newton path against the nonlinear loop, when
+the Newton path hands the rest of a lane to the loop, and the BLAS routine
+loaded from scipy's extension file."""
 
+import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import astuple
 from unittest import mock
 
@@ -9,7 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas
 
+import tdlab
 from tdlab import _kernels
 from tdlab.describing import _equivalent_gains, natural_frequency
 from tdlab.dynamics import (DiffParams, DiffState, first_order_filter_rhs,
@@ -471,6 +478,61 @@ def test_solve_recurrence_matches_a_loop(ns, per_step, n_rhs):
             assert np.all(np.abs(g - want) <= 1e-13 * np.abs(want).max())
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(0, 3), n=st.integers(1, 300),
+       diag=st.sampled_from([0, 1]), seed=st.integers(0, 2 ** 32 - 1))
+def test_loaded_dtbsv_is_scipys(k, n, diag, seed):
+    # the routine read from scipy's _fblas file gives the bits of the one
+    # scipy.linalg.blas exports, on lower banded systems with a unit
+    # (diag = 1) or stored diagonal; |a_jj| >= 1 and each row's k entries
+    # left of it sum to under 1 in magnitude, so the solution stays bounded
+    rng = np.random.default_rng(seed)
+    a = np.asfortranarray(rng.uniform(-1.0, 1.0, (k + 1, n)) / (k + 1))
+    a[0] = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n)
+    x = rng.uniform(-10.0, 10.0, n)
+    got = _kernels.dtbsv(k, a, x.copy(), lower=1, diag=diag)
+    want = blas.dtbsv(k, a, x.copy(), lower=1, diag=diag)
+    assert np.array_equal(got, want)
+
+
+def test_failed_direct_load_takes_the_public_import(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ImportError("no such extension file")
+
+    monkeypatch.setattr(importlib.util, "spec_from_file_location", fail)
+    dtbsv = _kernels._dtbsv_from_fblas()
+    assert dtbsv is blas.dtbsv
+    # [[2, 0], [1, 4]] x = [2, 5] in lower band storage
+    x = dtbsv(1, np.array([[2.0, 4.0], [1.0, 0.0]], order="F"), [2.0, 5.0],
+              lower=1)
+    assert np.array_equal(x, [1.0, 1.0])
+
+
+def test_scipy_linalg_imports_after_tdlab():
+    # tdlab loads scipy.linalg._fblas by its file; scipy.linalg imported
+    # after it still builds, and it and tdlab still solve correctly
+    code = """if True:
+        import numpy as np
+        import tdlab
+        import scipy.linalg
+        from scipy.linalg.blas import dtbsv
+        from tdlab import _kernels
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert np.allclose(scipy.linalg.solve(a, [3.0, 5.0]), [0.8, 1.4])
+        band = np.array([[2.0, 4.0], [1.0, 0.0]], order="F")
+        for solve in (dtbsv, _kernels.dtbsv):
+            assert np.array_equal(solve(1, band, [2.0, 5.0], lower=1),
+                                  [1.0, 1.0])
+        print("ok")
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tdlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["ok"]
+
+
 def _recurrence_orbit(A, omega, n, eps, a0, a1, b0, b1, alpha):
     """The closed orbit of the linearization by recurrence: _linear_rk4 from
     rest with the input and from the two unit starts without it, closed by
@@ -562,6 +624,27 @@ def test_guess_off_the_orbit_gives_the_same_trajectory(gains):
     *want, want_bad = _kernels.integrate_hybrid(*args, orbit)
     *got, bad = _kernels.integrate_hybrid(*args, orbit + 1e-3)
     _assert_agree(got, bad, want, want_bad)
+
+
+@pytest.mark.parametrize("omega, A", [(1.0, 1.0), (5.0, 1.0), (2.0, 5.0)])
+def test_orbit_newton_from_a_near_orbit_converges_fast(monkeypatch, omega, A):
+    # from its certified orbit shifted by 1e-6 sin(i), periodic_orbit finds
+    # it again in a few map passes: each correction is taken through the
+    # Jacobian of its own step (a neighbouring step's Jacobian took 9 to 11)
+    gains = (0.01, 0.1, 0.015, 0.3, 0.015, 0.6)  # paper-4-hybrid
+    n = 256
+    dt = 2 * np.pi / omega / n
+    v, vm = _inputs(n, dt, A, omega)
+    orbit = _kernels.periodic_orbit(
+        _kernels.linear_orbit(A, omega, n, dt, *gains), v, vm, *gains, dt)
+    assert orbit is not None
+    passes, f_pass = [], _kernels._rk4_f
+    monkeypatch.setattr(_kernels, "_rk4_f",
+                        lambda *a: passes.append(len(a[3])) or f_pass(*a))
+    got = _kernels.periodic_orbit(orbit + 1e-6 * np.sin(np.arange(n + 1)),
+                                  v, vm, *gains, dt)
+    assert got is not None and len(passes) <= 5
+    assert np.all(np.abs(got - orbit) <= 1e-12)
 
 
 @pytest.mark.parametrize("shape", [(2, 400), (3, 401), (401,), (2, 401, 1)])
