@@ -6,7 +6,8 @@ log-uniform in [0.01, 0.2], gains uniform in [1e-3, 2] and alpha uniform
 in [0.05, 0.95], each with an amplitude uniform in [0.5, 5] and a
 frequency log-uniform in [1, 100] rad/s, and measures each point with
 ``tdlab.sweep.measure_point`` at the default step.  The Newton solves of
-``_kernels.periodic_orbit`` are counted: a point certifies its orbit from
+``_kernels.periodic_orbit`` are counted (measure_point solves its point as
+a batch of one, so a solve's map passes are its point's): a point certifies its orbit from
 the linearization's guess, after warm-up runs, or not at all (it fails
 with "did not settle"); its iterations are the map passes ``_rk4_f`` that
 the solves take.  Next to them are counted the map passes of the measured
@@ -76,7 +77,7 @@ def instrument():
     """Count what this tree's measure_point does from here on.
 
     Returns (solves, tally): one [map passes, certified] per periodic_orbit
-    call, and a Counter of the measured passes' map passes ("pass") and
+    call, i.e. per point solved, and a Counter of the measured passes' map passes ("pass") and
     the _hybrid_loop steps ("loop").
     """
     solves, tally, phase = [], collections.Counter(), []
@@ -84,13 +85,15 @@ def instrument():
                                    _kernels.integrate_hybrid,
                                    _kernels._hybrid_loop)
 
-    def counting_orbit(*a):
+    def counting_orbit(points, *gains):
+        # measure_point solves its point as a batch of one, so each map
+        # pass of the batch is one of that point
         solves.append([0, None])
         phase.append("orbit")
-        x = orbit(*a)
+        [x] = orbit(points, *gains)
         phase.pop()
         solves[-1][1] = x is not None
-        return x
+        return [x]
 
     def counting_kernel(*a):
         phase.append("pass" if len(a) == 13 else "run")

@@ -28,9 +28,10 @@ Where Newton does not certify, the loop runs the rest of the lane, so
 every lane is a Newton prefix and at most one loop suffix.  On the paper-5
 input of ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step
 on a 2-vCPU machine.  ``periodic_orbit`` solves the steps of one input
-period with x[n] = x[0] by the same Newton, from the periodic orbit of the
-linearization (``linear_orbit``, in closed form); ``sweep`` measures the
-``integrate_hybrid`` pass given that orbit as its guess, which Newton
+period with x[n] = x[0] by the same Newton, for the points of a sweep
+together, from the periodic orbit of the linearization (``linear_orbit``,
+in closed form: a linear differentiator's own orbit); ``sweep`` measures
+the ``integrate_hybrid`` pass given that orbit as its guess, which Newton
 re-certifies in one or two map passes.
 """
 
@@ -421,37 +422,70 @@ def linear_orbit(A, omega, n, dt, eps, a0, a1, b0, b1, alpha):
     return np.outer(X, np.exp(1j * omega * dt * np.arange(n + 1))).imag.copy()
 
 
-def periodic_orbit(guess, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
-    """The (2, n + 1) periodic orbit of integrate_hybrid over n input steps.
+def _attracts(M):
+    """Jury's test of |eig M| < 1 for a 2x2 M."""
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return abs(det) < 1.0 and abs(np.trace(M)) < 1.0 + det
 
-    Newton on x[i+1] = F_i(x[i]), x[n] = x[0] (Aprille & Trick, Proc. IEEE
-    60, 1972) from guess[:, :n]: _close of an iteration's three
-    _solve_recurrence runs, from d[0] = 0 and the unit starts.  None
-    unless it is _certified before Newton _gives_up, and attracts
-    (|eig M| < 1).
+
+def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
+    """The (2, n + 1) periodic orbit of integrate_hybrid at each point, or None.
+
+    A point is (guess, v_grid, v_mid, dt) over n input steps.  Newton on
+    x[i+1] = F_i(x[i]), x[n] = x[0] (Aprille & Trick, Proc. IEEE 60, 1972)
+    from guess[:, :n] runs on the points' states in a row, dt one per step,
+    joined by steps of dt = 0 that no solve sees: each iteration is one
+    _solve_recurrence from d = 0 and the unit starts at every point's first
+    state, uncoupled from the point before, and _close per point.  A point
+    retires with x once it is _certified and _attracts (|eig M| < 1), else
+    with None (once Newton _gives_up on it, or its solve is not finite).
     """
-    n, gains = v_mid.shape[0], (eps, a0, a1, b0, b1, alpha, dt)
-    x = np.concatenate((guess[:, :n], guess[:, :1]), axis=1)
-    band, prev = np.zeros((4, 2 * n), order="F"), np.inf
-    starts = np.zeros((2, 2, n))
+    gains, out = (eps, a0, a1, b0, b1, alpha), [None] * len(points)
+    x, v, vm, dt = (np.concatenate(a, axis=-1) for a in zip(*(
+        (np.concatenate((g[:, :len(m)], g[:, :1]), axis=1), w,
+         np.append(m, 0.0), np.append(np.full(len(m), h), 0.0))
+        for g, w, m, h in points)))
+    band, buf = np.zeros((4, 2 * len(v)), order="F"), np.zeros((2, 2, len(v)))
+    live, size = list(range(len(points))), [len(q[1]) for q in points]
+    prev, gone = [np.inf] * len(points), [False] * len(points)
     with np.errstate(all="ignore"):
         for it in itertools.count():
-            r, stages = _rk4_f(x[0, :-1], x[1, :-1], v_grid, v_mid, *gains)
-            r = np.array(r) - x[:, 1:]
-            rel = float(np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:]))))
-            done = _certified(rel, prev)
-            if not done and _gives_up(rel, it):
-                return None
-            prev, jac = rel, np.reshape(_rk4_jac(stages, *gains), (2, 2, n))
-            starts[:, :, 0] = jac[:, :, 0].T  # run c: J_0 e_c
-            d, M = _close(*_solve_recurrence(band, jac[:, :, 1:], r, *starts))
-            if done:  # Jury's test of |eig M| < 1
-                det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-                attracts = abs(det) < 1.0 and abs(np.trace(M)) < 1.0 + det
-                return x if attracts else None
-            x[:, 1:] += d
-            x[:, 0] = x[:, -1]
-            del stages, jac, r, d  # not kept through the next map pass
+            if it == 0 or any(gone):  # keep the points left
+                keep = np.repeat(np.logical_not(gone), size)
+                x, v, vm, dt = x[:, keep], v[keep], vm[keep], dt[keep]
+                live, prev, size = ([a for a, g in zip(seq, gone) if not g]
+                                    for seq in (live, prev, size))
+                if not live:
+                    return out
+                e = np.cumsum(size) - 1  # their last states
+                s = e + 1 - size  # and first states
+                h = dt[:-1] if len(live) > 1 else dt[0]  # a lone point's
+            f, stages = _rk4_f(x[0, :-1], x[1, :-1], v, vm[:-1], *gains, h)
+            r = np.array(f) - x[:, 1:]
+            rel = np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:])), axis=0)
+            r[:, e[:-1]] = rel[e[:-1]] = 0.0  # the steps between points
+            rel = np.maximum.reduceat(rel, s).tolist()
+            jac = np.reshape(_rk4_jac(stages, *gains, h), (2, 2, -1))
+            starts = buf[:, :, :len(v) - 1]
+            starts[:, :, s] = jac[:, :, s].transpose(1, 0, 2)  # run c: J e_c
+            jac[:, :, s], q, gone = 0.0, None, []
+            for k, i, j, y, y0 in zip(live, s, e, rel, prev):
+                if q is None:
+                    q, m1, m2 = _solve_recurrence(band, jac[:, :, 1:], r,
+                                                  *starts)
+                d, M = _close(q[:, i:j], m1[:, i:j], m2[:, i:j])
+                gone.append(True)
+                if not np.isfinite(d[:, -1]).all():  # 0 * inf would carry
+                    r[:, i:j] = starts[:, :, i:j] = 0.0  # it on: solve again
+                    q = None
+                elif _certified(y, y0):
+                    out[k] = x[:, i:j + 1].copy() if _attracts(M) else None
+                elif not _gives_up(y, it):
+                    x[:, i + 1:j + 1] += d
+                    x[:, i] = x[:, j]
+                    gone[-1] = False
+            starts[:, :, s], prev = 0.0, rel
+            del f, stages, jac, r, q, m1, m2, d  # not kept into the next pass
 
 
 def integrate_highgain(w1_0, w2_0, v_grid, v_mid, eps, a0, b0, dt, limit):

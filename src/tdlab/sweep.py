@@ -1,9 +1,11 @@
 """Steady-state measurements on the periodic orbit: swept sines and eps order.
 
 Each measurement drives the differentiator with a clean sinusoid and reads
-one period of its RK4 periodic orbit (_kernels.periodic_orbit, re-certified
-by an integrate_hybrid pass from it; where Newton finds none, a warm-up
-integrate_hybrid pass gives it a new guess), planned by _steady_period.  A
+one period of its RK4 periodic orbit, re-certified by an integrate_hybrid
+pass from it: linear_orbit's closed form where the differentiator is linear
+and its step attracts, else Newton's (_kernels.periodic_orbit, one solve for
+consecutive points of a sweep); where Newton finds none, a warm-up
+integrate_hybrid pass gives it a new guess (_steady_periods).  A
 frequency point takes the DFT bin of both states over that period, which
 rejects every higher harmonic of the nonlinear response; convergence_order
 takes the RMS tracking error over it.  The derivative channel is normalized
@@ -12,7 +14,7 @@ magnitude 1 and phase 0 on both channels.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,18 +48,12 @@ class MeasuredResponse:
     deriv_phase_deg: float
 
 
-def _steady_period(p: DiffParams, A: float, omega: float,
-                   dt: Optional[float] = None) -> np.ndarray:
-    """(x1, x2) over one period of n steps of the settled response.
+def _plan(p: DiffParams, A: float, omega: float, dt: Optional[float]):
+    """(omega, guess, v_grid, v_mid, dt) of one period of n steps at omega.
 
     n = max(ceil(period/dt), 16) for the target step dt (default:
-    default_dt(p)); a warm-up pass over MAX_STEPS raises ValueError before
-    anything is integrated.  Returns the integrate_hybrid pass from
-    Newton's certified, attracting orbit, given to it as the guess that its
-    Newton re-certifies; the pass must close within _CLOSURE_TOL.  Else
-    Newton retries from the last period of a warm-up integrate_hybrid pass
-    of _WARM_PERIODS periods, or from the measured pass, until
-    SETTLE_PERIODS periods have run (InstabilityError).
+    default_dt(p)); guess is linear_orbit's.  A warm-up pass over MAX_STEPS
+    raises ValueError before anything is integrated.
     """
     dt = default_dt(p) if dt is None else dt
     if not 0.0 < dt < math.inf:
@@ -74,36 +70,86 @@ def _steady_period(p: DiffParams, A: float, omega: float,
     SignalSpec(A, omega)  # raises where the peak derivative A*omega overflows
     cfg = SimConfig(period / n, period)
     v, vm = (sinusoid(A, omega, t) for t in time_grid(cfg))
-    gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha, cfg.dt)
-    guess = _kernels.linear_orbit(A, omega, n, cfg.dt, *gains[:-1])
-    for _ in range(SETTLE_PERIODS // _WARM_PERIODS):
-        orbit = _kernels.periodic_orbit(guess, v, vm, *gains)
-        if orbit is None:
-            w, wm = (sinusoid(A, omega, t) for t in time_grid(
-                SimConfig(cfg.dt, _WARM_PERIODS * period)))
-            *x, bad = _kernels.integrate_hybrid(*np.nan_to_num(guess[:, -1]),
-                                                w, wm, *gains, STATE_LIMIT)
-            _raise_if_diverged(bad, cfg.dt, "state")
-            guess = np.array(x)[:, -n - 1:]
-            continue
-        *x, bad = _kernels.integrate_hybrid(orbit[0, 0], orbit[1, 0], v, vm,
-                                            *gains, STATE_LIMIT, orbit)
-        _raise_if_diverged(bad, cfg.dt, "state")
-        guess = np.array(x)
-        if np.allclose(guess[:, -1], guess[:, 0], _CLOSURE_TOL, _CLOSURE_TOL):
-            return guess
-    raise InstabilityError(f"did not settle within {SETTLE_PERIODS} periods "
-                           f"of {period:g} s", t=SETTLE_PERIODS * period)
+    guess = _kernels.linear_orbit(A, omega, n, cfg.dt, *astuple(p))
+    return omega, guess, v, vm, cfg.dt
 
 
-def measure_point(p: DiffParams, A: float, omega: float,
-                  dt: Optional[float] = None) -> MeasuredResponse:
-    """Measure tracking and derivative responses at one frequency.
+def _steady_periods(p: DiffParams, A: float, omegas: Sequence[float],
+                    dt: Optional[float] = None):
+    """Yield (x1, x2) over one period of the settled response at each omega.
 
-    The DFT bin of one period of the periodic orbit under A*sin(omega*t) at
-    the target step dt (_steady_period, which raises "did not settle").
+    Consecutive points are planned into batches of at most
+    _kernels._WINDOW_STEPS steps (or one longer point) for _settle; a point
+    that fails to plan raises after the batch before it.
     """
-    x = _steady_period(p, A, omega, dt)[:, :-1]
+    batch, error = [], None
+    for w in omegas:
+        try:
+            point = _plan(p, A, w, dt)
+        except Exception as exc:
+            error = exc
+            break
+        if batch and (sum(len(q[3]) for q in batch) + len(point[3])
+                      > _kernels._WINDOW_STEPS):
+            yield from _settle(p, A, batch)
+            batch = []
+        batch.append(point)
+    if batch:
+        yield from _settle(p, A, batch)
+    if error is not None:
+        raise error
+
+
+def _settle(p: DiffParams, A: float, batch: list):
+    """Yield the measured pass of each point of batch, in turn.
+
+    A linear point's orbit is its guess if Phi of its step attracts (Jury's
+    test); the nonlinear points solve theirs in one _kernels.periodic_orbit.
+    The integrate_hybrid pass from the orbit, given it as the guess that its
+    Newton re-certifies, must close within _CLOSURE_TOL.  Else Newton
+    retries from the last period of a warm-up pass of _WARM_PERIODS periods,
+    or from the measured pass, until SETTLE_PERIODS periods have run.
+    """
+    gains, lin = astuple(p), _kernels._linear_differentiator(p.eps, p.a0, p.b0)
+    orbits = ([g if _kernels._attracts(_kernels._rk4_coefficients(*lin, h)[0])
+               else None for _, g, _, _, h in batch] if p.is_linear
+              else _kernels.periodic_orbit([q[1:] for q in batch], *gains))
+    for (omega, guess, v, vm, h), orbit in zip(batch, orbits):
+        period = 2.0 * math.pi / omega
+        for k in range(SETTLE_PERIODS // _WARM_PERIODS):
+            if k:
+                [orbit] = _kernels.periodic_orbit([(guess, v, vm, h)], *gains)
+            if orbit is None:
+                w, wm = (sinusoid(A, omega, t) for t in time_grid(
+                    SimConfig(h, _WARM_PERIODS * period)))
+                *x, bad = _kernels.integrate_hybrid(
+                    *np.nan_to_num(guess[:, -1]), w, wm, *gains, h, STATE_LIMIT)
+                _raise_if_diverged(bad, h, "state")
+                guess = np.array(x)[:, -len(v):]
+                continue
+            *x, bad = _kernels.integrate_hybrid(
+                orbit[0, 0], orbit[1, 0], v, vm, *gains, h, STATE_LIMIT, orbit)
+            _raise_if_diverged(bad, h, "state")
+            guess = np.array(x)
+            if np.allclose(guess[:, -1], guess[:, 0], _CLOSURE_TOL,
+                           _CLOSURE_TOL):
+                break
+        else:
+            raise InstabilityError(f"did not settle within {SETTLE_PERIODS} "
+                                   f"periods of {period:g} s",
+                                   t=SETTLE_PERIODS * period)
+        yield guess
+
+
+def _steady_period(p: DiffParams, A: float, omega: float,
+                   dt: Optional[float] = None) -> np.ndarray:
+    """(x1, x2) over one period of the settled response: _steady_periods."""
+    return next(_steady_periods(p, A, [omega], dt))
+
+
+def _response(x: np.ndarray, A: float, omega: float) -> MeasuredResponse:
+    """The DFT bin of both states over the period x of n + 1 states."""
+    x = x[:, :-1]
     n = x.shape[1]
     wt = omega * (np.arange(n) * (2.0 * math.pi / omega / n))
     (a1, b1), (a2, b2) = 2.0 / n * (x @ np.stack((np.sin(wt), np.cos(wt)), 1))
@@ -114,6 +160,16 @@ def measure_point(p: DiffParams, A: float, omega: float,
         deriv_mag=math.hypot(a2, b2) / (A * omega),
         deriv_phase_deg=math.degrees(math.atan2(b2, a2)) - 90.0,
     )
+
+
+def measure_point(p: DiffParams, A: float, omega: float,
+                  dt: Optional[float] = None) -> MeasuredResponse:
+    """Measure tracking and derivative responses at one frequency.
+
+    The DFT bin of one period of the periodic orbit under A*sin(omega*t) at
+    the target step dt (_steady_period, which raises "did not settle").
+    """
+    return _response(_steady_period(p, A, omega, dt), A, omega)
 
 
 def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
@@ -161,10 +217,10 @@ def sweep(p: DiffParams, A: float, omegas: Sequence[float],
     for lo, hi in zip(omegas, omegas[1:]):
         if not hi > lo:
             raise ValueError("frequency grid must be strictly increasing")
-    results = []
+    results, periods = [], _steady_periods(p, A, omegas, dt)
     for w in omegas:
         try:
-            results.append(measure_point(p, A, w, dt))
+            results.append(_response(next(periods), A, w))
         except Exception as exc:
             exc.add_note(f"omega={w:g} rad/s")
             raise

@@ -363,6 +363,13 @@ def test_steps_after_a_fallback_reach_the_rounding_floor(
         assert np.all(np.abs(f - x) <= 1e-14 * np.maximum(1.0, np.abs(x)))
 
 
+def _orbit(guess, v_grid, v_mid, *gains):
+    """periodic_orbit of one point, given integrate_hybrid's arguments."""
+    [orbit] = _kernels.periodic_orbit([(guess, v_grid, v_mid, gains[-1])],
+                                      *gains[:-1])
+    return orbit
+
+
 def test_residuals_above_the_tolerance_are_not_certified(monkeypatch):
     # A fresh jitter of 1e-11*max(1, |F|) on every map pass floors the
     # residuals above _NEWTON_TOL, where the rounding-floor rule alone
@@ -376,7 +383,7 @@ def test_residuals_above_the_tolerance_are_not_certified(monkeypatch):
     args = (np.sin(omega * t), np.sin(omega * (t[:-1] + dt / 2)),
             *astuple(P_HYBRID), dt)
     guess = _kernels.linear_orbit(1.0, omega, n, dt, *args[2:-1])
-    assert _kernels.periodic_orbit(guess, *args) is not None
+    assert _orbit(guess, *args) is not None
 
     def jittered(*a):
         f, stages = f_pass(*a)
@@ -388,7 +395,7 @@ def test_residuals_above_the_tolerance_are_not_certified(monkeypatch):
     lane = _bench_kernels_input()
     _kernels._newton_hybrid(*lane)
     assert calls == [len(lane[3])]
-    assert _kernels.periodic_orbit(guess, *args) is None
+    assert _orbit(guess, *args) is None
 
 
 def test_limit_crossed_in_a_later_window(monkeypatch):
@@ -590,8 +597,8 @@ def _orbit_case(gains, omega=2.0, n=3142):
     dt = 2 * np.pi / omega / n
     v, vm = _inputs(n, dt, 1.0, omega)
     args = (v, vm, 1 / 45, *gains, dt)
-    orbit = _kernels.periodic_orbit(
-        _kernels.linear_orbit(1.0, omega, n, dt, *args[2:-1]), *args)
+    orbit = _orbit(_kernels.linear_orbit(1.0, omega, n, dt, *args[2:-1]),
+                   *args)
     assert orbit is not None
     return (orbit[0, 0], orbit[1, 0], *args, 1e9), orbit
 
@@ -635,16 +642,90 @@ def test_orbit_newton_from_a_near_orbit_converges_fast(monkeypatch, omega, A):
     n = 256
     dt = 2 * np.pi / omega / n
     v, vm = _inputs(n, dt, A, omega)
-    orbit = _kernels.periodic_orbit(
-        _kernels.linear_orbit(A, omega, n, dt, *gains), v, vm, *gains, dt)
+    orbit = _orbit(_kernels.linear_orbit(A, omega, n, dt, *gains), v, vm,
+                   *gains, dt)
     assert orbit is not None
     passes, f_pass = [], _kernels._rk4_f
     monkeypatch.setattr(_kernels, "_rk4_f",
                         lambda *a: passes.append(len(a[3])) or f_pass(*a))
-    got = _kernels.periodic_orbit(orbit + 1e-6 * np.sin(np.arange(n + 1)),
-                                  v, vm, *gains, dt)
+    got = _orbit(orbit + 1e-6 * np.sin(np.arange(n + 1)), v, vm, *gains, dt)
     assert got is not None and len(passes) <= 5
     assert np.all(np.abs(got - orbit) <= 1e-12)
+
+
+_BATCH_GAINS = (1 / 45, 0.0, 0.015, 0.0, 0.015, 0.6)  # paper-4-nonlinear
+
+
+def _batch(omegas=(19.0, 31.0, 47.0), A=1.0):
+    """One periodic_orbit point per omega, of the steps of dt <= 1e-3 that
+    fill its period (a dt of its own), from linear_orbit's guess."""
+    points = []
+    for omega in omegas:
+        n = int(np.ceil(2 * np.pi / omega / 1e-3))
+        dt = 2 * np.pi / omega / n
+        points.append((_kernels.linear_orbit(A, omega, n, dt, *_BATCH_GAINS),
+                       *_inputs(n, dt, A, omega), dt))
+    return points
+
+
+def _alone(point):
+    [x] = _kernels.periodic_orbit([point], *_BATCH_GAINS)
+    assert x is not None
+    return x
+
+
+def test_batch_finds_each_orbit_as_alone():
+    # the steps of consecutive points solve together, each bit for bit
+    points = _batch()
+    got = _kernels.periodic_orbit(points, *_BATCH_GAINS)
+    assert all(x is not None for x in got)
+    assert all(np.array_equal(x, _alone(q)) for q, x in zip(points, got))
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_point_with_a_poisoned_guess_fails_alone(poison):
+    # the band couples no point to the one before, but 0 * inf = nan: the
+    # point must fail without reaching its neighbours
+    points = _batch()
+    guess = points[1][0].copy()
+    guess[:, 5] = poison
+    points[1] = (guess, *points[1][1:])
+    got = _kernels.periodic_orbit(points, *_BATCH_GAINS)
+    assert got[1] is None
+    assert all(np.array_equal(got[k], _alone(points[k])) for k in (0, 2))
+
+
+def test_point_whose_solve_overflows_fails_alone(monkeypatch):
+    # finite residuals, but Jacobians 1e200 times too large on the steps of
+    # the middle point: its solve overflows, and it fails alone
+    points, jac = _batch(), _kernels._rk4_jac
+    dt = points[1][3]
+    monkeypatch.setattr(_kernels, "_rk4_jac", lambda stages, *a: tuple(
+        np.where(a[-1] == dt, 1e200 * j, j) for j in jac(stages, *a)))
+    got = _kernels.periodic_orbit(points, *_BATCH_GAINS)
+    assert got[1] is None
+    assert all(np.array_equal(got[k], _alone(points[k])) for k in (0, 2))
+
+
+def test_stalled_point_retires_after_the_stall_iterations(monkeypatch):
+    # a jitter of 10*max(1, |F|) on each map pass of the middle point keeps
+    # its residual above its state scale: it gives up after _STALL_ITERS
+    # iterations, while its neighbours certify as they do alone
+    points, f_pass = _batch(), _kernels._rk4_f
+    rng, dt, passes = np.random.default_rng(0), points[1][3], []
+
+    def jittered(*a):
+        f, stages = f_pass(*a)
+        mine = a[-1] == dt
+        passes.append(bool(mine.any()))
+        return tuple(np.where(mine, x + 10.0 * np.maximum(1.0, np.abs(x))
+                              * rng.choice((-1.0, 1.0), x.shape), x)
+                     for x in f), stages
+
+    monkeypatch.setattr(_kernels, "_rk4_f", jittered)
+    got = _kernels.periodic_orbit(points, *_BATCH_GAINS)
+    assert got[1] is None and sum(passes) == _kernels._STALL_ITERS + 1
+    assert all(np.array_equal(got[k], _alone(points[k])) for k in (0, 2))
 
 
 @pytest.mark.parametrize("shape", [(2, 400), (3, 401), (401,), (2, 401, 1)])

@@ -190,6 +190,45 @@ class TestSweep:
         assert bw[0] > bw[1] > bw[2]
 
 
+    def test_points_solved_together_read_as_alone(self, monkeypatch):
+        # consecutive nonlinear points share one orbit Newton, and each
+        # reads bit for bit what measure_point reads of it alone
+        omegas = np.logspace(1.0, math.log10(60.0), 5)
+        sizes, orbit = [], _kernels.periodic_orbit
+        monkeypatch.setattr(_kernels, "periodic_orbit",
+                            lambda pts, *a: sizes.append(len(pts))
+                            or orbit(pts, *a))
+        got = sweep(P4_NONLINEAR, 1.0, omegas)
+        assert sizes[0] > 1
+        assert got == [measure_point(P4_NONLINEAR, 1.0, w) for w in omegas]
+
+    def test_linear_point_reads_its_closed_form_orbit(self, monkeypatch):
+        # Phi of the step attracts, so the measured pass starts from
+        # linear_orbit's orbit and no orbit Newton runs
+        monkeypatch.setattr(_kernels, "periodic_orbit", None)
+        guesses, kernel = [], _kernels.integrate_hybrid
+        monkeypatch.setattr(_kernels, "integrate_hybrid",
+                            lambda *a: guesses.append(a[12]) or kernel(*a))
+        omega = 5.0
+        measure_point(P3A, 1.0, omega)
+        n = guesses[0].shape[1] - 1
+        assert np.array_equal(guesses[0], _kernels.linear_orbit(
+            1.0, omega, n, 2 * math.pi / omega / n, P3A.eps, P3A.a0,
+            P3A.a1, P3A.b0, P3A.b1, P3A.alpha))
+
+    def test_first_failure_in_grid_order_is_reported(self, monkeypatch):
+        # the first point does not settle, and the next is rejected when it
+        # is planned, as A*omega overflows: the sweep reports the first
+        monkeypatch.setattr(sweep_module, "SETTLE_PERIODS", 6)
+        p = DiffParams(eps=1 / 45, a1=0.015, b1=0.015, alpha=0.1)
+        with pytest.raises(InstabilityError, match="did not settle") as err:
+            sweep(p, 1.5, [2.0, 1.5e308])
+        assert err.value.__notes__ == ["omega=2 rad/s"]
+        with pytest.raises(ValueError, match="overflows") as err:
+            sweep(p, 1.5, [1.5e308])
+        assert err.value.__notes__ == ["omega=1.5e+308 rad/s"]
+
+
 def _closes(x, tol):
     """Whether (x1, x2) ends within tol * max(1, |x|) of where it starts."""
     return bool(np.all(np.abs(x[:, -1] - x[:, 0])
@@ -237,7 +276,7 @@ class TestSteadyPeriod:
         # orbit; after one warm-up run it does
         found, orbit = [], _kernels.periodic_orbit
         monkeypatch.setattr(_kernels, "periodic_orbit",
-                            lambda *a: found.append(orbit(*a)) or found[-1])
+                            lambda *a: found.extend(orbit(*a)) or found[-1:])
         omega = 1.3618
         x = sweep_module._steady_period(P4_NONLINEAR, 5.0, omega,
                                         default_dt(P4_NONLINEAR))
@@ -249,8 +288,8 @@ class TestSteadyPeriod:
         # _WARM_PERIODS periods from the end of the failed guess
         guesses, orbit = [], _kernels.periodic_orbit
         monkeypatch.setattr(_kernels, "periodic_orbit",
-                            lambda g, *a: guesses.append(g) or (
-                                orbit(g, *a) if len(guesses) > 1 else None))
+                            lambda pts, *a: guesses.append(pts[0][0]) or (
+                                orbit(pts, *a) if len(guesses) > 1 else [None]))
         A, omega, p = 5.0, 1.3618, P4_NONLINEAR
         sweep_module._steady_period(p, A, omega, default_dt(p))
         first, second = guesses[:2]
@@ -259,6 +298,24 @@ class TestSteadyPeriod:
             period / n, 3 * period, DiffState(*np.nan_to_num(first[:, -1]))))
         assert np.array_equal(second, np.array(
             (ts.channel("x1"), ts.channel("x2")))[:, -n - 1:])
+
+    def test_warm_up_starts_from_the_finite_part_of_the_guess(
+            self, monkeypatch):
+        # a failed guess whose last column is nan starts the warm-up run
+        # from nan_to_num of that column
+        linear, orbit = _kernels.linear_orbit, _kernels.periodic_orbit
+        kernel, solves, runs = _kernels.integrate_hybrid, [], []
+        monkeypatch.setattr(_kernels, "linear_orbit", lambda *a: np.append(
+            linear(*a)[:, :-1], np.full((2, 1), np.nan), axis=1))
+        monkeypatch.setattr(_kernels, "periodic_orbit",
+                            lambda *a: solves.append(a[0][0][0]) or (
+                                orbit(*a) if len(solves) > 1 else [None]))
+        monkeypatch.setattr(_kernels, "integrate_hybrid",
+                            lambda *a: runs.append(a) or kernel(*a))
+        pt = measure_point(P4_NONLINEAR, 1.0, 32.07)
+        assert np.isnan(solves[0][:, -1]).all() and len(runs[0]) == 12
+        assert np.array_equal(runs[0][:2], np.nan_to_num(solves[0][:, -1]))
+        assert math.isfinite(pt.track_mag)
 
     def test_repelling_orbit_is_rejected(self):
         # at dt = 0.28 the RK4 step of P3A grows its modes by 1.23 a step:
@@ -273,15 +330,20 @@ class TestSteadyPeriod:
         (f1, f2), _ = _kernels._rk4_f(x[0, :-1], x[1, :-1], *args)
         assert np.allclose(f1, x[0, 1:], 1e-13, 1e-13)
         assert np.allclose(f2, x[1, 1:], 1e-13, 1e-13)
-        assert _kernels.periodic_orbit(x, *args) is None
+        assert _kernels.periodic_orbit([(x, *args[:2], args[-1])],
+                                       *args[2:-1]) == [None]
+        # nor does a sweep take it: Jury's test rejects Phi of the step
+        phi, *_ = _kernels._rk4_coefficients(*_kernels._linear_differentiator(
+            P3A.eps, P3A.a0, P3A.b0), period / n)
+        assert not _kernels._attracts(phi)
 
     def test_start_that_does_not_close_is_no_reading(self, monkeypatch):
         # a certified orbit whose pass does not return to its start is not
         # measured: the point fails once the warm-up budget is spent
         orbit = _kernels.periodic_orbit
         monkeypatch.setattr(_kernels, "periodic_orbit",
-                            lambda *a: None if (x := orbit(*a)) is None
-                            else x + 1e-3)
+                            lambda *a: [None if x is None else x + 1e-3
+                                        for x in orbit(*a)])
         monkeypatch.setattr(sweep_module, "SETTLE_PERIODS", 6)
         with pytest.raises(InstabilityError, match="did not settle"):
             sweep_module._steady_period(P4_NONLINEAR, 1.0, 32.07,
@@ -347,14 +409,11 @@ def test_point_certifies_its_orbit_or_names_omega(linear, eps, a0, a1, b0,
                        b1=0.0 if linear else b1, alpha=alpha)
     except ValueError:
         return
-    orbits, passes = [], []
-    orbit, steady = _kernels.periodic_orbit, sweep_module._steady_period
+    passes, kernel = [], _kernels.integrate_hybrid
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_module, "SETTLE_PERIODS", 6)
-        mp.setattr(_kernels, "periodic_orbit",
-                   lambda *a: orbits.append((a, orbit(*a))) or orbits[-1][1])
-        mp.setattr(sweep_module, "_steady_period",
-                   lambda *a: passes.append(steady(*a)) or passes[-1])
+        mp.setattr(_kernels, "integrate_hybrid",
+                   lambda *a: passes.append((a, kernel(*a))) or passes[-1][1])
         try:
             (pt,) = sweep(p, A, [omega])
         except ValueError as exc:  # DegenerateError included
@@ -364,11 +423,14 @@ def test_point_certifies_its_orbit_or_names_omega(linear, eps, a0, a1, b0,
             assert exc.__notes__ == [f"omega={omega:g} rad/s"]
             assert math.isfinite(exc.t)
             return
-    (args, x), (measured,) = orbits[-1], passes
-    assert x is not None and _closes(measured, 2 * sweep_module._CLOSURE_TOL)
+    # the reading is the last pass, measured from the orbit it was given:
+    # Newton's for a nonlinear point, linear_orbit's for a linear one
+    args, (*measured, bad) = passes[-1]
+    x, measured = args[12], np.array(measured)
+    assert bad == -1 and _closes(measured, 2 * sweep_module._CLOSURE_TOL)
     assert np.array_equal(measured[:, 0], x[:, 0])
     # the orbit meets its residual certificate
-    (f1, f2), _ = _kernels._rk4_f(x[0, :-1], x[1, :-1], *args[1:])
+    (f1, f2), _ = _kernels._rk4_f(x[0, :-1], x[1, :-1], *args[2:11])
     for f, y in ((f1, x[0, 1:]), (f2, x[1, 1:])):
         assert np.all(np.abs(f - y) <= 1e-12 * np.maximum(1.0, np.abs(y)))
     assert all(math.isfinite(v) for v in (pt.track_mag, pt.deriv_mag,
