@@ -466,6 +466,7 @@ def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
             r[:, e[:-1]] = rel[e[:-1]] = 0.0  # the steps between points
             rel = np.maximum.reduceat(rel, s).tolist()
             jac = np.reshape(_rk4_jac(stages, *gains, h), (2, 2, -1))
+            del f, stages  # freed before the solve, the rest once replaced
             starts = buf[:, :, :len(v) - 1]
             starts[:, :, s] = jac[:, :, s].transpose(1, 0, 2)  # run c: J e_c
             jac[:, :, s], q, gone = 0.0, None, []
@@ -485,7 +486,6 @@ def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
                     x[:, i] = x[:, j]
                     gone[-1] = False
             starts[:, :, s], prev = 0.0, rel
-            del f, stages, jac, r, q, m1, m2, d  # not kept into the next pass
 
 
 def integrate_highgain(w1_0, w2_0, v_grid, v_mid, eps, a0, b0, dt, limit):
