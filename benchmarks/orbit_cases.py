@@ -7,10 +7,10 @@ in [0.05, 0.95], each with an amplitude uniform in [0.5, 5] and a
 frequency log-uniform in [1, 100] rad/s, and measures each point with
 ``tdlab.sweep.measure_point`` at the default step.  The Newton solves of
 ``_kernels.periodic_orbit`` are counted (measure_point solves its point as
-a batch of one, so a solve's map passes are its point's): a point certifies its orbit from
-the linearization's guess, after warm-up runs, or not at all (it fails
-with "did not settle"); its iterations are the map passes ``_rk4_f`` that
-the solves take.  Next to them are counted the map passes of the measured
+a batch of one, so a solve's map passes are its point's): a point
+certifies its orbit from the linearization's guess, after warm-up runs,
+or not at all (it fails with "did not settle"); its iterations are the
+map passes ``_rk4_f`` that the solves take.  Next to them are counted the map passes of the measured
 passes (the ``integrate_hybrid`` calls that start from an orbit, i.e. get
 a 13th argument) and the steps of every ``_hybrid_loop`` call, warm-up
 runs included.  Prints these per alpha band.
@@ -77,8 +77,8 @@ def instrument():
     """Count what this tree's measure_point does from here on.
 
     Returns (solves, tally): one [map passes, certified] per periodic_orbit
-    call, i.e. per point solved, and a Counter of the measured passes' map passes ("pass") and
-    the _hybrid_loop steps ("loop").
+    call, i.e. per point solved, and a Counter of the measured passes' map
+    passes ("pass") and the _hybrid_loop steps ("loop").
     """
     solves, tally, phase = [], collections.Counter(), []
     f_pass, orbit, kernel, loop = (_kernels._rk4_f, _kernels.periodic_orbit,

@@ -429,7 +429,7 @@ def _attracts(M):
 
 
 def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
-    """The (2, n + 1) periodic orbit of integrate_hybrid at each point, or None.
+    """The (2, n + 1) periodic orbit of integrate_hybrid per point, or None.
 
     A point is (guess, v_grid, v_mid, dt) over n input steps.  Newton on
     x[i+1] = F_i(x[i]), x[n] = x[0] (Aprille & Trick, Proc. IEEE 60, 1972)
@@ -459,14 +459,14 @@ def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
                     return out
                 e = np.cumsum(size) - 1  # their last states
                 s = e + 1 - size  # and first states
-                h = dt[:-1] if len(live) > 1 else dt[0]  # a lone point's
+                h = dt[:-1] if len(live) > 1 else dt[0]  # or one scalar
             f, stages = _rk4_f(x[0, :-1], x[1, :-1], v, vm[:-1], *gains, h)
             r = np.array(f) - x[:, 1:]
             rel = np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:])), axis=0)
             r[:, e[:-1]] = rel[e[:-1]] = 0.0  # the steps between points
             rel = np.maximum.reduceat(rel, s).tolist()
             jac = np.reshape(_rk4_jac(stages, *gains, h), (2, 2, -1))
-            del f, stages  # freed before the solve, the rest once replaced
+            del f, stages  # the rest stays until replaced, untrimmed by malloc
             starts = buf[:, :, :len(v) - 1]
             starts[:, :, s] = jac[:, :, s].transpose(1, 0, 2)  # run c: J e_c
             jac[:, :, s], q, gone = 0.0, None, []

@@ -123,7 +123,8 @@ def _settle(p: DiffParams, A: float, batch: list):
                 w, wm = (sinusoid(A, omega, t) for t in time_grid(
                     SimConfig(h, _WARM_PERIODS * period)))
                 *x, bad = _kernels.integrate_hybrid(
-                    *np.nan_to_num(guess[:, -1]), w, wm, *gains, h, STATE_LIMIT)
+                    *np.nan_to_num(guess[:, -1]), w, wm, *gains, h,
+                    STATE_LIMIT)
                 _raise_if_diverged(bad, h, "state")
                 guess = np.array(x)[:, -len(v):]
                 continue

@@ -289,7 +289,8 @@ class TestSteadyPeriod:
         guesses, orbit = [], _kernels.periodic_orbit
         monkeypatch.setattr(_kernels, "periodic_orbit",
                             lambda pts, *a: guesses.append(pts[0][0]) or (
-                                orbit(pts, *a) if len(guesses) > 1 else [None]))
+                                orbit(pts, *a) if len(guesses) > 1
+                                else [None]))
         A, omega, p = 5.0, 1.3618, P4_NONLINEAR
         sweep_module._steady_period(p, A, omega, default_dt(p))
         first, second = guesses[:2]
