@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
 """Time the integration kernels of this checkout on four fixed inputs.
 
-Prints the backend of the nonlinear loop and the microseconds per RK4 step
-of the paper-5 hybrid differentiator, the linear differentiator, its
-gain-scaled realization and the first-order relaxation, on 5 sin 2t at
-dt = 1e-4.  The inputs and the timing are those of
-``bench/workloads.kernel_timings`` (20 000 steps, median of 3 runs).  Next
-to ``hybrid`` (the path ``integrate_hybrid`` takes on this backend) it
-prints ``hybrid-loop``: the per-step loop ``_kernels._hybrid_loop`` on the
-same paper-5 input.
+Prints the microseconds per RK4 step of the paper-5 hybrid differentiator,
+the linear differentiator, its gain-scaled realization and the first-order
+relaxation, on 5 sin 2t at dt = 1e-4.  The inputs and the timing are those
+of ``bench/workloads.kernel_timings`` (20 000 steps, median of 3 runs).
+Next to ``hybrid`` (the path ``integrate_hybrid`` takes) it prints
+``hybrid-loop``: the per-step loop ``_kernels._hybrid_loop`` on the same
+paper-5 input.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -21,12 +20,11 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from tdlab import _kernels, backend  # noqa: E402
+from tdlab import _kernels  # noqa: E402
 from workloads import kernel_timings  # noqa: E402
 
 
 def main():
-    print(f"backend: {backend()}")
     timings = kernel_timings()
     # kernel_timings looks integrate_hybrid up by name at each call, so
     # routing the name to the loop times the loop on the same inputs

@@ -95,6 +95,12 @@ def commands() -> list[list[str]]:
          "--amplitude", "5e-324"],
         ["linearize", "--eps", "1e-100", "--a0", "1e300", "--b0", "1",
          "--csv", "{out}.csv"],
+        # an amplitude whose product with the preset's omega overflows:
+        # linearize and bode take no omega, so only bode's grid can fail
+        ["linearize", "--preset", "paper-3B", "--amplitude", "1e308"],
+        ["bode", "--preset", "paper-3B", "--amplitude", "1e308",
+         "--omega-min", "1e-77", "--omega-max", "1e-75", "--points", "3",
+         *out],
     ]
     return cmds
 

@@ -109,7 +109,7 @@ def main(argv=None):
             worst = max(worst, float(np.max(
                 np.abs(g[:end] - w) / np.maximum(1.0, np.abs(w)))))
     print(f"{CASES} cases of {STEPS} steps, seed {args.seed}, "
-          f"backend {_kernels.backend()}, median of {REPEATS} runs per path")
+          f"median of {REPEATS} runs per path")
     for lo, hi in BANDS + ((0.05, 0.95),):
         sel = [r for r in rows if lo <= r[0] < hi or (hi == 0.95 == r[0])]
         print(f"alpha [{lo:.2f}, {hi:.2f}): {len(sel):3d} cases, "

@@ -157,7 +157,7 @@ def main(argv=None):
                  if other and new_mag and old_mag else math.nan)
         rows.append((alpha, outcome, counts,
                      [statistics.median(t) for t in times], drift))
-    print(f"{CASES} points, seed {args.seed}, backend {_kernels.backend()}"
+    print(f"{CASES} points, seed {args.seed}"
           + (f", median of {REPEATS} runs per tree" if other else ""))
     for lo, hi in BANDS + ((0.05, 0.95),):
         sel = [r for r in rows if lo <= r[0] < hi or (hi == 0.95 == r[0])]

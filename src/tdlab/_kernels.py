@@ -4,10 +4,10 @@ All kernels advance their states with the classical 4-stage Runge-Kutta
 method.  Exogenous inputs are passed as precomputed arrays sampled on the
 step grid (``n + 1`` values) and at the step midpoints (``n`` values); the
 three stage times of a step therefore use ``grid[i]``, ``mid[i]``,
-``grid[i + 1]``.  Each kernel returns the state trajectories plus the index
-of the first step at which a state left ``[-limit, limit]`` (``-1`` when the
-integration stayed bounded; the returned arrays are only valid up to that
-index).
+``grid[i + 1]``.  Each kernel fills the rows of one state array and returns
+them plus the index of the first step at which a state left ``[-limit,
+limit]`` (``-1`` when the integration stayed bounded; the returned arrays
+are only valid up to that index).
 
 Linear systems (the linear differentiator, its gain-scaled realization and
 the scalar relaxation) take ``_linear_rk4``: RK4 on ``x' = A x + b v`` is
@@ -22,17 +22,16 @@ is the x2 of that stage's state.  The loop runs as plain Python at about
 method on a window of RK4 steps that slides along the lane, whose first
 guess is the describing-function linearization of the lane and whose every
 iteration is one ``_solve_recurrence`` with per-step Jacobians.  Steps
-leave the window only on a residual certificate, and only those still in
-it take the Jacobian pass (``_rk4_jac``) after the map pass (``_rk4_f``).
+leave the window only on a certificate of their ``_residuals``, and only
+those still in it take the Jacobian pass (``_rk4_jac``) after the map pass.
 Where Newton does not certify, the loop runs the rest of the lane, so
 every lane is a Newton prefix and at most one loop suffix.  On the paper-5
 input of ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step
 on a 2-vCPU machine.  ``periodic_orbit`` solves the steps of one input
-period with x[n] = x[0] by the same Newton, for the points of a sweep
-together, from the periodic orbit of the linearization (``linear_orbit``,
-in closed form: a linear differentiator's own orbit); ``sweep`` measures
-the ``integrate_hybrid`` pass given that orbit as its guess, which Newton
-re-certifies in one or two map passes.
+period with x[n] = x[0] by the same Newton and rule, for a sweep's points
+together, from the linearization's orbit in closed form (``linear_orbit``,
+a linear differentiator's own); ``sweep`` measures the ``integrate_hybrid``
+pass given that orbit as its guess, which Newton re-certifies in 1-2 passes.
 """
 
 import importlib.util as util
@@ -45,9 +44,7 @@ from .describing import _equivalent_gains, natural_frequency
 from .dynamics import DiffParams
 
 
-#: Steps per banded solve in _linear_rk4; bounds its temporaries.
-CHUNK_STEPS = 1024
-#: Steps per window of _newton_hybrid; bounds its temporaries.
+#: Steps per _linear_rk4 solve and _newton_hybrid window; bounds temporaries.
 _WINDOW_STEPS = 4096
 #: Lanes shorter than this run _hybrid_loop: a lane's fixed cost (the
 #: first guess and a few band solves) would not pay for itself.
@@ -112,17 +109,17 @@ def _rk4_coefficients(A, b, dt):
 def _linear_rk4(A, b, x0, v_grid, v_mid, dt, limit):
     """RK4 for x' = A x + b v(t) as the exact recurrence x[i+1] = Phi x[i] + u[i].
 
-    Phi and u[i] are those of _rk4_coefficients; each chunk of CHUNK_STEPS
-    steps is one _solve_recurrence from its start state.  Returns one
-    trajectory per state and the first divergent step (or -1).
+    Phi and u[i] are those of _rk4_coefficients; each _WINDOW_STEPS steps
+    are one _solve_recurrence from their start state.  Returns the states'
+    trajectories (rows of one array) and the first divergent step (or -1).
     """
     ns, n = len(x0), v_mid.shape[0]
     phi, g_a, g_m, g_b = _rk4_coefficients(A, b, dt)
-    band = np.zeros((2 * ns, ns * min(n, CHUNK_STEPS)), order="F")
+    band = np.zeros((2 * ns, ns * min(n, _WINDOW_STEPS)), order="F")
     x = np.empty((ns, n + 1))
     x[:, 0] = x0
-    for i0 in range(0, n, CHUNK_STEPS):
-        i1 = min(i0 + CHUNK_STEPS, n)
+    for i0 in range(0, n, _WINDOW_STEPS):
+        i1 = min(i0 + _WINDOW_STEPS, n)
         rhs = (np.outer(g_a, v_grid[i0:i1]) + np.outer(g_m, v_mid[i0:i1])
                + np.outer(g_b, v_grid[i0 + 1:i1 + 1]))
         rhs[:, 0] += phi @ x[:, i0]
@@ -190,14 +187,10 @@ def _hybrid_loop(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                  limit):
     """Per-step RK4 of integrate_hybrid, for nonzero a1 or b1."""
     n = v_mid.shape[0]
-    x1 = np.empty(n + 1)
-    x2 = np.empty(n + 1)
-    x1[0] = x1_0
-    x2[0] = x2_0
+    x1, x2 = x = np.empty((2, n + 1))
     inv_e2 = 1.0 / (eps * eps)
     h = 0.5 * dt
-    y1 = x1_0
-    y2 = x2_0
+    y1, y2 = x[:, 0] = x1_0, x2_0
     for i in range(n):
         vm = v_mid[i]
         k1 = _accel(y1, y2, v_grid[i], eps, a0, a1, b0, b1, alpha, inv_e2)
@@ -289,13 +282,13 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
 
     The RK4 steps of a lane form one nonlinear system in all its states
     (Lim et al., "Parallelizing non-linear sequential models over the
-    sequence length", ICLR 2024).  Its first guess is guess from the lane's
-    start, else the linear propagator at the describing-function gains
-    (a0 + a1*N(A), b0 + b1*N(A)), A the largest |v| of the lane (or 1).
-    Each iteration takes the residuals r_i = F_i(x[i]) - x[i+1] of the
+    sequence length", ICLR 2024), the rows of one (2, n + 1) x.  Its first
+    guess is guess from the lane's start, else the linear propagator at the
+    describing-function gains (a0 + a1*N(A), b0 + b1*N(A)), A the largest
+    |v| of the lane (or 1).  Each iteration takes the _residuals of the
     _WINDOW_STEPS steps after the frontier, the last state known to be
     final, and retires the longest prefix that is certified as a window:
-    its largest |r_i|/max(1, |x[i+1]|) passes _certified against the same
+    its largest relative residual passes _certified against the same
     steps' previous evaluation, and every x[i+1] is inside limit.  The
     steps after the new frontier are corrected by d[i+1] = J_i d[i] + r_i
     from d = 0 by _solve_recurrence, so that rounding scales with the
@@ -313,8 +306,8 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
     gains = (eps, a0, a1, b0, b1, alpha, dt)
     with np.errstate(all="ignore"):
         if guess is not None:
-            x1, x2 = np.array(guess, dtype=float)
-            x1[0], x2[0] = x1_0, x2_0
+            x = np.array(guess, dtype=float)
+            x[:, 0] = x1_0, x2_0
         elif n < _MIN_NEWTON_STEPS or alpha < _MIN_NEWTON_ALPHA:
             return _hybrid_loop(x1_0, x2_0, v_grid, v_mid, *gains, limit)
         else:
@@ -323,28 +316,25 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
             except ValueError:  # values DiffParams rejects, no gain or omega_n
                 return _hybrid_loop(x1_0, x2_0, v_grid, v_mid, *gains, limit)
             # the guess is not held to limit, only to being finite
-            x1, x2, bad = _linear_rk4(*lin, (x1_0, x2_0), v_grid, v_mid, dt,
-                                      np.inf)
+            *x, bad = _linear_rk4(*lin, (x1_0, x2_0), v_grid, v_mid, dt,
+                                  np.inf)
+            x = np.array(x)
             if bad >= 0:  # a non-finite guess sends the tail to the loop
-                x1[bad:] = x2[bad:] = np.nan
+                x[:, bad:] = np.nan
         prev = np.full(n, np.inf)
         band = np.zeros((4, 2 * min(n, _WINDOW_STEPS)), order="F")
         s = c = it = 0  # the frontier, where the count began, iterations
         while s < n:
             e = min(s + _WINDOW_STEPS, n)
-            y1, y2 = x1[s:e + 1], x2[s:e + 1]
-            (f1, f2), stages = _rk4_f(y1[:-1], y2[:-1], v_grid[s:e + 1],
-                                      v_mid[s:e], *gains)
-            r1, r2 = f1 - y1[1:], f2 - y2[1:]
-            rel = np.maximum(np.abs(r1) / np.maximum(1.0, np.abs(y1[1:])),
-                             np.abs(r2) / np.maximum(1.0, np.abs(y2[1:])))
+            r, rel, stages = _residuals(x[:, s:e + 1], v_grid[s:e + 1],
+                                        v_mid[s:e], *gains)
             top = np.maximum.accumulate(rel)  # of each prefix
             cert = np.flatnonzero(
                 _certified(top, np.maximum.accumulate(prev[s:e])))
             prev[s:e] = rel
             k = int(cert[-1]) + 1 if cert.size else 0
-            past = np.flatnonzero((np.abs(y1[1:k + 1]) > limit)
-                                  | (np.abs(y2[1:k + 1]) > limit))
+            past = np.flatnonzero(
+                (np.abs(x[:, s + 1:s + k + 1]) > limit).any(axis=0))
             k = int(past[0]) if past.size else k
             s += k
             if s >= c + _WINDOW_STEPS:
@@ -353,16 +343,27 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
                 continue
             if past.size or _gives_up(rel[k:c + _WINDOW_STEPS - s + k].max(),
                                       it):
-                *y, bad = _hybrid_loop(x1[c], x2[c], v_grid[c:], v_mid[c:],
+                *y, bad = _hybrid_loop(*x[:, c], v_grid[c:], v_mid[c:],
                                        *gains, limit)
-                x1[c:], x2[c:] = y
-                return x1, x2, c + bad if bad >= 0 else -1
+                x[:, c:] = y
+                return (*x, c + bad if bad >= 0 else -1)
             it += 1
             j = _rk4_jac([[a[k + 1:] for a in st] for st in stages], *gains)
-            [d] = _solve_recurrence(band, (j[:2], j[2:]), (r1[k:], r2[k:]))
-            x1[s + 1:e + 1] += d[0]
-            x2[s + 1:e + 1] += d[1]
-    return x1, x2, -1
+            [d] = _solve_recurrence(band, (j[:2], j[2:]), r[:, k:])
+            x[:, s + 1:e + 1] += d
+    return (*x, -1)
+
+
+def _residuals(x, v_grid, v_mid, *gains):
+    """r_i = F_i(x[i]) - x[i+1] of one map pass over (2, m + 1) states x.
+
+    Returns r, each step's largest |r_i|/max(1, |x[i+1]|), which _certified
+    and _gives_up judge, and the stage values of _rk4_f.
+    """
+    f, stages = _rk4_f(x[0, :-1], x[1, :-1], v_grid, v_mid, *gains)
+    r = np.array(f) - x[:, 1:]
+    rel = np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:])), axis=0)
+    return r, rel, stages
 
 
 def _certified(rel, prev):
@@ -460,13 +461,11 @@ def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
                 e = np.cumsum(size) - 1  # their last states
                 s = e + 1 - size  # and first states
                 h = dt[:-1] if len(live) > 1 else dt[0]  # or one scalar
-            f, stages = _rk4_f(x[0, :-1], x[1, :-1], v, vm[:-1], *gains, h)
-            r = np.array(f) - x[:, 1:]
-            rel = np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:])), axis=0)
+            r, rel, stages = _residuals(x, v, vm[:-1], *gains, h)
             r[:, e[:-1]] = rel[e[:-1]] = 0.0  # the steps between points
             rel = np.maximum.reduceat(rel, s).tolist()
             jac = np.reshape(_rk4_jac(stages, *gains, h), (2, 2, -1))
-            del f, stages  # the rest stays until replaced, untrimmed by malloc
+            del stages  # the rest stays until replaced, untrimmed by malloc
             starts = buf[:, :, :len(v) - 1]
             starts[:, :, s] = jac[:, :, s].transpose(1, 0, 2)  # run c: J e_c
             jac[:, :, s], q, gone = 0.0, None, []

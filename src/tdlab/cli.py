@@ -122,7 +122,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
 def _resolve(args, parser) -> tuple[DiffParams, SignalSpec]:
     """Preset values, or a required eps and SignalSpec(1, 2), under the flags.
 
-    args holds only the flags that its subcommand defines.
+    args holds only the flags and defaults that its subcommand defines.
     """
     flags = {k: v for k, v in vars(args).items() if v is not None}
     if args.preset:
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--amplitude", type=float,
                     help="oscillation amplitude (default: preset amplitude or 1)")
     sp.add_argument("--csv", help="also write a machine-readable CSV row")
-    sp.set_defaults(func=cmd_linearize)
+    sp.set_defaults(func=cmd_linearize, omega=0.0)  # no input frequency
 
     sp = subs.add_parser("simulate", help="time-domain run, CSV output")
     _add_param_flags(sp)
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega-max", type=float, default=100.0)
     sp.add_argument("--points", type=int, default=50)
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_bode)
+    sp.set_defaults(func=cmd_bode, omega=0.0)  # no input frequency
 
     sp = subs.add_parser("sweep", help="swept-sine measured response table")
     _add_param_flags(sp)

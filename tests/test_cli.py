@@ -219,6 +219,56 @@ class TestBodeCommand:
         assert exc.value.code == 2
 
 
+def _printed(*values):
+    """values as the CLI's %.9g columns read them back."""
+    return [float(f"{v:.9g}") for v in values]
+
+
+def test_amplitude_without_an_input_frequency_reads_the_library(tmp_path,
+                                                                capsys):
+    # linearize and bode take no input frequency, so an amplitude whose
+    # product with the preset's omega (2 rad/s) overflows is still one
+    # the library linearizes at
+    lin = tdlab.linearize(get_preset("paper-3B").params, 1e308)
+    path = tmp_path / "lin.csv"
+    assert main(["linearize", "--preset", "paper-3B", "--amplitude", "1e308",
+                 "--csv", str(path)]) == 0
+    _, [row] = read_csv(path)
+    assert [float(v) for v in row] == _printed(
+        1e308, lin.omega_n, lin.zeta, lin.omega_d, lin.k_pos, lin.k_vel)
+    path = tmp_path / "bode.csv"
+    assert main(["bode", "--preset", "paper-3B", "--amplitude", "1e308",
+                 "--omega-min", "1e-77", "--omega-max", "1e-75",
+                 "--points", "3", "--out", str(path)]) == 0
+    _, rows = read_csv(path)
+    want = tdlab.bode_table(lin, np.logspace(-77, -75, 3))
+    assert [[float(v) for v in row] for row in rows] == [
+        _printed(pt.omega, pt.mag, pt.mag_db, pt.phase_deg) for pt in want]
+
+
+@pytest.mark.parametrize("command", ["linearize", "bode"])
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+def test_non_finite_amplitude_still_exits_2(command, amplitude, tmp_path,
+                                            capsys):
+    argv = [command, "--preset", "paper-3B", f"--amplitude={amplitude}"]
+    out = tmp_path / "x.csv"
+    assert main(argv + (["--out", str(out)] if command == "bode" else [])) == 2
+    assert capsys.readouterr().err == (
+        f"error: amplitude must be finite, got {amplitude}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_input_whose_derivative_overflows_still_exits_2(command, tmp_path,
+                                                        capsys):
+    out = tmp_path / "x.csv"
+    assert main([command, "--preset", "paper-3B", "--amplitude", "1e308",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: the peak derivative amplitude*omega overflows\n")
+    assert not out.exists()
+
+
 class TestSweepCommand:
     def test_schema_and_bandwidth_summary(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"

@@ -124,7 +124,7 @@ _LOOP = _kernels._hybrid_loop
 @given(eps=st.floats(1e-3, 1.0), a0=st.floats(1e-3, 10.0),
        b0=st.floats(1e-3, 10.0), dt=st.floats(1e-5, 1e-2),
        n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
-       chunk=st.one_of(st.just(_kernels.CHUNK_STEPS), st.integers(1, 3000)))
+       chunk=st.one_of(st.just(_kernels._WINDOW_STEPS), st.integers(1, 3000)))
 def test_linear_propagator_matches_loop(eps, a0, b0, dt, n, seed, chunk):
     # The nonlinear loop with a1 = b1 = 0 runs the same RK4 stage by stage,
     # so it is the oracle of the propagator, divergent cases included.  A
@@ -134,7 +134,7 @@ def test_linear_propagator_matches_loop(eps, a0, b0, dt, n, seed, chunk):
     vm = rng.uniform(-10.0, 10.0, n)
     x0 = rng.uniform(-10.0, 10.0, 2)
     args = (x0[0], x0[1], v, vm, eps, a0, 0.0, b0, 0.0, 1.0, dt, 1e9)
-    with mock.patch.object(_kernels, "CHUNK_STEPS", chunk):
+    with mock.patch.object(_kernels, "_WINDOW_STEPS", chunk):
         *got, bad = _kernels.integrate_hybrid(*args)
     *want, want_bad = _LOOP(*args)
     assert bad == want_bad
