@@ -5,8 +5,8 @@ Each tree runs the same fixed list of CLI commands in one fresh
 interpreter of its own, inside its own temporary directory, by calling
 ``tdlab.cli.main`` in-process.  The list is every subcommand on every
 preset, the full-length commands of the benchmark's ``timeseries`` and
-``sweep`` workloads, and a set of bad-value commands; noisy commands run
-at seed 12345.  For each command the script prints whether the exit code,
+``sweep`` workloads, a set of bad-value commands and two with a noise of
+zero power; noisy commands run at seed 12345.  For each command the script prints whether the exit code,
 stdout and stderr match (with each tree's directory written as ``<dir>``)
 and whether every file written is byte-identical.  For a CSV that is not,
 it prints the largest relative difference of each column.  Each tree also
@@ -101,6 +101,13 @@ def commands() -> list[list[str]]:
         ["bode", "--preset", "paper-3B", "--amplitude", "1e308",
          "--omega-min", "1e-77", "--omega-max", "1e-75", "--points", "3",
          *out],
+    ]
+    # a noise of zero power, which sets neither the default step nor a hold
+    cmds += [
+        ["simulate", "--preset", "paper-4-linear", "--noise-ts", "0.003",
+         "--t-end", "2", *out],
+        ["simulate", "--eps", "1", "--a0", "1", "--b0", "1", "--noise-power",
+         "0", "--noise-ts", "1e-7", "--t-end", "1", *out],
     ]
     return cmds
 

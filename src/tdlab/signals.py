@@ -44,6 +44,11 @@ class NoiseSpec:
         return math.sqrt(self.power / self.sample_time)
 
 
+def _adds_noise(noise: Optional[NoiseSpec]) -> bool:
+    """Whether noise changes a signal: given, and of nonzero power."""
+    return noise is not None and noise.power > 0.0
+
+
 @dataclass(frozen=True)
 class SignalSpec:
     """Sinusoid A*sin(omega*t), optionally with additive hold noise."""
@@ -94,10 +99,10 @@ def bl_white_noise(spec: NoiseSpec, t):
     if bad.any():
         raise ValueError(
             f"noise time must be finite and non-negative, got {t[bad][0]}")
-    if spec.power == 0.0:
+    if not _adds_noise(spec):
         return np.zeros_like(t) if t.ndim else 0.0
     k = np.floor(t / spec.sample_time + 1e-9).astype(np.int64)
-    holds = noise_holds(spec, int(np.max(k)) + 1)
+    holds = noise_holds(spec, int(np.max(k, initial=-1)) + 1)
     out = holds[k]
     return out if t.ndim else float(out)
 

@@ -2,10 +2,11 @@
 
 Integration uses the classical 4-stage Runge-Kutta method on a uniform
 grid.  The step size must resolve the fast differentiator dynamics, whose
-rates scale as 1/eps, and must split each noise hold into whole steps: the
-default rule is dt = min(eps/20, Ts/10, 1e-3), shrunk to the next step
-that divides the hold interval Ts.  A run takes at most MAX_STEPS steps;
-time_grid checks this before it allocates.
+rates scale as 1/eps, and must split each hold of a noise of nonzero power
+into whole steps: the default rule is dt = min(eps/20, Ts/10, 1e-3), shrunk
+to the next step that divides the hold interval Ts (a zero-power noise sets
+no Ts).  A run takes at most MAX_STEPS steps; time_grid checks this before
+it allocates.
 """
 
 import math
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import DiffParams, DiffState
-from .signals import (NoiseSpec, SignalSpec, bl_white_noise, sinusoid,
-                      sinusoid_derivative)
+from .signals import (NoiseSpec, SignalSpec, _adds_noise, bl_white_noise,
+                      sinusoid, sinusoid_derivative)
 
 #: States beyond this magnitude abort the integration as diverged.
 STATE_LIMIT = 1e9
@@ -86,7 +87,7 @@ class TimeSeries:
 def default_dt(p: DiffParams, spec: Optional[SignalSpec] = None) -> float:
     """Step-size rule dt = min(eps/20, Ts/10, 1e-3), shrunk to divide Ts."""
     dt = min(p.eps / 20.0, 1e-3)
-    if spec is not None and spec.noise is not None:
+    if spec is not None and _adds_noise(spec.noise):
         hold = spec.noise.sample_time
         try:
             dt = hold / math.ceil(hold / min(dt, hold / 10.0))
@@ -142,7 +143,7 @@ def _raise_if_diverged(bad: int, dt: float, subject: str) -> None:
 
 def _check_hold(noise: Optional[NoiseSpec], dt: float) -> None:
     """Raise unless dt splits each hold of a nonzero noise into whole steps."""
-    if noise is not None and noise.power > 0.0:
+    if _adds_noise(noise):
         holds = noise.sample_time / dt
         if not (0.0 < holds < math.inf
                 and abs(holds - round(holds)) <= 1e-9 * holds):
@@ -161,7 +162,7 @@ def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
     # tm and the noise are freed before the kernel allocates x1 and x2, so
     # that v_mid is the only array held besides the channels
     del tm
-    if spec.noise is not None and spec.noise.power > 0.0:
+    if _adds_noise(spec.noise):
         # dt divides the hold, so step i's midpoint lies in the hold of t[i]
         noise = bl_white_noise(spec.noise, t)
         v += noise

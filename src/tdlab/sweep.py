@@ -4,13 +4,14 @@ Each measurement drives the differentiator with a clean sinusoid and reads
 one period of its RK4 periodic orbit, re-certified by an integrate_hybrid
 pass from it: linear_orbit's closed form where the differentiator is linear
 and its step attracts, else Newton's (_kernels.periodic_orbit, one solve for
-consecutive points of a sweep); where Newton finds none, a warm-up
-integrate_hybrid pass gives it a new guess (_steady_periods).  A
-frequency point takes the DFT bin of both states over that period, which
-rejects every higher harmonic of the nonlinear response; convergence_order
-takes the RMS tracking error over it.  The derivative channel is normalized
-by the ideal derivative amplitude A*w, so a perfect differentiator reads
-magnitude 1 and phase 0 on both channels.
+consecutive points of a sweep); where Newton finds none, the last period
+of a warm-up run (simulate.run over _WARM_PERIODS periods from the last
+state) is its next guess (_steady_periods).  A frequency point takes the
+DFT bin of both states over that period, which rejects every higher
+harmonic of the nonlinear response; convergence_order takes the RMS
+tracking error over it.  The derivative channel is normalized by the ideal
+derivative amplitude A*w, so a perfect differentiator reads magnitude 1
+and phase 0 on both channels.
 """
 
 import math
@@ -20,10 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .dynamics import DiffParams
-from .signals import SignalSpec, sinusoid
+from .dynamics import DiffParams, DiffState
+from .signals import SignalSpec, _adds_noise, sinusoid
 from .simulate import (MAX_STEPS, STATE_LIMIT, InstabilityError, SimConfig,
-                       _raise_if_diverged, default_dt, time_grid)
+                       _raise_if_diverged, default_dt, run, time_grid)
 
 #: Periods a measurement may run from states that are not its orbit, in
 #: warm-up runs of _WARM_PERIODS, before it fails as not settled.
@@ -107,7 +108,7 @@ def _settle(p: DiffParams, A: float, batch: list):
     test); the nonlinear points solve theirs in one _kernels.periodic_orbit.
     The integrate_hybrid pass from the orbit, given it as the guess that its
     Newton re-certifies, must close within _CLOSURE_TOL.  Else Newton
-    retries from the last period of a warm-up pass of _WARM_PERIODS periods,
+    retries from the last period of a warm-up run of _WARM_PERIODS periods,
     or from the measured pass, until SETTLE_PERIODS periods have run.
     """
     gains, lin = astuple(p), _kernels._linear_differentiator(p.eps, p.a0, p.b0)
@@ -120,13 +121,11 @@ def _settle(p: DiffParams, A: float, batch: list):
             if k:
                 [orbit] = _kernels.periodic_orbit([(guess, v, vm, h)], *gains)
             if orbit is None:
-                w, wm = (sinusoid(A, omega, t) for t in time_grid(
-                    SimConfig(h, _WARM_PERIODS * period)))
-                *x, bad = _kernels.integrate_hybrid(
-                    *np.nan_to_num(guess[:, -1]), w, wm, *gains, h,
-                    STATE_LIMIT)
-                _raise_if_diverged(bad, h, "state")
-                guess = np.array(x)[:, -len(v):]
+                ts = run(p, SignalSpec(A, omega), SimConfig(
+                    h, _WARM_PERIODS * period,
+                    DiffState(*np.nan_to_num(guess[:, -1]))))
+                guess = np.array((ts.channel("x1"),
+                                  ts.channel("x2")))[:, -len(v):]
                 continue
             *x, bad = _kernels.integrate_hybrid(
                 orbit[0, 0], orbit[1, 0], v, vm, *gains, h, STATE_LIMIT, orbit)
@@ -140,12 +139,6 @@ def _settle(p: DiffParams, A: float, batch: list):
                                    f"periods of {period:g} s",
                                    t=SETTLE_PERIODS * period)
         yield guess
-
-
-def _steady_period(p: DiffParams, A: float, omega: float,
-                   dt: Optional[float] = None) -> np.ndarray:
-    """(x1, x2) over one period of the settled response: _steady_periods."""
-    return next(_steady_periods(p, A, [omega], dt))
 
 
 def _response(x: np.ndarray, A: float, omega: float) -> MeasuredResponse:
@@ -168,9 +161,9 @@ def measure_point(p: DiffParams, A: float, omega: float,
     """Measure tracking and derivative responses at one frequency.
 
     The DFT bin of one period of the periodic orbit under A*sin(omega*t) at
-    the target step dt (_steady_period, which raises "did not settle").
+    the target step dt (_steady_periods, which raises "did not settle").
     """
-    return _response(_steady_period(p, A, omega, dt), A, omega)
+    return _response(next(_steady_periods(p, A, [omega], dt)), A, omega)
 
 
 def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
@@ -179,7 +172,7 @@ def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
     Requires at least 4 family members whose eps values span a factor >= 8
     and a noise-free signal (an order fit under a noise floor is
     meaningless).  A member's error is the RMS of x1 - A*sin(omega*t) over
-    one period of its periodic orbit at the default step (_steady_period),
+    one period of its periodic orbit at the default step (_steady_periods),
     at |A| since the family is odd; a member without an orbit raises
     InstabilityError ("did not settle"), and a failure is noted eps=<value>.
     A positive slope certifies that the tracking error vanishes as eps -> 0.
@@ -190,7 +183,7 @@ def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
     eps = np.array([q.eps for q in family])
     if np.max(eps) / np.min(eps) < 8.0:
         raise ValueError("eps values must span at least a factor of 8")
-    if spec.noise is not None and spec.noise.power > 0.0:
+    if _adds_noise(spec.noise):
         raise ValueError("convergence order requires a noise-free signal")
     if spec.omega <= 0.0 or spec.amplitude == 0.0:
         raise ValueError("convergence order requires a nontrivial sinusoid")
@@ -198,7 +191,7 @@ def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
     errs = []
     for q in family:
         try:
-            x1 = _steady_period(q, A, omega)[0, :-1]
+            x1 = next(_steady_periods(q, A, [omega]))[0, :-1]
         except Exception as exc:
             exc.add_note(f"eps={q.eps:g}")
             raise

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import DiffParams, DiffState
-from .signals import NoiseSpec, bl_white_noise
+from .signals import NoiseSpec, _adds_noise, bl_white_noise
 from .simulate import (STATE_LIMIT, SimConfig, TimeSeries, _check_hold,
                        _raise_if_diverged, time_grid)
 
@@ -56,7 +56,7 @@ def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
         cfg.x0, u + delta, forcing_mid, 1.0, sim.dt, STATE_LIMIT)
     _raise_if_diverged(bad, sim.dt, "plant state")
     y = x.copy()
-    if cfg.noise is not None and cfg.noise.power > 0.0:
+    if _adds_noise(cfg.noise):
         y = y + bl_white_noise(cfg.noise, t)
     return TimeSeries(t=t, channels={"x": x, "y": y, "u": u, "delta_true": delta})
 

@@ -152,6 +152,15 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error: dt=0.02")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_zero_power_noise_sets_no_step(self, tmp_path, capsys):
+        # a tiny hold of a zero-power noise takes the noiseless default step
+        # instead of the 1e9 steps over MAX_STEPS that it would divide
+        rc = main(["simulate", "--eps", "1", "--a0", "1", "--b0", "1",
+                   "--noise-power", "0", "--noise-ts", "1e-7", "--t-end", "1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 0
+        assert len(read_csv(tmp_path / "x.csv")[1]) == 1001
+
     def test_csv_round_trip_lossless(self, tmp_path, capsys):
         path = tmp_path / "run.csv"
         assert main(["simulate", "--preset", "paper-3A", "--t-end", "1.0",
@@ -396,6 +405,18 @@ class TestEstimateCommand:
         assert main(args + ["--out", str(f1)]) == 0
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_zero_power_noise_writes_the_noiseless_bytes(command, tmp_path,
+                                                      capsys):
+    # --noise-ts on a noiseless preset gives a noise of power 0: it adds
+    # nothing, so neither the step nor a byte of the output moves
+    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = [command, "--preset", "paper-4-linear", "--t-end", "2"]
+    assert main(args + ["--out", str(f1)]) == 0
+    assert main(args + ["--noise-ts", "0.003", "--out", str(f2)]) == 0
+    assert f1.read_bytes() == f2.read_bytes()
 
 
 def _write_csv_by_format(path, header, rows):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import blas
 
@@ -125,6 +125,13 @@ _LOOP = _kernels._hybrid_loop
        b0=st.floats(1e-3, 10.0), dt=st.floats(1e-5, 1e-2),
        n=st.integers(1, 3000), seed=st.integers(0, 2 ** 32 - 1),
        chunk=st.one_of(st.just(_kernels._WINDOW_STEPS), st.integers(1, 3000)))
+# lanes of three windows at the real bound, which no drawn n reaches: one
+# that stays bounded, and an overdamped one whose RK4 step grows its fast
+# mode by 1.002 a step, so that it first exceeds 1e9 at step 7285
+@example(eps=0.05, a0=1.0, b0=1.0, dt=1e-3, n=2 * _kernels._WINDOW_STEPS + 1,
+         seed=0, chunk=_kernels._WINDOW_STEPS)
+@example(eps=0.01, a0=1.0, b0=10.0, dt=0.002815,
+         n=2 * _kernels._WINDOW_STEPS + 1, seed=0, chunk=_kernels._WINDOW_STEPS)
 def test_linear_propagator_matches_loop(eps, a0, b0, dt, n, seed, chunk):
     # The nonlinear loop with a1 = b1 = 0 runs the same RK4 stage by stage,
     # so it is the oracle of the propagator, divergent cases included.  A

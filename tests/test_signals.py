@@ -56,6 +56,12 @@ class TestBlWhiteNoise:
         t = np.linspace(0.0, 5.0, 100)
         assert np.all(bl_white_noise(spec, t) == 0.0)
 
+    @pytest.mark.parametrize("power", [0.0, 0.01])
+    def test_no_times_no_values(self, power):
+        # an empty grid draws no hold at any power
+        out = bl_white_noise(NoiseSpec(power, 0.01), np.array([]))
+        assert out.shape == (0,) and out.dtype == float
+
     def test_variance_unit(self):
         # power 0.01 / Ts 0.01 -> variance 1
         spec = NoiseSpec(0.01, 0.01, seed=42)

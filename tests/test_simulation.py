@@ -84,6 +84,13 @@ class TestSimConfig:
             min(P3A.eps / 20, 0.001, 1e-3))
         assert default_dt(P4_HYBRID) == pytest.approx(0.01 / 20)
 
+    @pytest.mark.parametrize("hold", [1e-7, 3e-3, 0.01, 1.0, 5e-324])
+    def test_zero_power_noise_sets_no_step(self, hold):
+        # a noise that adds nothing neither shrinks nor rejects the step
+        spec = SignalSpec(1.0, 2.0, NoiseSpec(0.0, hold))
+        for p in (P3A, P4_HYBRID):
+            assert default_dt(p, spec) == default_dt(p)
+
 
 #: The float fields of each config type.
 FLOAT_FIELDS = {

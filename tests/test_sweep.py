@@ -244,7 +244,7 @@ class TestSteadyPeriod:
         # integrate_hybrid runs 499 periods from rest on the orbit's step
         # grid and _hybrid_loop the 500th from there: the settled response
         p, period = P4_NONLINEAR, 2 * math.pi / omega
-        x = sweep_module._steady_period(p, 1.0, omega, default_dt(p))
+        x = next(sweep_module._steady_periods(p, 1.0, [omega], default_dt(p)))
         n = x.shape[1] - 1
         t, tm = time_grid(SimConfig(dt=period / n, t_end=500 * period))
         v, vm = sinusoid(1.0, omega, t), sinusoid(1.0, omega, tm)
@@ -267,7 +267,8 @@ class TestSteadyPeriod:
         # the integrate_hybrid pass from the orbit's start returns to it at
         # the rounding floor, far inside the _CLOSURE_TOL that it must meet
         for omega in np.logspace(math.log10(2.0), math.log10(90.0), 5):
-            x = sweep_module._steady_period(p, 1.0, omega, default_dt(p))
+            x = next(sweep_module._steady_periods(p, 1.0, [omega],
+                                                  default_dt(p)))
             assert _closes(x, 1e-12)
 
     def test_warm_up_recovers_where_newton_fails_from_the_guess(
@@ -278,8 +279,8 @@ class TestSteadyPeriod:
         monkeypatch.setattr(_kernels, "periodic_orbit",
                             lambda *a: found.extend(orbit(*a)) or found[-1:])
         omega = 1.3618
-        x = sweep_module._steady_period(P4_NONLINEAR, 5.0, omega,
-                                        default_dt(P4_NONLINEAR))
+        x = next(sweep_module._steady_periods(P4_NONLINEAR, 5.0, [omega],
+                                              default_dt(P4_NONLINEAR)))
         assert [orbit is not None for orbit in found] == [False, True]
         assert _closes(x, 1e-12)
 
@@ -292,7 +293,7 @@ class TestSteadyPeriod:
                                 orbit(pts, *a) if len(guesses) > 1
                                 else [None]))
         A, omega, p = 5.0, 1.3618, P4_NONLINEAR
-        sweep_module._steady_period(p, A, omega, default_dt(p))
+        next(sweep_module._steady_periods(p, A, [omega], default_dt(p)))
         first, second = guesses[:2]
         n, period = first.shape[1] - 1, 2 * math.pi / omega
         ts = run(p, SignalSpec(A, omega), SimConfig(
@@ -347,8 +348,8 @@ class TestSteadyPeriod:
                                         for x in orbit(*a)])
         monkeypatch.setattr(sweep_module, "SETTLE_PERIODS", 6)
         with pytest.raises(InstabilityError, match="did not settle"):
-            sweep_module._steady_period(P4_NONLINEAR, 1.0, 32.07,
-                                        default_dt(P4_NONLINEAR))
+            next(sweep_module._steady_periods(P4_NONLINEAR, 1.0, [32.07],
+                                              default_dt(P4_NONLINEAR)))
 
     def test_unsettled_point_raises(self, monkeypatch):
         # at alpha = 0.1 the explicit step chatters: the start of each period
@@ -367,9 +368,10 @@ class TestSteadyPeriod:
         # the DFT bin that measure_point takes of the single period
         omega, A, n = 7.0, 1.0, 200
         dt = 2 * math.pi / omega / 199.5  # n steps a period
-        x = sweep_module._steady_period(P4_NONLINEAR, A, omega, dt)
+        x = next(sweep_module._steady_periods(P4_NONLINEAR, A, [omega], dt))
         assert x.shape == (2, n + 1)
-        monkeypatch.setattr(sweep_module, "_steady_period", lambda *a: x)
+        monkeypatch.setattr(sweep_module, "_steady_periods",
+                            lambda *a: iter([x]))
         pt = measure_point(P4_NONLINEAR, A, omega, dt)
         t = np.arange(3 * n + 1) * (2 * math.pi / omega / n)
         record = TimeSeries(t=t, channels={
