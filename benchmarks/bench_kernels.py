@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the integration kernels of this checkout on four fixed inputs.
+"""Time the integration kernels and the CSV writer of this checkout.
 
 Prints the microseconds per RK4 step of the paper-5 hybrid differentiator,
 the linear differentiator, its gain-scaled realization and the first-order
@@ -9,19 +9,75 @@ Next to ``hybrid`` (the path ``integrate_hybrid`` takes) it prints
 ``hybrid-loop``: the per-step loop ``_kernels._hybrid_loop`` on the same
 paper-5 input.
 
+Then it times the CSV layer on its own: the microseconds per row of
+``cli._write_csv`` on a fixed table of 50 001 rows shaped like the one
+``simulate --preset paper-3A`` writes (t, v, x1, x2, v_clean, dv_clean),
+and, as ``csv-format``, of a row-by-row ``'%.9g'`` writer on the same
+table, which must write the same bytes.  Each is the median CPU time of 5
+writes after one more.
+
 Usage:
     python benchmarks/bench_kernels.py
 """
 
+import os
+import statistics
 import sys
+import tempfile
+import time
 from pathlib import Path
 from unittest import mock
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from tdlab import _kernels  # noqa: E402
+from tdlab import _kernels, cli  # noqa: E402
 from workloads import kernel_timings  # noqa: E402
+
+CSV_HEADER = ["t", "v", "x1", "x2", "v_clean", "dv_clean"]
+
+
+def csv_table(n=50_001, dt=1e-3):
+    """Columns like paper-3A's: 5 sin 2t, a unit noise held for 10 steps,
+    and lagging estimates of the signal and its derivative."""
+    t = np.arange(n) * dt
+    noise = np.repeat(np.random.default_rng(1).standard_normal(n // 10 + 1),
+                      10)[:n]
+    return [t, 5.0 * np.sin(2.0 * t) + noise, 5.0 * np.sin(2.0 * t - 0.02),
+            10.0 * np.cos(2.0 * t - 0.05), 5.0 * np.sin(2.0 * t),
+            10.0 * np.cos(2.0 * t)]
+
+
+def write_csv_by_format(path, header, columns):
+    """The reference writer: one '%.9g' row at a time."""
+    fmt = ",".join(["%.9g"] * len(columns)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in zip(*[c.tolist() for c in columns]):
+            fh.write(fmt % row)
+
+
+def csv_timings(repeats=5):
+    """us per row of cli._write_csv and of the reference on csv_table()."""
+    columns = csv_table()
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, write in (("csv", cli._write_csv),
+                            ("csv-format", write_csv_by_format)):
+            path = os.path.join(tmp, f"{name}.csv")
+            times = []
+            for _ in range(repeats + 1):
+                t0 = time.process_time()
+                write(path, CSV_HEADER, columns)
+                times.append(time.process_time() - t0)
+            out[name] = statistics.median(times[1:]) / len(columns[0]) * 1e6
+        with open(os.path.join(tmp, "csv.csv"), "rb") as a, \
+                open(os.path.join(tmp, "csv-format.csv"), "rb") as b:
+            if a.read() != b.read():
+                raise SystemExit("error: cli._write_csv differs from '%.9g'")
+    return out
 
 
 def main():
@@ -35,6 +91,8 @@ def main():
         print(f"{name:<12} {us:8.3f} us/step")
         if name == "hybrid":
             print(f"{'hybrid-loop':<12} {loop:8.3f} us/step")
+    for name, us in csv_timings().items():
+        print(f"{name:<12} {us:8.3f} us/row")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,12 @@ Each tree runs the same fixed list of CLI commands in one fresh
 interpreter of its own, inside its own temporary directory, by calling
 ``tdlab.cli.main`` in-process.  The list is every subcommand on every
 preset, the full-length commands of the benchmark's ``timeseries`` and
-``sweep`` workloads, a set of bad-value commands and two with a noise of
-zero power; noisy commands run at seed 12345.  For each command the script prints whether the exit code,
-stdout and stderr match (with each tree's directory written as ``<dir>``)
-and whether every file written is byte-identical.  For a CSV that is not,
+``sweep`` workloads, a set of bad-value commands, two with a noise of
+zero power and two ``bode`` grids far from the corner, whose tables hold
+positive and three-digit exponents; noisy commands run at seed 12345.
+For each command the script prints whether the exit code, stdout and
+stderr match (with each tree's directory written as ``<dir>``) and
+whether every file written is byte-identical.  For a CSV that is not,
 it prints the largest relative difference of each column.  Each tree also
 records the library outputs that no command writes, the slopes of the
 eps ladders of ``LADDERS``; the script prints them side by side with
@@ -109,6 +111,11 @@ def commands() -> list[list[str]]:
         ["simulate", "--eps", "1", "--a0", "1", "--b0", "1", "--noise-power",
          "0", "--noise-ts", "1e-7", "--t-end", "1", *out],
     ]
+    # values printed in scientific notation with positive and with
+    # three-digit exponents, which no command above writes
+    cmds += [["bode", "--preset", "paper-3A", "--omega-min", lo,
+              "--omega-max", hi, "--points", "3", *out]
+             for lo, hi in (("1e10", "1e60"), ("1e-120", "1e-100"))]
     return cmds
 
 

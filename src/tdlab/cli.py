@@ -35,17 +35,153 @@ _FMT = "{:.9g}"
 
 
 #: Rows formatted per block by _write_csv; bounds its temporaries.
-_CSV_BLOCK_ROWS = 256
+_CSV_BLOCK_ROWS = 1024
+
+
+# _write_csv writes each value as one record of four little-endian 8-byte
+# words whose bytes are the characters of %.9g in order, with NUL where a
+# slot is empty; deleting the NULs of a block of records leaves its text.
+#   word 0: sign, and the "0.000" of -4 <= X < 0 (X the decimal exponent)
+#   word 1: digits 0..3 of the 9 significant digits, each with a '.' slot
+#   word 2: digits 4..7, likewise
+#   word 3: digit 8, "e+XX", the separator
+# The tables below are indexed by X + 14 for -14 <= X <= 14, and by the
+# number k of significant digits left once trailing zeros are stripped.
+def _words(chars):
+    """Little-endian uint64 words of a uint8 array whose last axis is 8."""
+    return np.ascontiguousarray(chars, np.uint8).view("<u8")[..., 0]
+
+
+_X = np.arange(-14, 15)  # the exponents formatted in numpy
+_FIXED = (_X >= -4) & (_X <= 8)  # written without an exponent
+_POW10 = np.cumprod([1.0] + [10.0] * 22)  # 1e0 .. 1e22, each exact
+_SCALE_UP = _POW10[np.clip(8 - _X, 0, 22)]  # 10**(8 - X) is up / down
+_SCALE_DOWN = _POW10[np.clip(_X - 8, 0, 22)]
+
+
+def _group_tables():
+    """Word 1 or 2 of each 4-digit group g < 10000 (its digits, each
+    followed by '.'), and the k that digits 0..3 and 4..7 of D need when
+    they are g (g is 0 only for x = 0, written "0")."""
+    chars = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    chars[..., 0] = digit[:, None, None, None]
+    chars[..., 2] = digit[:, None, None]
+    chars[..., 4] = digit[:, None]
+    chars[..., 6] = digit
+    nz = np.arange(10) > 0
+    length = np.maximum(  # digits of g up to its last nonzero one
+        np.maximum(nz[:, None, None, None], 2 * nz[:, None, None]),
+        np.maximum(3 * nz[:, None], 4 * nz)).ravel()
+    return (_words(chars).ravel(), np.maximum(length, 1).astype(np.int8),
+            np.where(length > 0, length + 4, 0).astype(np.int8))
+
+
+def _mask_tables():
+    """Masks of words 1..3 by 10 * (X + 14) + k: the digits shown and the
+    '.' used, and in word 3 the characters of the exponent."""
+    # fixed notation shows every digit up to the units, and a '.' only
+    # where digits follow it; scientific notation puts it after digit 0
+    shown = np.maximum(np.arange(10),
+                       np.where(_FIXED & (_X >= 0), _X + 1, 0)[:, None])
+    dot = np.where(_FIXED, np.where(_X >= 0, _X, -1), 0)[:, None]
+    dot = np.where(shown > dot + 1, dot, -1)
+    slots = 255 * np.stack([np.arange(9) < shown[..., None],
+                            np.arange(9) == dot[..., None]], -1)
+    slots = slots.reshape(-1, 18)  # digit i at 2i, its '.' at 2i + 1
+    exponent = np.where(_FIXED[:, None], 0, np.stack(
+        [np.full_like(_X, ord("e")), np.where(_X < 0, ord("-"), ord("+")),
+         abs(_X) // 10 + ord("0"), abs(_X) % 10 + ord("0")], -1))
+    word3 = np.column_stack([slots[:, 16], np.zeros(len(slots)),
+                             np.repeat(exponent, 10, 0),
+                             np.zeros((len(slots), 2))])
+    return _words(slots[:, 0:8]), _words(slots[:, 8:16]), _words(word3)
+
+
+_DIGITS4, _K_HI, _K_MID = _group_tables()
+_K_LAST = np.where(np.arange(10) > 0, 9, 0).astype(np.int8)  # of digit 8
+_KEEP1, _KEEP2, _KEEP3 = _mask_tables()
+#: Word 3 of digit 8 = d, all ones where _KEEP3 holds the exponent.
+_LAST = _words(np.column_stack([np.arange(10) + ord("0"), np.zeros(10),
+                                np.full((10, 4), 255), np.zeros((10, 2))]))
+#: Word 0 by X + 14 + 29 * (sign bit of x).
+_HEAD = _words(np.column_stack([
+    np.repeat([0, ord("-")], _X.size),
+    np.tile(np.where(np.arange(5) == 1, ord("."), ord("0")) * (
+        (np.arange(5) < 1 - _X[:, None]) & (_X[:, None] < 0)
+        & _FIXED[:, None]), (2, 1)),
+    np.zeros((2 * _X.size, 2))]))
+
+
+def _csv_block(v, sep):
+    """CSV text of the values v (row-major), with separator words sep."""
+    a = np.abs(v)
+    fast = (a >= 1e-13) & (a < 1e14)
+    y = np.where(fast, a, 1.0)
+    x = np.floor(np.log10(y)).astype(np.intp) + 14  # X + 14, maybe one off
+    y *= _SCALE_UP[x]
+    y /= _SCALE_DOWN[x]
+    off = (y >= 1e9).view(np.int8) - (y < 1e8).view(np.int8)
+    if off.any():
+        j = np.flatnonzero(off)
+        x[j] += off[j]
+        y[j] = a[j] * _SCALE_UP[x[j]] / _SCALE_DOWN[x[j]]
+    y *= fast  # 0 writes "0"; the other values not fast fall back below
+    d = np.rint(y)
+    slow = np.abs(y - d) > 0.5 - 2.5e-7  # rint(y) may round the other way
+    slow |= ~fast & (a != 0)
+    carry = d >= 1e9
+    if carry.any():
+        d[carry] = 1e8
+        x[carry] += 1
+    d = d.astype(np.intp)
+    hi = d // 100000
+    lo = d - hi * 100000
+    mid = lo // 10
+    last = lo - mid * 10
+    k = np.maximum(_K_HI[hi], _K_MID[mid])
+    k = np.maximum(k, _K_LAST[last], out=k) + 10 * x  # index of (X, k)
+    rec = np.empty((v.size, 4), "<u8")
+    rec[:, 0] = _HEAD[x + _X.size * np.signbit(v)]
+    np.bitwise_and(_DIGITS4[hi], _KEEP1[k], out=rec[:, 1])
+    np.bitwise_and(_DIGITS4[mid], _KEEP2[k], out=rec[:, 2])
+    np.bitwise_or(_LAST[last] & _KEEP3[k], sep, out=rec[:, 3])
+    if slow.any():
+        j = np.flatnonzero(slow)
+        text = b"".join([(b"%.9g" % f).ljust(24, b"\0")
+                         for f in v[j].tolist()])
+        rec[j, :3] = np.frombuffer(text, "<u8").reshape(-1, 3)
+        rec[j, 3] = sep[j]
+    return rec.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write equal-length columns as a CSV, each value as %.9g."""
-    fmt = ("%.9g," * len(columns))[:-1] + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            rows = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write("".join([fmt % tuple(row) for row in rows.tolist()]))
+    """Write equal-length columns as a CSV, each value as '%.9g' writes it.
+
+    Each block of rows is formatted in numpy.  A value x of decimal
+    exponent X = floor(log10|x|) has the 9 digits D = rint(y) of
+    y = |x| * 10**(8 - X), carried to 1e8 (and X + 1) where D reaches 1e9.
+    10**k is exact for 0 <= k <= 22, so for 1e-13 <= |x| < 1e14 y is
+    |x| times or divided by one exact power: one rounding, which leaves y
+    within half an ulp, at most 6e-8, of the exact product, and so puts
+    D where '%.9g' rounds unless y lies within 2.5e-7 of a half.  A log10
+    one off shows as y outside [1e8, 1e9) and is corrected.  Python's
+    '%.9g' formats the values whose rounding is in doubt: those near a
+    half, the non-finite, and those outside that range other than 0.
+    """
+    n, ncols = len(columns[0]), len(columns)
+    block = np.empty((min(n, _CSV_BLOCK_ROWS), ncols))
+    sep = np.zeros((len(block), ncols, 8), np.uint8)
+    sep[:, :, 6] = ord(",")
+    sep[:, -1, 6] = ord("\n")
+    sep = _words(sep).ravel()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for i in range(0, n, _CSV_BLOCK_ROWS):
+            rows = block[:n - i]
+            for j, c in enumerate(columns):
+                rows[:, j] = c[i:i + _CSV_BLOCK_ROWS]
+            fh.write(_csv_block(rows.ravel(), sep[:rows.size]))
 
 
 def _write_plot_script(path: str, csv_path: str, title: str) -> None:

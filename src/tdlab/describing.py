@@ -134,11 +134,12 @@ def linearize(p: DiffParams, A: float) -> EquivalentLinearization:
         omega_n=omega_n, zeta=zeta, omega_d=omega_d, k_pos=k_pos, k_vel=k_vel)
 
 
-def _freq_point(omega, mag: float, phase: float, corner: str) -> FreqPoint:
+def _freq_point(omega, mag: float, phase: float, name: str,
+                corner: float) -> FreqPoint:
     """FreqPoint of a magnitude 1/sqrt(D); raises ValueError if D overflowed."""
     if not mag > 0.0:
         raise ValueError(
-            f"omega={omega:g} rad/s is too far above {corner} rad/s: "
+            f"omega={omega:g} rad/s is too far above {name}={corner:g} rad/s: "
             "the magnitude's denominator overflows")
     return FreqPoint(omega=omega, mag=mag, mag_db=20.0 * math.log10(mag),
                      phase_deg=phase)
@@ -161,7 +162,7 @@ def freq_response(lin: EquivalentLinearization, omega: float) -> FreqPoint:
     except OverflowError:  # (1 - u^2)^2 far above omega_n
         mag = 0.0
     phase = -math.degrees(math.atan2(2.0 * lin.zeta * u, 1.0 - u2))
-    return _freq_point(omega, mag, phase, f"omega_n={lin.omega_n:g}")
+    return _freq_point(omega, mag, phase, "omega_n", lin.omega_n)
 
 
 def asymptote_db(lin: EquivalentLinearization, omega: float) -> float:
@@ -185,8 +186,8 @@ def first_order_response(a0: float, eps: float, omega: float) -> FreqPoint:
     w_ratio = float(omega) * eps / math.sqrt(a0)
     mag = 1.0 / math.sqrt(w_ratio * w_ratio + 1.0)
     phase = -math.degrees(math.atan(w_ratio))
-    return _freq_point(omega, mag, phase,
-                       f"corner sqrt(a0)/eps={math.sqrt(a0) / eps:g}")
+    return _freq_point(omega, mag, phase, "corner sqrt(a0)/eps",
+                       math.sqrt(a0) / eps)
 
 
 def bode_table(lin: EquivalentLinearization, omegas) -> list[FreqPoint]:

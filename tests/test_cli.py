@@ -428,11 +428,11 @@ def _write_csv_by_format(path, header, rows):
 
 
 def test_csv_writer_matches_format_oracle(tmp_path):
-    # 2049 rows fill whole blocks and start one more; the values span
+    # the rows fill whole blocks and start one more; the values span
     # signed zeros, subnormals, 1e-12 .. 1e6 of either sign, integers and
     # non-finite values, and one column holds Python ints
     rng = np.random.default_rng(7)
-    n = 2049
+    n = 2 * cli._CSV_BLOCK_ROWS + 1
     mags = 10.0 ** rng.uniform(-12.0, 6.0, (4, n))
     columns = list(mags * rng.choice([-1.0, 1.0], (4, n)))
     columns[0][:6] = [0.0, -0.0, 5e-324, -2.5e-310, 1e6, -1e-12]
@@ -446,6 +446,46 @@ def test_csv_writer_matches_format_oracle(tmp_path):
     _write_csv_by_format(str(old), header, zip(*columns))
     assert new.read_bytes() == old.read_bytes()
     assert len(new.read_text().splitlines()) == n + 1
+
+
+def _ulps_away(x, ulps):
+    """x moved by ulps units in the last place (up if ulps > 0)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def near_rounding_edges(draw):
+    """A value a few ulps from a 9-digit tie (m + 1/2) * 10**(e - 8), from
+    a power of ten or from the carry 999999999.5 * 10**e, of either sign."""
+    e = draw(st.integers(-20, 20) | st.integers(-330, 310))
+    text = draw(st.sampled_from([
+        f"{draw(st.integers(10**8, 10**9 - 1))}5e{e - 9}", f"1e{e}",
+        f"9999999995e{e - 1}"]))
+    x = _ulps_away(float(text), draw(st.integers(-3, 3)))
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats() | near_rounding_edges(), min_size=1,
+                       max_size=64),
+       ncols=st.integers(1, 4),
+       nrows=st.integers(1, 40) | st.integers(cli._CSV_BLOCK_ROWS - 2,
+                                              cli._CSV_BLOCK_ROWS + 2))
+def test_csv_writer_matches_format_oracle_on_drawn_values(values, ncols,
+                                                           nrows):
+    # the drawn values, repeated to fill the table, are every float
+    # (NaN, +-inf, subnormals and +-0 included) and values whose rounding
+    # to 9 digits is a near tie; some tables end just past a block
+    columns = list(np.resize(np.array(values), (ncols, nrows)))
+    header = [f"c{j}" for j in range(ncols)]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        cli._write_csv(new, header, columns)
+        _write_csv_by_format(old, header, zip(*columns))
+        with open(new, "rb") as a, open(old, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_cold_import_skips_unused_scipy_subpackages():
