@@ -47,74 +47,74 @@ _CSV_BLOCK_ROWS = 1024
 #   word 3: digit 8, "e+XX", the separator
 # The tables below are indexed by X + 14 for -14 <= X <= 14, and by the
 # number k of significant digits left once trailing zeros are stripped.
-def _words(chars):
-    """Little-endian uint64 words of a uint8 array whose last axis is 8."""
-    return np.ascontiguousarray(chars, np.uint8).view("<u8")[..., 0]
+_X = range(-14, 15)
+_SCALE_UP = np.array([float(10 ** max(8 - x, 0)) for x in _X])  # 1 .. 1e22,
+_SCALE_DOWN = np.array([float(10 ** max(x - 8, 0)) for x in _X])  # exact
 
 
-_X = np.arange(-14, 15)  # the exponents formatted in numpy
-_FIXED = (_X >= -4) & (_X <= 8)  # written without an exponent
-_POW10 = np.cumprod([1.0] + [10.0] * 22)  # 1e0 .. 1e22, each exact
-_SCALE_UP = _POW10[np.clip(8 - _X, 0, 22)]  # 10**(8 - X) is up / down
-_SCALE_DOWN = _POW10[np.clip(_X - 8, 0, 22)]
-
-
-def _group_tables():
-    """Word 1 or 2 of each 4-digit group g < 10000 (its digits, each
-    followed by '.'), and the k that digits 0..3 and 4..7 of D need when
-    they are g (g is 0 only for x = 0, written "0")."""
+def _digit_words():
+    """Word 1 or 2 of each 4-digit group g < 10000: its digits, each
+    followed by '.'."""
     chars = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     chars[..., 0] = digit[:, None, None, None]
     chars[..., 2] = digit[:, None, None]
     chars[..., 4] = digit[:, None]
     chars[..., 6] = digit
-    nz = np.arange(10) > 0
-    length = np.maximum(  # digits of g up to its last nonzero one
-        np.maximum(nz[:, None, None, None], 2 * nz[:, None, None]),
-        np.maximum(3 * nz[:, None], 4 * nz)).ravel()
-    return (_words(chars).ravel(), np.maximum(length, 1).astype(np.int8),
-            np.where(length > 0, length + 4, 0).astype(np.int8))
+    return chars.view("<u8").ravel()
 
 
-def _mask_tables():
-    """Masks of words 1..3 by 10 * (X + 14) + k: the digits shown and the
-    '.' used, and in word 3 the characters of the exponent."""
-    # fixed notation shows every digit up to the units, and a '.' only
-    # where digits follow it; scientific notation puts it after digit 0
-    shown = np.maximum(np.arange(10),
-                       np.where(_FIXED & (_X >= 0), _X + 1, 0)[:, None])
-    dot = np.where(_FIXED, np.where(_X >= 0, _X, -1), 0)[:, None]
-    dot = np.where(shown > dot + 1, dot, -1)
-    slots = 255 * np.stack([np.arange(9) < shown[..., None],
-                            np.arange(9) == dot[..., None]], -1)
-    slots = slots.reshape(-1, 18)  # digit i at 2i, its '.' at 2i + 1
-    exponent = np.where(_FIXED[:, None], 0, np.stack(
-        [np.full_like(_X, ord("e")), np.where(_X < 0, ord("-"), ord("+")),
-         abs(_X) // 10 + ord("0"), abs(_X) % 10 + ord("0")], -1))
-    word3 = np.column_stack([slots[:, 16], np.zeros(len(slots)),
-                             np.repeat(exponent, 10, 0),
-                             np.zeros((len(slots), 2))])
-    return _words(slots[:, 0:8]), _words(slots[:, 8:16]), _words(word3)
+def _by_last_digit(zero, *k):
+    """Table over the 4-digit groups g < 10000: zero for g = 0, else k[i]
+    where digit i is the last nonzero digit of g."""
+    table = np.full((10, 10, 10, 10), zero, np.int8)
+    table[1:, 0, 0, 0] = k[0]
+    table[:, 1:, 0, 0] = k[1]
+    table[:, :, 1:, 0] = k[2]
+    table[..., 1:] = k[3]
+    return table.ravel()
 
 
-_DIGITS4, _K_HI, _K_MID = _group_tables()
-_K_LAST = np.where(np.arange(10) > 0, 9, 0).astype(np.int8)  # of digit 8
-_KEEP1, _KEEP2, _KEEP3 = _mask_tables()
+def _masks(x, k):
+    """Masks of words 1..3 of a value of exponent x and k digits: the
+    digits shown, the '.' used, and in word 3 the exponent's characters."""
+    fixed = -4 <= x <= 8
+    # fixed notation shows every digit up to the units and a '.' after
+    # them, scientific notation a '.' after digit 0; each only where
+    # digits follow
+    shown = max(k, x + 1) if fixed else k
+    dot = x if fixed else 0
+    words = [0, 0, 0]
+    for i in range(shown):
+        words[i // 4] |= 0xFF << 16 * (i % 4)
+    if 0 <= dot < shown - 1:
+        words[dot // 4] |= 0xFF << 16 * (dot % 4) + 8
+    if not fixed:
+        words[2] |= int.from_bytes(b"e%+03d" % x, "little") << 16
+    return words
+
+
+_DIGITS4 = _digit_words()
+#: k needed by digits 0..3 of D (g is 0 only for x = 0, written "0"), by
+#: digits 4..7 and by digit 8; k is the largest of the three.
+_K_HI = _by_last_digit(1, 1, 2, 3, 4)
+_K_MID = _by_last_digit(0, 5, 6, 7, 8)
+_K_LAST = np.array([0] + [9] * 9, np.int8)
+#: Masks of words 1..3 by 10 * (X + 14) + k.
+_KEEP1, _KEEP2, _KEEP3 = np.array(
+    [_masks(x, k) for x in _X for k in range(10)], np.uint64).T.copy()
 #: Word 3 of digit 8 = d, all ones where _KEEP3 holds the exponent.
-_LAST = _words(np.column_stack([np.arange(10) + ord("0"), np.zeros(10),
-                                np.full((10, 4), 255), np.zeros((10, 2))]))
+_LAST = np.array([(ord("0") + d) | 0xFFFFFFFF << 16 for d in range(10)],
+                 np.uint64)
 #: Word 0 by X + 14 + 29 * (sign bit of x).
-_HEAD = _words(np.column_stack([
-    np.repeat([0, ord("-")], _X.size),
-    np.tile(np.where(np.arange(5) == 1, ord("."), ord("0")) * (
-        (np.arange(5) < 1 - _X[:, None]) & (_X[:, None] < 0)
-        & _FIXED[:, None]), (2, 1)),
-    np.zeros((2 * _X.size, 2))]))
+_HEAD = np.array([
+    sign | int.from_bytes(b"0." + b"0" * (-x - 1), "little") << 8
+    if -4 <= x < 0 else sign for sign in (0, ord("-")) for x in _X], np.uint64)
 
 
-def _csv_block(v, sep):
-    """CSV text of the values v (row-major), with separator words sep."""
+def _csv_block(v, sep, rec):
+    """CSV text of the values v (row-major), with separator words sep,
+    built in the record buffer rec (at least v.size rows)."""
     a = np.abs(v)
     fast = (a >= 1e-13) & (a < 1e14)
     y = np.where(fast, a, 1.0)
@@ -141,8 +141,8 @@ def _csv_block(v, sep):
     last = lo - mid * 10
     k = np.maximum(_K_HI[hi], _K_MID[mid])
     k = np.maximum(k, _K_LAST[last], out=k) + 10 * x  # index of (X, k)
-    rec = np.empty((v.size, 4), "<u8")
-    rec[:, 0] = _HEAD[x + _X.size * np.signbit(v)]
+    rec = rec[:v.size]
+    rec[:, 0] = _HEAD[x + len(_X) * np.signbit(v)]
     np.bitwise_and(_DIGITS4[hi], _KEEP1[k], out=rec[:, 1])
     np.bitwise_and(_DIGITS4[mid], _KEEP2[k], out=rec[:, 2])
     np.bitwise_or(_LAST[last] & _KEEP3[k], sep, out=rec[:, 3])
@@ -171,17 +171,18 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     """
     n, ncols = len(columns[0]), len(columns)
     block = np.empty((min(n, _CSV_BLOCK_ROWS), ncols))
-    sep = np.zeros((len(block), ncols, 8), np.uint8)
-    sep[:, :, 6] = ord(",")
-    sep[:, -1, 6] = ord("\n")
-    sep = _words(sep).ravel()
+    sep = np.tile(np.array([ord(",") << 48] * (ncols - 1) + [ord("\n") << 48],
+                           np.uint64), len(block))  # byte 6 of word 3
+    # one record buffer per call: a new one per block, past the mmap
+    # threshold, would be mapped and faulted in again each time
+    rec = np.empty((block.size, 4), "<u8")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for i in range(0, n, _CSV_BLOCK_ROWS):
             rows = block[:n - i]
             for j, c in enumerate(columns):
                 rows[:, j] = c[i:i + _CSV_BLOCK_ROWS]
-            fh.write(_csv_block(rows.ravel(), sep[:rows.size]))
+            fh.write(_csv_block(rows.ravel(), sep[:rows.size], rec))
 
 
 def _write_plot_script(path: str, csv_path: str, title: str) -> None:
