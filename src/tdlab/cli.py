@@ -48,8 +48,9 @@ _CSV_BLOCK_ROWS = 1024
 # The tables below are indexed by X + 14 for -14 <= X <= 14, and by the
 # number k of significant digits left once trailing zeros are stripped.
 _X = range(-14, 15)
-_SCALE_UP = np.array([float(10 ** max(8 - x, 0)) for x in _X])  # 1 .. 1e22,
-_SCALE_DOWN = np.array([float(10 ** max(x - 8, 0)) for x in _X])  # exact
+# 10**(8 - X) is _SCALE_UP / _SCALE_DOWN, powers of ten up to 1e22, exact
+_SCALE_UP = np.array([float(10 ** max(8 - x, 0)) for x in _X])
+_SCALE_DOWN = np.array([float(10 ** max(x - 8, 0)) for x in _X])
 
 
 def _digit_words():
