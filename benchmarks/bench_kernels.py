@@ -9,6 +9,15 @@ Next to ``hybrid`` (the path ``integrate_hybrid`` takes) it prints
 ``hybrid-loop``: the per-step loop ``_kernels._hybrid_loop`` on the same
 paper-5 input.
 
+It times the banded-solve layer on its own: the microseconds per call of
+``_kernels.dtbsv`` and, as ``dtbsv-scipy``, of ``scipy.linalg.blas.dtbsv``
+on the unit lower band of 2x2 steps that ``_solve_recurrence`` fills
+(k = 3), from the paper-5 linear differentiator's RK4 map at dt = 1e-3,
+over 4096 steps (one full window) and over 16.  Each is the median CPU
+time per call of 7 batches of in-place solves after one more, the two
+routines taking turns; the script exits with an error if their solutions
+differ.
+
 Then it times the CSV layer on its own: the microseconds per row of
 ``cli._write_csv`` on a fixed table of 50 001 rows shaped like the one
 ``simulate --preset paper-3A`` writes (t, v, x1, x2, v_clean, dv_clean),
@@ -80,6 +89,37 @@ def csv_timings(repeats=5):
     return out
 
 
+def dtbsv_timings(repeats=7):
+    """us per call of _kernels.dtbsv and scipy's dtbsv on two 2x2 bands."""
+    from scipy.linalg import blas
+
+    phi = _kernels._rk4_coefficients(
+        *_kernels._linear_differentiator(1 / 45, 0.05, 0.3), 1e-3)[0]
+    solvers = (("dtbsv", _kernels.dtbsv), ("dtbsv-scipy", blas.dtbsv))
+    out = {}
+    for m, calls in ((4096, 50), (16, 2000)):
+        band = np.zeros((4, 2 * m), order="F")
+        for r in range(2):
+            for c in range(2):
+                band[2 + r - c, c:2 * (m - 1):2] = -phi[r, c]
+        rhs = np.random.default_rng(2).uniform(-1.0, 1.0, 2 * m)
+        times = {name: [] for name, _ in solvers}
+        solutions = []
+        for i in range(repeats + 1):
+            for name, solve in solvers:
+                xs = np.tile(rhs, (calls, 1))
+                t0 = time.process_time()
+                for x in xs:
+                    solve(3, band, x, lower=1, diag=1, overwrite_x=1)
+                times[name].append((time.process_time() - t0) / calls)
+                solutions.append(xs[0])
+        if not all(np.array_equal(y, solutions[0]) for y in solutions):
+            raise SystemExit(f"error: the dtbsv solutions differ ({m} steps)")
+        for name, t in times.items():
+            out[f"{name}-{m}"] = statistics.median(t[1:]) * 1e6
+    return out
+
+
 def main():
     timings = kernel_timings()
     # kernel_timings looks integrate_hybrid up by name at each call, so
@@ -91,6 +131,8 @@ def main():
         print(f"{name:<12} {us:8.3f} us/step")
         if name == "hybrid":
             print(f"{'hybrid-loop':<12} {loop:8.3f} us/step")
+    for name, us in dtbsv_timings().items():
+        print(f"{name:<18} {us:8.3f} us/call")
     for name, us in csv_timings().items():
         print(f"{name:<12} {us:8.3f} us/row")
 

@@ -13,7 +13,8 @@ Linear systems (the linear differentiator, its gain-scaled realization and
 the scalar relaxation) take ``_linear_rk4``: RK4 on ``x' = A x + b v`` is
 exactly ``x[i+1] = Phi x[i] + u[i]`` (Hairer, Norsett & Wanner, *Solving
 ODEs I*, II.1), a banded triangular system that ``_solve_recurrence``,
-which Newton shares, solves by BLAS ``dtbsv`` (``_dtbsv_from_fblas``).
+which Newton shares, solves by BLAS ``dtbsv``: the CBLAS routine of the
+OpenBLAS that numpy ships and has loaded, else scipy's (``_load_dtbsv``).
 
 The nonlinear differentiator has a per-step loop, ``_hybrid_loop``.  Its
 acceleration x2' is written once, in ``_accel``; the x1 rate of each stage
@@ -34,9 +35,9 @@ a linear differentiator's own); ``sweep`` measures the ``integrate_hybrid``
 pass given that orbit as its guess, which Newton re-certifies in 1-2 passes.
 """
 
-import importlib.util as util
+import ctypes
 import itertools
-from pathlib import Path
+import os
 
 import numpy as np
 
@@ -70,21 +71,69 @@ _FLOOR_GAIN = 4.0
 _SLOPE_FLOOR = 1e-12
 
 
-def _dtbsv_from_fblas():
-    """BLAS dtbsv from scipy's _fblas file, without scipy.linalg's init."""
+#: CBLAS enum values (Blackford et al., "An updated set of basic linear
+#: algebra subprograms (BLAS)", ACM TOMS 28(2), 2002).
+_COL_MAJOR, _NO_TRANS = 102, 111
+_UPPER, _LOWER, _NON_UNIT, _UNIT = 121, 122, 131, 132
+
+
+def _load_dtbsv():
+    """dtbsv with scipy.linalg.blas.dtbsv's call, from numpy's OpenBLAS.
+
+    Numpy's wheels ship an ILP64 OpenBLAS next to the package, in
+    numpy.libs/ (Linux, Windows) or numpy/.dylibs/ (macOS), which exports
+    CBLAS dtbsv as scipy_cblas_dtbsv64_; numpy has loaded it already, so
+    binding it maps no second BLAS, as scipy's extension would.  Where
+    numpy ships no such file or symbol (conda, MKL or system builds), the
+    routine is scipy.linalg.blas.dtbsv itself.
+    """
+    pkg = os.path.dirname(np.__file__)
     try:
-        root = util.find_spec("scipy").submodule_search_locations[0]
-        [path] = Path(root, "linalg").glob("_fblas.*")
-        spec = util.spec_from_file_location("scipy.linalg._fblas", path)
-        fblas = util.module_from_spec(spec)
-        spec.loader.exec_module(fblas)
-        return fblas.dtbsv
-    except Exception:  # e.g. another file layout of scipy: the public import
+        [path] = [os.path.join(d, f)
+                  for d in (pkg + ".libs", os.path.join(pkg, ".dylibs"))
+                  if os.path.isdir(d) for f in os.listdir(d)
+                  if "openblas" in f]
+        return _cblas_dtbsv(ctypes.CDLL(path).scipy_cblas_dtbsv64_)
+    except (ValueError, OSError, AttributeError):
         from scipy.linalg.blas import dtbsv
         return dtbsv
 
 
-dtbsv = _dtbsv_from_fblas()
+def _cblas_dtbsv(routine):
+    """dtbsv(k, a, x, lower=0, diag=0, overwrite_x=0) over CBLAS routine.
+
+    x converts as in scipy: copied to a float64 vector unless overwrite_x,
+    and then only if it is not one.  The foreign call reads and writes
+    what it is given, so a must be a writable float64 Fortran-ordered band
+    of k + 1 rows or more and x writable with a.shape[1] values, else
+    ValueError.  Their addresses come from ctypes buffers, which take only
+    writable arrays but cost less per call than ndarray.ctypes.
+    """
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    routine.argtypes = (ctypes.c_int,) * 4 + (i64, i64, ptr, i64, ptr, i64)
+    routine.restype = None
+    address, buffer = ctypes.addressof, ctypes.c_char.from_buffer
+
+    def dtbsv(k, a, x, lower=0, diag=0, overwrite_x=0):
+        x = np.array(x, dtype=float, order="C",
+                     copy=None if overwrite_x else True)
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.ndim == 2 and a.flags.f_contiguous
+                and a.flags.writeable and 0 <= k < a.shape[0]
+                and x.shape == a.shape[1:] and x.flags.writeable):
+            raise ValueError("dtbsv needs a writable float64 Fortran-ordered"
+                             " band of k + 1 rows or more and a writable x"
+                             " of one value per band column")
+        if x.size:
+            routine(_COL_MAJOR, _LOWER if lower else _UPPER, _NO_TRANS,
+                    _UNIT if diag else _NON_UNIT, x.size, k,
+                    address(buffer(a.T)), a.shape[0], address(buffer(x)), 1)
+        return x
+
+    return dtbsv
+
+
+dtbsv = _load_dtbsv()
 
 
 def backend() -> str:
@@ -228,8 +277,12 @@ def _rk4_f(y1, y2, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt):
     """Every step of _hybrid_loop at once: F_i(y[i]) and its stage values.
 
     y1, y2 hold the states that open the steps.  The stages and the RK4
-    sums follow the loop's algebra and order.  Returns (F1, F2) and, per
-    stage, the powers of _stage that _rk4_jac needs.
+    sums follow the loop's algebra and order, but not its powers: numpy's
+    array ** and the loop's scalar ** (libm pow) differ by one ulp on some
+    |y|^alpha (about 5 % of magnitudes at alpha = 0.6, 0.09 % at 0.5, where
+    numpy takes sqrt), so F is the loop's map to within one ulp per power,
+    not bit for bit.  Returns (F1, F2) and, per stage, the powers of _stage
+    that _rk4_jac needs.
     """
     inv_e2 = 1.0 / (eps * eps)
     h = 0.5 * dt

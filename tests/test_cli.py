@@ -488,17 +488,22 @@ def test_csv_writer_matches_format_oracle_on_drawn_values(values, ncols,
             assert a.read() == b.read()
 
 
-def test_cold_import_skips_unused_scipy_subpackages():
-    # every command pays for what `import tdlab.cli` loads; of scipy only
-    # BLAS dtbsv is needed, read from the extension file scipy.linalg._fblas
-    # without scipy.linalg's package init
-    unused = ("scipy.linalg", "scipy.integrate", "scipy.special",
-              "scipy.sparse", "scipy.signal")
+def test_cold_import_loads_no_scipy_module():
+    # every command pays for what `import tdlab.cli` loads; BLAS dtbsv comes
+    # from the OpenBLAS numpy has loaded, so no scipy module is imported
+    # and, where /proc/self/maps shows it, no library of scipy's is mapped
     src = os.path.dirname(os.path.dirname(os.path.abspath(tdlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, tdlab.cli; "
-            f"print(*[m for m in {unused!r} if m in sys.modules])")
+    code = """if True:
+        import os, sys, tdlab.cli
+        print(*[m for m in sys.modules
+                if m == "scipy" or m.startswith("scipy.")])
+        if os.path.exists("/proc/self/maps"):
+            with open("/proc/self/maps") as maps:
+                print(*{line.split()[-1] for line in maps
+                        if "scipy.libs" in line})
+    """
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []

@@ -1,9 +1,10 @@
 """Kernel checks: the generic RK4 step as oracle of every kernel, the
 linear propagator and the Newton path against the nonlinear loop, when
 the Newton path hands the rest of a lane to the loop, and the BLAS routine
-loaded from scipy's extension file."""
+bound from the OpenBLAS numpy ships, with scipy's as the fallback."""
 
-import importlib.util
+import _ctypes
+import ctypes
 import os
 import subprocess
 import sys
@@ -495,8 +496,8 @@ def test_solve_recurrence_matches_a_loop(ns, per_step, n_rhs):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(k=st.integers(0, 3), n=st.integers(1, 300),
        diag=st.sampled_from([0, 1]), seed=st.integers(0, 2 ** 32 - 1))
-def test_loaded_dtbsv_is_scipys(k, n, diag, seed):
-    # the routine read from scipy's _fblas file gives the bits of the one
+def test_loaded_dtbsv_matches_scipys(k, n, diag, seed):
+    # the routine bound from numpy's OpenBLAS gives the bits of the one
     # scipy.linalg.blas exports, on lower banded systems with a unit
     # (diag = 1) or stored diagonal; |a_jj| >= 1 and each row's k entries
     # left of it sum to under 1 in magnitude, so the solution stays bounded
@@ -509,17 +510,71 @@ def test_loaded_dtbsv_is_scipys(k, n, diag, seed):
     assert np.array_equal(got, want)
 
 
-def test_failed_direct_load_takes_the_public_import(monkeypatch):
-    def fail(*args, **kwargs):
-        raise ImportError("no such extension file")
+def test_loaded_dtbsv_solves_upper_bands_as_scipy():
+    # upper band storage a[k + i - j, j] = U[i, j]; unused by the kernels,
+    # but the signature is scipy's, so is its meaning
+    rng = np.random.default_rng(7)
+    a = np.asfortranarray(rng.uniform(-0.5, 0.5, (3, 50)))
+    a[2] = rng.uniform(1.0, 2.0, 50)
+    x = rng.uniform(-10.0, 10.0, 50)
+    for diag in (0, 1):
+        assert np.array_equal(_kernels.dtbsv(2, a, x, diag=diag),
+                              blas.dtbsv(2, a, x, diag=diag))
 
-    monkeypatch.setattr(importlib.util, "spec_from_file_location", fail)
-    dtbsv = _kernels._dtbsv_from_fblas()
-    assert dtbsv is blas.dtbsv
-    # [[2, 0], [1, 4]] x = [2, 5] in lower band storage
-    x = dtbsv(1, np.array([[2.0, 4.0], [1.0, 0.0]], order="F"), [2.0, 5.0],
-              lower=1)
-    assert np.array_equal(x, [1.0, 1.0])
+
+def _no_library(monkeypatch, tmp_path):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "init.py"))
+
+
+def _no_symbol(monkeypatch, tmp_path):
+    # numpy's library opens as one that exports no CBLAS dtbsv
+    cdll = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: cdll(_ctypes.__file__))
+
+
+def _no_load(monkeypatch, tmp_path):
+    def fail(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", fail)
+
+
+def test_failed_direct_load_takes_the_public_import(tmp_path):
+    for fault in (_no_library, _no_symbol, _no_load):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fault(monkeypatch, tmp_path)
+            dtbsv = _kernels._load_dtbsv()
+        assert dtbsv is blas.dtbsv, fault.__name__
+        # [[2, 0], [1, 4]] x = [2, 5] in lower band storage
+        x = dtbsv(1, np.array([[2.0, 4.0], [1.0, 0.0]], order="F"),
+                  [2.0, 5.0], lower=1)
+        assert np.array_equal(x, [1.0, 1.0])
+
+
+def test_dtbsv_checks_its_arrays_before_the_foreign_call():
+    # the routine would read a short x or band past its end and write
+    # through a read-only x, and ctypes takes only writable buffers, so the
+    # wrapper refuses all of these before any call
+    routine = mock.Mock()
+    dtbsv = _kernels._cblas_dtbsv(routine)
+    band = np.array([[2.0, 4.0], [1.0, 0.0]], order="F")
+    frozen, frozen_band = np.array([2.0, 5.0]), band.copy(order="F")
+    frozen.flags.writeable = frozen_band.flags.writeable = False
+    for k, a, x in [(1, band.astype(np.float32), [2.0, 5.0]),
+                    (1, np.ascontiguousarray(band), [2.0, 5.0]),
+                    (2, band, [2.0, 5.0]),
+                    (1, band, [2.0]), (1, band, [2.0, 5.0, 6.0]),
+                    (1, band, frozen), (1, frozen_band, [2.0, 5.0])]:
+        with pytest.raises(ValueError):
+            dtbsv(k, a, x, lower=1, overwrite_x=1)
+    routine.assert_not_called()
+    # the call itself: column-major, lower or upper, no transpose, unit or
+    # stored diagonal, n, k, the band's address and rows, x's and stride 1
+    for lower, diag, uplo, unit in [(1, 1, 122, 132), (0, 0, 121, 131)]:
+        x = np.array([2.0, 5.0])
+        assert dtbsv(1, band, x, lower=lower, diag=diag, overwrite_x=1) is x
+        assert routine.call_args.args == (
+            102, uplo, 111, unit, 2, 1, band.ctypes.data, 2, x.ctypes.data, 1)
 
 
 def test_scipy_linalg_imports_after_tdlab():
