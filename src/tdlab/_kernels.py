@@ -124,10 +124,9 @@ def _cblas_dtbsv(routine):
             raise ValueError("dtbsv needs a writable float64 Fortran-ordered"
                              " band of k + 1 rows or more and a writable x"
                              " of one value per band column")
-        if x.size:
-            routine(_COL_MAJOR, _LOWER if lower else _UPPER, _NO_TRANS,
-                    _UNIT if diag else _NON_UNIT, x.size, k,
-                    address(buffer(a.T)), a.shape[0], address(buffer(x)), 1)
+        routine(_COL_MAJOR, _LOWER if lower else _UPPER, _NO_TRANS,
+                _UNIT if diag else _NON_UNIT, x.size, k,
+                address(buffer(a.T)), a.shape[0], address(buffer(x)), 1)
         return x
 
     return dtbsv
