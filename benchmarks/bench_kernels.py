@@ -18,6 +18,14 @@ time per call of 7 batches of in-place solves after one more, the two
 routines taking turns; the script exits with an error if their solutions
 differ.
 
+It times the orbit layer on its own: the microseconds per step of the
+period of ``_kernels.periodic_orbit`` on one ``paper-4-hybrid`` point at
+omega = 2 as ``sweep`` plans it (A = 1, the default step, an even step
+count n), solved over its full period (``orbit-full``, sign 1) and over its
+first half (``orbit-half``, sign -1, the solve ``sweep`` takes first), both
+divided by n.  Each is the median CPU time of 7 solves after one more, the
+two taking turns; the script exits with an error if either finds no orbit.
+
 Then it times the CSV layer on its own: the microseconds per row of
 ``cli._write_csv`` on a fixed table of 50 001 rows shaped like the one
 ``simulate --preset paper-3A`` writes (t, v, x1, x2, v_clean, dv_clean),
@@ -42,7 +50,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from tdlab import _kernels, cli  # noqa: E402
+from tdlab import _kernels, cli, get_preset  # noqa: E402
+from tdlab.sweep import _plan  # noqa: E402
 from workloads import kernel_timings  # noqa: E402
 
 CSV_HEADER = ["t", "v", "x1", "x2", "v_clean", "dv_clean"]
@@ -120,6 +129,28 @@ def dtbsv_timings(repeats=7):
     return out
 
 
+def orbit_timings(repeats=7):
+    """us per period step of periodic_orbit, full and half, at omega = 2."""
+    pre = get_preset("paper-4-hybrid")
+    p = pre.params
+    _, guess, v, vm, h = _plan(p, pre.signal.amplitude, 2.0, None)
+    n = len(vm)
+    k = n // 2
+    points = {"orbit-full": (guess, v, vm, h, 1),
+              "orbit-half": (guess[:, :k + 1], v[:k + 1], vm[:k], h, -1)}
+    gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha)
+    times = {name: [] for name in points}
+    for _ in range(repeats + 1):
+        for name, point in points.items():
+            t0 = time.process_time()
+            [x] = _kernels.periodic_orbit([point], *gains)
+            times[name].append(time.process_time() - t0)
+            if x is None:
+                raise SystemExit(f"error: {name} found no orbit")
+    return {name: statistics.median(t[1:]) / n * 1e6
+            for name, t in times.items()}
+
+
 def main():
     timings = kernel_timings()
     # kernel_timings looks integrate_hybrid up by name at each call, so
@@ -131,6 +162,8 @@ def main():
         print(f"{name:<12} {us:8.3f} us/step")
         if name == "hybrid":
             print(f"{'hybrid-loop':<12} {loop:8.3f} us/step")
+    for name, us in orbit_timings().items():
+        print(f"{name:<12} {us:8.3f} us/step")
     for name, us in dtbsv_timings().items():
         print(f"{name:<18} {us:8.3f} us/call")
     for name, us in csv_timings().items():

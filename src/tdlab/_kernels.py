@@ -29,10 +29,12 @@ Where Newton does not certify, the loop runs the rest of the lane, so
 every lane is a Newton prefix and at most one loop suffix.  On the paper-5
 input of ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step
 on a 2-vCPU machine.  ``periodic_orbit`` solves the steps of one input
-period with x[n] = x[0] by the same Newton and rule, for a sweep's points
-together, from the linearization's orbit in closed form (``linear_orbit``,
-a linear differentiator's own); ``sweep`` measures the ``integrate_hybrid``
-pass given that orbit as its guess, which Newton re-certifies in 1-2 passes.
+period with x[n] = x[0], or of its first half with x[n/2] = -x[0], by the
+same Newton and rule, for a sweep's points together, from the
+linearization's orbit in closed form (``linear_orbit``, a linear
+differentiator's own); ``sweep`` measures the ``integrate_hybrid`` pass over
+the full period given that orbit as its guess, which Newton re-certifies in
+1-2 passes.
 """
 
 import ctypes
@@ -430,14 +432,16 @@ def _gives_up(rel, it):
                                              else np.inf)
 
 
-def _close(q, m1, m2):
-    """(q + c1*m1 + c2*m2, M): the (2, m) trajectory that ends where it starts.
+def _close(q, m1, m2, sign):
+    """(q + c1*m1 + c2*m2, M): the (2, m) trajectory from c that ends at sign*c.
 
     m1 and m2 run q's linear recurrence without input from (1, 0) and
-    (0, 1); c = (I - M)^-1 q[:, -1] with M = (m1[:, -1], m2[:, -1]).
+    (0, 1); c = (sign*I - M)^-1 q[:, -1] with M = (m1[:, -1], m2[:, -1]),
+    so the trajectory closes (sign 1) or ends at minus its start (sign -1,
+    the half period of a half-wave symmetric orbit).
     """
     M = np.stack((m1[:, -1], m2[:, -1]), axis=1)
-    c1, c2 = _solve_2x2(np.eye(2) - M, q[:, -1])
+    c1, c2 = _solve_2x2(sign * np.eye(2) - M, q[:, -1])
     return q + c1 * m1 + c2 * m2, M
 
 
@@ -484,30 +488,37 @@ def _attracts(M):
 def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
     """The (2, n + 1) periodic orbit of integrate_hybrid per point, or None.
 
-    A point is (guess, v_grid, v_mid, dt) over n input steps.  Newton on
-    x[i+1] = F_i(x[i]), x[n] = x[0] (Aprille & Trick, Proc. IEEE 60, 1972)
-    from guess[:, :n] runs on the points' states in a row, dt one per step,
-    joined by steps of dt = 0 that no solve sees: each iteration is one
-    _solve_recurrence from d = 0 and the unit starts at every point's first
-    state, uncoupled from the point before, and _close per point.  A point
-    retires with x once it is _certified and _attracts (|eig M| < 1), else
+    A point is (guess, v_grid, v_mid, dt, sign) over n input steps, with a
+    closure sign of 1 or -1.  Newton on
+    x[i+1] = F_i(x[i]), x[n] = sign*x[0] (Aprille & Trick, Proc. IEEE 60,
+    1972) from guess[:, :n] and sign*guess[:, 0] runs on the points' states
+    in a row, dt one per step, joined by steps of dt = 0 that no solve
+    sees: each iteration is one _solve_recurrence from d = 0 and the unit
+    starts at every point's first state, uncoupled from the point before,
+    and _close per point, after which x[0] = sign*x[n].  Sign -1 solves
+    the first half of a period whose input is odd about its middle: the
+    differentiator is odd, so the orbit of x(t + T/2) = -x(t) is this
+    half and its negation, and its monodromy is M^2.  A point retires with
+    x once it is _certified and _attracts (|eig M| < 1, as of M^2), else
     with None (once Newton _gives_up on it, or its solve is not finite).
     """
     gains, out = (eps, a0, a1, b0, b1, alpha), [None] * len(points)
     x, v, vm, dt = (np.concatenate(a, axis=-1) for a in zip(*(
-        (np.concatenate((g[:, :len(m)], g[:, :1]), axis=1), w,
+        (np.concatenate((g[:, :len(m)], sign * g[:, :1]), axis=1), w,
          np.append(m, 0.0), np.append(np.full(len(m), h), 0.0))
-        for g, w, m, h in points)))
+        for g, w, m, h, sign in points)))
     band, buf = np.zeros((4, 2 * len(v)), order="F"), np.zeros((2, 2, len(v)))
     live, size = list(range(len(points))), [len(q[1]) for q in points]
     prev, gone = [np.inf] * len(points), [False] * len(points)
+    signs = [q[4] for q in points]
     with np.errstate(all="ignore"):
         for it in itertools.count():
             if it == 0 or any(gone):  # keep the points left
                 keep = np.repeat(np.logical_not(gone), size)
                 x, v, vm, dt = x[:, keep], v[keep], vm[keep], dt[keep]
-                live, prev, size = ([a for a, g in zip(seq, gone) if not g]
-                                    for seq in (live, prev, size))
+                live, prev, size, signs = (
+                    [a for a, g in zip(seq, gone) if not g]
+                    for seq in (live, prev, size, signs))
                 if not live:
                     return out
                 e = np.cumsum(size) - 1  # their last states
@@ -521,11 +532,11 @@ def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
             starts = buf[:, :, :len(v) - 1]
             starts[:, :, s] = jac[:, :, s].transpose(1, 0, 2)  # run c: J e_c
             jac[:, :, s], q, gone = 0.0, None, []
-            for k, i, j, y, y0 in zip(live, s, e, rel, prev):
+            for k, i, j, y, y0, sign in zip(live, s, e, rel, prev, signs):
                 if q is None:
                     q, m1, m2 = _solve_recurrence(band, jac[:, :, 1:], r,
                                                   *starts)
-                d, M = _close(q[:, i:j], m1[:, i:j], m2[:, i:j])
+                d, M = _close(q[:, i:j], m1[:, i:j], m2[:, i:j], sign)
                 gone.append(True)
                 if not np.isfinite(d[:, -1]).all():  # 0 * inf would carry
                     r[:, i:j] = starts[:, :, i:j] = 0.0  # it on: solve again
@@ -534,7 +545,7 @@ def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
                     out[k] = x[:, i:j + 1].copy() if _attracts(M) else None
                 elif not _gives_up(y, it):
                     x[:, i + 1:j + 1] += d
-                    x[:, i] = x[:, j]
+                    x[:, i] = sign * x[:, j]
                     gone[-1] = False
             starts[:, :, s], prev = 0.0, rel
 

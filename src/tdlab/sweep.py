@@ -4,9 +4,14 @@ Each measurement drives the differentiator with a clean sinusoid and reads
 one period of its RK4 periodic orbit, re-certified by an integrate_hybrid
 pass from it: linear_orbit's closed form where the differentiator is linear
 and its step attracts, else Newton's (_kernels.periodic_orbit, one solve for
-consecutive points of a sweep); where Newton finds none, the last period
-of a warm-up run (simulate.run over _WARM_PERIODS periods from the last
-state) is its next guess (_steady_periods).  A frequency point takes the
+consecutive points of a sweep).  sig(e)^alpha is odd, so under A*sin(w*t)
+the orbit is half-wave symmetric, x(t + T/2) = -x(t) (Gelb & Vander Velde,
+*Multiple-Input Describing Functions*, 1968): a nonlinear point takes an
+even step count and Newton first solves the half period that ends at minus
+its start, whose negation is the other half.  Where Newton finds none, the
+last period of a warm-up run (simulate.run over _WARM_PERIODS periods from
+the last state) is its next guess, solved over the full period, so an orbit
+that is not symmetric is still found (_steady_periods).  A frequency point takes the
 DFT bin of both states over that period, which rejects every higher
 harmonic of the nonlinear response; convergence_order takes the RMS
 tracking error over it.  The derivative channel is normalized by the ideal
@@ -53,7 +58,8 @@ def _plan(p: DiffParams, A: float, omega: float, dt: Optional[float]):
     """(omega, guess, v_grid, v_mid, dt) of one period of n steps at omega.
 
     n = max(ceil(period/dt), 16) for the target step dt (default:
-    default_dt(p)); guess is linear_orbit's.  A warm-up pass over MAX_STEPS
+    default_dt(p)), plus one where that is odd and p is nonlinear, so that
+    _settle can solve half a period; guess is linear_orbit's.  A warm-up pass over MAX_STEPS
     raises ValueError before anything is integrated.
     """
     dt = default_dt(p) if dt is None else dt
@@ -68,6 +74,8 @@ def _plan(p: DiffParams, A: float, omega: float, dt: Optional[float]):
         raise ValueError(f"dt={dt:g} needs {steps:.4g} steps, more than "
                          f"MAX_STEPS={MAX_STEPS}")
     n = max(math.ceil(period / dt), 16)
+    if not p.is_linear:
+        n += n % 2  # even, for _settle's half-period solve
     SignalSpec(A, omega)  # raises where the peak derivative A*omega overflows
     cfg = SimConfig(period / n, period)
     v, vm = (sinusoid(A, omega, t) for t in time_grid(cfg))
@@ -80,8 +88,9 @@ def _steady_periods(p: DiffParams, A: float, omegas: Sequence[float],
     """Yield (x1, x2) over one period of the settled response at each omega.
 
     Consecutive points are planned into batches of at most
-    _kernels._WINDOW_STEPS steps (or one longer point) for _settle; a point
-    that fails to plan raises after the batch before it.
+    _kernels._WINDOW_STEPS steps (or one longer point) for _settle, a
+    nonlinear point counting the n/2 steps of its half period; a point that
+    fails to plan raises after the batch before it.
     """
     batch, error = [], None
     for w in omegas:
@@ -91,7 +100,7 @@ def _steady_periods(p: DiffParams, A: float, omegas: Sequence[float],
             error = exc
             break
         if batch and (sum(len(q[3]) for q in batch) + len(point[3])
-                      > _kernels._WINDOW_STEPS):
+                      > _kernels._WINDOW_STEPS * (1 if p.is_linear else 2)):
             yield from _settle(p, A, batch)
             batch = []
         batch.append(point)
@@ -105,21 +114,30 @@ def _settle(p: DiffParams, A: float, batch: list):
     """Yield the measured pass of each point of batch, in turn.
 
     A linear point's orbit is its guess if Phi of its step attracts (Jury's
-    test); the nonlinear points solve theirs in one _kernels.periodic_orbit.
-    The integrate_hybrid pass from the orbit, given it as the guess that its
-    Newton re-certifies, must close within _CLOSURE_TOL.  Else Newton
-    retries from the last period of a warm-up run of _WARM_PERIODS periods,
+    test); the nonlinear points solve the first half of theirs in one
+    _kernels.periodic_orbit, x[n/2] = -x[0] from guess[:, :n/2 + 1], and
+    append the half negated.  The integrate_hybrid pass from the orbit on
+    the true input, given it as the guess that its Newton re-certifies,
+    must close within _CLOSURE_TOL.  Else Newton retries over the full
+    period from the last period of a warm-up run of _WARM_PERIODS periods,
     or from the measured pass, until SETTLE_PERIODS periods have run.
     """
     gains, lin = astuple(p), _kernels._linear_differentiator(p.eps, p.a0, p.b0)
-    orbits = ([g if _kernels._attracts(_kernels._rk4_coefficients(*lin, h)[0])
-               else None for _, g, _, _, h in batch] if p.is_linear
-              else _kernels.periodic_orbit([q[1:] for q in batch], *gains))
+    if p.is_linear:
+        orbits = [g if _kernels._attracts(_kernels._rk4_coefficients(
+            *lin, h)[0]) else None for _, g, _, _, h in batch]
+    else:  # the first half of each period, then the half negated
+        halves = _kernels.periodic_orbit(
+            [(g[:, :len(m) // 2 + 1], v[:len(m) // 2 + 1], m[:len(m) // 2],
+              h, -1) for _, g, v, m, h in batch], *gains)
+        orbits = [x if x is None else np.concatenate((x[:, :-1], -x), axis=1)
+                  for x in halves]
     for (omega, guess, v, vm, h), orbit in zip(batch, orbits):
         period = 2.0 * math.pi / omega
         for k in range(SETTLE_PERIODS // _WARM_PERIODS):
             if k:
-                [orbit] = _kernels.periodic_orbit([(guess, v, vm, h)], *gains)
+                [orbit] = _kernels.periodic_orbit([(guess, v, vm, h, 1)],
+                                                  *gains)
             if orbit is None:
                 ts = run(p, SignalSpec(A, omega), SimConfig(
                     h, _WARM_PERIODS * period,

@@ -373,8 +373,8 @@ def test_steps_after_a_fallback_reach_the_rounding_floor(
 
 def _orbit(guess, v_grid, v_mid, *gains):
     """periodic_orbit of one point, given integrate_hybrid's arguments."""
-    [orbit] = _kernels.periodic_orbit([(guess, v_grid, v_mid, gains[-1])],
-                                      *gains[:-1])
+    [orbit] = _kernels.periodic_orbit(
+        [(guess, v_grid, v_mid, gains[-1], 1)], *gains[:-1])
     return orbit
 
 
@@ -578,8 +578,9 @@ def test_dtbsv_checks_its_arrays_before_the_foreign_call():
 
 
 def test_scipy_linalg_imports_after_tdlab():
-    # tdlab loads scipy.linalg._fblas by its file; scipy.linalg imported
-    # after it still builds, and it and tdlab still solve correctly
+    # tdlab binds dtbsv from numpy's OpenBLAS (scipy's only where numpy
+    # ships none); scipy.linalg imported after it still builds, and it and
+    # tdlab still solve correctly
     code = """if True:
         import numpy as np
         import tdlab
@@ -617,7 +618,30 @@ def _recurrence_orbit(A, omega, n, eps, a0, a1, b0, b1, alpha):
         return _kernels._close(*(
             np.array(_kernels._linear_rk4(*lin, x0, u, um, dt, np.inf)[:2])
             for x0, u, um in (((0.0, 0.0), v, vm), ((1.0, 0.0), z, z[1:]),
-                              ((0.0, 1.0), z, z[1:]))))[0], rho
+                              ((0.0, 1.0), z, z[1:]))), 1)[0], rho
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_close_ends_at_sign_times_its_start(sign):
+    # on d[i+1] = B d[i] + r_i with one 2x2 B, the trajectory that _close
+    # builds is the recurrence from a start c, and it ends at sign*c: sign
+    # -1 is the half period of a half-wave symmetric orbit
+    B, m = np.array([[0.9, 0.2], [-0.3, 0.8]]), 40
+    r = np.random.default_rng(0).standard_normal((2, m))
+
+    def run(start, rhs):
+        d = [np.asarray(start, dtype=float)]
+        for i in range(m):
+            d.append(B @ d[-1] + rhs[:, i])
+        return np.array(d[1:]).T
+
+    z = np.zeros((2, m))
+    d, M = _kernels._close(run((0, 0), r), run((1, 0), z), run((0, 1), z),
+                           sign)
+    assert np.allclose(M, np.linalg.matrix_power(B, m), rtol=1e-13,
+                       atol=1e-15)
+    c = sign * d[:, -1]
+    assert np.allclose(d, run(c, r), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -726,7 +750,7 @@ def _batch(omegas=(19.0, 31.0, 47.0), A=1.0):
         n = int(np.ceil(2 * np.pi / omega / 1e-3))
         dt = 2 * np.pi / omega / n
         points.append((_kernels.linear_orbit(A, omega, n, dt, *_BATCH_GAINS),
-                       *_inputs(n, dt, A, omega), dt))
+                       *_inputs(n, dt, A, omega), dt, 1))
     return points
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from tdlab import _kernels
 from tdlab.describing import freq_response, linearize
-from tdlab.dynamics import DiffParams, DiffState
+from tdlab.dynamics import DiffParams, DiffState, hybrid_rhs
 from tdlab.signals import SignalSpec, sinusoid
 from tdlab.simulate import (STATE_LIMIT, InstabilityError, SimConfig,
-                            TimeSeries, default_dt, run, time_grid)
+                            TimeSeries, default_dt, rk4_step, run, time_grid)
 from tdlab.sweep import (
     MeasuredResponse,
     measure_point,
@@ -286,7 +287,8 @@ class TestSteadyPeriod:
 
     def test_warm_up_is_the_last_period_of_a_run(self, monkeypatch):
         # where Newton fails, the next guess is the last period of a run of
-        # _WARM_PERIODS periods from the end of the failed guess
+        # _WARM_PERIODS periods from the end of the failed guess: the plan's
+        # full period, whose first half the first solve was given
         guesses, orbit = [], _kernels.periodic_orbit
         monkeypatch.setattr(_kernels, "periodic_orbit",
                             lambda pts, *a: guesses.append(pts[0][0]) or (
@@ -294,8 +296,10 @@ class TestSteadyPeriod:
                                 else [None]))
         A, omega, p = 5.0, 1.3618, P4_NONLINEAR
         next(sweep_module._steady_periods(p, A, [omega], default_dt(p)))
-        first, second = guesses[:2]
+        first = sweep_module._plan(p, A, omega, default_dt(p))[1]
+        second = guesses[1]
         n, period = first.shape[1] - 1, 2 * math.pi / omega
+        assert np.array_equal(guesses[0], first[:, :n // 2 + 1])
         ts = run(p, SignalSpec(A, omega), SimConfig(
             period / n, 3 * period, DiffState(*np.nan_to_num(first[:, -1]))))
         assert np.array_equal(second, np.array(
@@ -304,7 +308,8 @@ class TestSteadyPeriod:
     def test_warm_up_starts_from_the_finite_part_of_the_guess(
             self, monkeypatch):
         # a failed guess whose last column is nan starts the warm-up run
-        # from nan_to_num of that column
+        # from nan_to_num of that column: the last of the plan's full
+        # period, not of the half period that the first solve was given
         linear, orbit = _kernels.linear_orbit, _kernels.periodic_orbit
         kernel, solves, runs = _kernels.integrate_hybrid, [], []
         monkeypatch.setattr(_kernels, "linear_orbit", lambda *a: np.append(
@@ -315,8 +320,11 @@ class TestSteadyPeriod:
         monkeypatch.setattr(_kernels, "integrate_hybrid",
                             lambda *a: runs.append(a) or kernel(*a))
         pt = measure_point(P4_NONLINEAR, 1.0, 32.07)
-        assert np.isnan(solves[0][:, -1]).all() and len(runs[0]) == 12
-        assert np.array_equal(runs[0][:2], np.nan_to_num(solves[0][:, -1]))
+        guess = sweep_module._plan(P4_NONLINEAR, 1.0, 32.07, None)[1]
+        n = guess.shape[1] - 1
+        assert np.array_equal(solves[0], guess[:, :n // 2 + 1])
+        assert np.isnan(guess[:, -1]).all() and len(runs[0]) == 12
+        assert np.array_equal(runs[0][:2], np.nan_to_num(guess[:, -1]))
         assert math.isfinite(pt.track_mag)
 
     def test_repelling_orbit_is_rejected(self):
@@ -332,7 +340,7 @@ class TestSteadyPeriod:
         (f1, f2), _ = _kernels._rk4_f(x[0, :-1], x[1, :-1], *args)
         assert np.allclose(f1, x[0, 1:], 1e-13, 1e-13)
         assert np.allclose(f2, x[1, 1:], 1e-13, 1e-13)
-        assert _kernels.periodic_orbit([(x, *args[:2], args[-1])],
+        assert _kernels.periodic_orbit([(x, *args[:2], args[-1], 1)],
                                        *args[2:-1]) == [None]
         # nor does a sweep take it: Jury's test rejects Phi of the step
         phi, *_ = _kernels._rk4_coefficients(*_kernels._linear_differentiator(
@@ -458,3 +466,91 @@ class TestTrackingBandwidth:
     def test_starts_below(self):
         with pytest.raises(ValueError):
             tracking_bandwidth(self._mk([1.0, 2.0], [0.5, 0.4]))
+
+
+@pytest.mark.parametrize("p", [P3A, P4_HYBRID, P4_NONLINEAR],
+                         ids=["linear", "hybrid", "nonlinear"])
+@pytest.mark.parametrize("omega, dt", [(5.0, None), (2.0, 1e-3),
+                                       (7.0, 2 * math.pi / 7.0 / 200.5),
+                                       (3.0, 2 * math.pi / 3.0 / 201.5),
+                                       (90.0, 0.05), (1.0, 0.5)])
+def test_plan_gives_a_nonlinear_point_an_even_step_count(p, omega, dt):
+    # a linear point keeps max(ceil(period/dt), 16) steps, and a nonlinear
+    # point takes one more where that count is odd, for its half period
+    n = len(sweep_module._plan(p, 1.0, omega, dt)[3])
+    want = max(math.ceil(2 * math.pi / omega / (dt or default_dt(p))), 16)
+    if p.is_linear:
+        assert n == want
+    else:
+        assert n % 2 == 0 and n >= 16 and n - want in (0, 1)
+
+
+def _solve(point, gains):
+    """periodic_orbit of one point, and each verdict of Jury's test on it."""
+    verdicts, attracts = [], _kernels._attracts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_attracts",
+                   lambda M: verdicts.append(attracts(M)) or verdicts[-1])
+        [x] = _kernels.periodic_orbit([point], *gains)
+    return x, verdicts
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(hybrid=st.booleans(), eps=st.floats(0.02, 0.2),
+       gains=st.lists(st.floats(1e-3, 2.0), min_size=4, max_size=4),
+       alpha=st.floats(0.25, 1.0), A=st.floats(0.1, 10.0),
+       omega=st.floats(5.0, 100.0))
+def test_half_period_orbit_is_the_full_period_orbit(hybrid, eps, gains, alpha,
+                                                    A, omega):
+    # the differentiator is odd and the input odd about the middle of its
+    # period, so at the planned even n a half period that ends at minus its
+    # start, extended by its negation, is a full-period orbit, and a
+    # half-wave symmetric full-period orbit is such a half: each solve
+    # certifies the other's orbit, with the same verdict of Jury's test on
+    # M and on M^2, the measured passes from the two agree, and the
+    # extension is RK4 on hybrid_rhs.  From the plan's guess the two solves
+    # may still reach different orbits where several attract (alpha near
+    # 0.25, eps = 0.02, A near 3.5, omega near 25), so both are checked
+    # from each other's orbit, not from the guess.
+    a0, a1, b0, b1 = gains
+    if not hybrid:
+        a0 = b0 = 0.0
+    try:
+        p = DiffParams(eps=eps, a0=a0, a1=a1, b0=b0, b1=b1, alpha=alpha)
+        omega, guess, v, vm, h = sweep_module._plan(p, A, omega, None)
+    except ValueError:  # DegenerateError included
+        return
+    n, gains = len(vm), (eps, a0, a1, b0, b1, alpha)
+    k = n // 2
+    assert n % 2 == 0
+    half, verdicts = _solve((guess[:, :k + 1], v[:k + 1], vm[:k], h, -1),
+                            gains)
+    full, _ = _solve((guess, v, vm, h, 1), gains)
+    if full is not None and np.all(np.abs(full[:, k:] + full[:, :k + 1])
+                                   <= 1e-10 * np.maximum(1.0, np.abs(full[:, k:]))):
+        x, jury = _solve((full[:, :k + 1], v[:k + 1], vm[:k], h, -1), gains)
+        assert x is not None and jury == [True]
+        assert np.all(np.abs(x - full[:, :k + 1])
+                      <= 1e-10 * np.maximum(1.0, np.abs(full[:, :k + 1])))
+    if half is None:
+        return
+    x = np.concatenate((half[:, :-1], -half), axis=1)
+    y, jury = _solve((x, v, vm, h, 1), gains)
+    assert y is not None and jury == verdicts == [True]
+    assert np.all(np.abs(x - y) <= 1e-10 * np.maximum(1.0, np.abs(y)))
+    # and the measured passes that start from them read the same period, to
+    # rounding of each state's amplitude
+    got, want = (np.array(_kernels.integrate_hybrid(
+        *z[:, 0], v, vm, *gains, h, STATE_LIMIT, z)[:2]) for z in (x, y))
+    scale = np.maximum(1.0, np.abs(want).max(axis=1, keepdims=True))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def rhs(s, u):
+        return np.array(astuple(hybrid_rhs(DiffState(*s), u, p)))
+
+    for i in range(n):
+        # from t = 0, rk4_step asks for u at exactly 0, 0.5*h and h
+        u = {0.0: v[i], 0.5 * h: vm[i], h: v[i + 1]}.__getitem__
+        want = rk4_step(rhs, x[:, i], 0.0, h, u)
+        assert np.all(np.abs(x[:, i + 1] - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
