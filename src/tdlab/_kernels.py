@@ -433,7 +433,7 @@ def _gives_up(rel, it):
 
 
 def _close(q, m1, m2, sign):
-    """(q + c1*m1 + c2*m2, M): the (2, m) trajectory from c that ends at sign*c.
+    """(q + c1*m1 + c2*m2, M): the (2, m) trajectory from c, ending at sign*c.
 
     m1 and m2 run q's linear recurrence without input from (1, 0) and
     (0, 1); c = (sign*I - M)^-1 q[:, -1] with M = (m1[:, -1], m2[:, -1]),
@@ -489,18 +489,18 @@ def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
     """The (2, n + 1) periodic orbit of integrate_hybrid per point, or None.
 
     A point is (guess, v_grid, v_mid, dt, sign) over n input steps, with a
-    closure sign of 1 or -1.  Newton on
-    x[i+1] = F_i(x[i]), x[n] = sign*x[0] (Aprille & Trick, Proc. IEEE 60,
-    1972) from guess[:, :n] and sign*guess[:, 0] runs on the points' states
-    in a row, dt one per step, joined by steps of dt = 0 that no solve
-    sees: each iteration is one _solve_recurrence from d = 0 and the unit
-    starts at every point's first state, uncoupled from the point before,
-    and _close per point, after which x[0] = sign*x[n].  Sign -1 solves
-    the first half of a period whose input is odd about its middle: the
-    differentiator is odd, so the orbit of x(t + T/2) = -x(t) is this
-    half and its negation, and its monodromy is M^2.  A point retires with
-    x once it is _certified and _attracts (|eig M| < 1, as of M^2), else
-    with None (once Newton _gives_up on it, or its solve is not finite).
+    closure sign of 1 or -1.  Newton on x[i+1] = F_i(x[i]), x[n] =
+    sign*x[0] (Aprille & Trick, Proc. IEEE 60, 1972) from guess[:, :n] and
+    sign*guess[:, 0] runs on the points' states in a row, dt one per step,
+    joined by steps of dt = 0 that no solve sees: each iteration is one
+    _solve_recurrence from d = 0 and the unit starts at every point's first
+    state, uncoupled from the point before, and _close per point, after
+    which x[0] = sign*x[n].  Sign -1 solves the first half of a period
+    whose input is odd about its middle: the differentiator is odd, so the
+    orbit of x(t + T/2) = -x(t) is this half and its negation, and its
+    monodromy is M^2.  A point retires with x once it is _certified and
+    _attracts (|eig M| < 1, and so |eig M^2| < 1), else with None (once
+    Newton _gives_up on it, or its solve is not finite).
     """
     gains, out = (eps, a0, a1, b0, b1, alpha), [None] * len(points)
     x, v, vm, dt = (np.concatenate(a, axis=-1) for a in zip(*(

@@ -11,9 +11,9 @@ even step count and Newton first solves the half period that ends at minus
 its start, whose negation is the other half.  Where Newton finds none, the
 last period of a warm-up run (simulate.run over _WARM_PERIODS periods from
 the last state) is its next guess, solved over the full period, so an orbit
-that is not symmetric is still found (_steady_periods).  A frequency point takes the
-DFT bin of both states over that period, which rejects every higher
-harmonic of the nonlinear response; convergence_order takes the RMS
+that is not symmetric is still found (_steady_periods).  A frequency point
+takes the DFT bin of both states over that period, which rejects every
+higher harmonic of the nonlinear response; convergence_order takes the RMS
 tracking error over it.  The derivative channel is normalized by the ideal
 derivative amplitude A*w, so a perfect differentiator reads magnitude 1
 and phase 0 on both channels.
@@ -59,8 +59,8 @@ def _plan(p: DiffParams, A: float, omega: float, dt: Optional[float]):
 
     n = max(ceil(period/dt), 16) for the target step dt (default:
     default_dt(p)), plus one where that is odd and p is nonlinear, so that
-    _settle can solve half a period; guess is linear_orbit's.  A warm-up pass over MAX_STEPS
-    raises ValueError before anything is integrated.
+    _settle can solve half a period; guess is linear_orbit's.  A warm-up
+    pass over MAX_STEPS raises ValueError before anything is integrated.
     """
     dt = default_dt(p) if dt is None else dt
     if not 0.0 < dt < math.inf:

@@ -526,12 +526,13 @@ def test_half_period_orbit_is_the_full_period_orbit(hybrid, eps, gains, alpha,
     half, verdicts = _solve((guess[:, :k + 1], v[:k + 1], vm[:k], h, -1),
                             gains)
     full, _ = _solve((guess, v, vm, h, 1), gains)
-    if full is not None and np.all(np.abs(full[:, k:] + full[:, :k + 1])
-                                   <= 1e-10 * np.maximum(1.0, np.abs(full[:, k:]))):
-        x, jury = _solve((full[:, :k + 1], v[:k + 1], vm[:k], h, -1), gains)
-        assert x is not None and jury == [True]
-        assert np.all(np.abs(x - full[:, :k + 1])
-                      <= 1e-10 * np.maximum(1.0, np.abs(full[:, :k + 1])))
+    if full is not None:
+        first = full[:, :k + 1]
+        scale = 1e-10 * np.maximum(1.0, np.abs(first))
+        if np.all(np.abs(full[:, k:] + first) <= scale):  # half-wave symmetric
+            x, jury = _solve((first, v[:k + 1], vm[:k], h, -1), gains)
+            assert x is not None and jury == [True]
+            assert np.all(np.abs(x - first) <= scale)
     if half is None:
         return
     x = np.concatenate((half[:, :-1], -half), axis=1)
