@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdlab import _kernels
@@ -272,6 +272,30 @@ class TestSteadyPeriod:
                                                   default_dt(p)))
             assert _closes(x, 1e-12)
 
+    @pytest.mark.parametrize("p", [P4_HYBRID, P4_NONLINEAR],
+                             ids=["hybrid", "nonlinear"])
+    def test_measured_pass_starts_from_the_half_and_its_negation(
+            self, monkeypatch, p):
+        # a nonlinear point's first solve is its half period, and the
+        # measured pass re-certifies the half and its negation in one or
+        # two map passes
+        halves, guesses, passes = [], [], []
+        orbit, kernel, f_pass = (_kernels.periodic_orbit,
+                                 _kernels.integrate_hybrid, _kernels._rk4_f)
+        monkeypatch.setattr(_kernels, "periodic_orbit",
+                            lambda *a: halves.extend(orbit(*a)) or halves)
+        monkeypatch.setattr(_kernels, "integrate_hybrid",
+                            lambda *a: guesses.append(a[12]) or kernel(*a))
+        monkeypatch.setattr(_kernels, "_rk4_f",
+                            lambda *a: passes.append(len(a[3])) or f_pass(*a))
+        measure_point(p, 1.0, 7.0)
+        [half], [guess] = halves, guesses
+        n = guess.shape[1] - 1
+        assert half.shape == (2, n // 2 + 1) and n % 2 == 0
+        assert np.array_equal(guess, np.concatenate((half[:, :-1], -half),
+                                                    axis=1))
+        assert 1 <= passes.count(n) <= 2
+
     def test_warm_up_recovers_where_newton_fails_from_the_guess(
             self, monkeypatch):
         # at A = 5 Newton does not certify the orbit from the linearization's
@@ -496,6 +520,16 @@ def _solve(point, gains):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
+# from the plan's guess, the full solve certifies a repelling orbit and the
+# half solve gives up
+@example(hybrid=False, eps=0.02, gains=[1.0, 1.098997993364779, 1.0, 0.625],
+         alpha=0.25, A=3.0859375, omega=25.4375)
+# both certify an attracting orbit, and the two differ
+@example(hybrid=False, eps=0.02, gains=[1.0, 1.1015625, 1.0, 0.625],
+         alpha=0.25, A=3.5, omega=25.4375)
+# only the half solve certifies an orbit
+@example(hybrid=False, eps=0.02, gains=[1.0, 1.0, 1.0, 0.625], alpha=0.25,
+         A=3.5, omega=25.0)
 @given(hybrid=st.booleans(), eps=st.floats(0.02, 0.2),
        gains=st.lists(st.floats(1e-3, 2.0), min_size=4, max_size=4),
        alpha=st.floats(0.25, 1.0), A=st.floats(0.1, 10.0),
