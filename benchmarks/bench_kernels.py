@@ -10,11 +10,13 @@ Next to ``hybrid`` (the path ``integrate_hybrid`` takes) it prints
 paper-5 input.
 
 It times the banded-solve layer on its own: the microseconds per call of
-``_kernels.dtbsv`` and, as ``dtbsv-scipy``, of ``scipy.linalg.blas.dtbsv``
-on the unit lower band of 2x2 steps that ``_solve_recurrence`` fills
-(k = 3), from the paper-5 linear differentiator's RK4 map at dt = 1e-3,
-over 4096 steps (one full window) and over 16.  Each is the median CPU
-time per call of 7 batches of in-place solves after one more, the two
+``_kernels.dtbsv(3, band, x)`` and, as ``dtbsv-scipy``, of
+``scipy.linalg.blas.dtbsv`` called in the same form (``lower=1, diag=1,
+overwrite_x=1``, the fallback ``_kernels`` takes where numpy ships no
+OpenBLAS), on the unit lower band of 2x2 steps that ``_solve_recurrence``
+fills (k = 3), from the paper-5 linear differentiator's RK4 map at dt =
+1e-3, over 4096 steps (one full window) and over 16.  Each is the median
+CPU time per call of 7 batches of in-place solves after one more, the two
 routines taking turns; the script exits with an error if their solutions
 differ.
 
@@ -37,6 +39,7 @@ Usage:
     python benchmarks/bench_kernels.py
 """
 
+import functools
 import os
 import statistics
 import sys
@@ -104,7 +107,9 @@ def dtbsv_timings(repeats=7):
 
     phi = _kernels._rk4_coefficients(
         *_kernels._linear_differentiator(1 / 45, 0.05, 0.3), 1e-3)[0]
-    solvers = (("dtbsv", _kernels.dtbsv), ("dtbsv-scipy", blas.dtbsv))
+    solvers = (("dtbsv", _kernels.dtbsv),
+               ("dtbsv-scipy", functools.partial(blas.dtbsv, lower=1, diag=1,
+                                                 overwrite_x=1)))
     out = {}
     for m, calls in ((4096, 50), (16, 2000)):
         band = np.zeros((4, 2 * m), order="F")
@@ -119,7 +124,7 @@ def dtbsv_timings(repeats=7):
                 xs = np.tile(rhs, (calls, 1))
                 t0 = time.process_time()
                 for x in xs:
-                    solve(3, band, x, lower=1, diag=1, overwrite_x=1)
+                    solve(3, band, x)
                 times[name].append((time.process_time() - t0) / calls)
                 solutions.append(xs[0])
         if not all(np.array_equal(y, solutions[0]) for y in solutions):

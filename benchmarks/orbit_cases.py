@@ -10,10 +10,13 @@ frequency log-uniform in [1, 100] rad/s, and measures each point with
 a batch of one, so a solve's map passes are its point's): a point
 certifies its orbit from the linearization's guess, after warm-up runs,
 or not at all (it fails with "did not settle"); its iterations are the
-map passes ``_rk4_f`` that the solves take.  Next to them are counted the map passes of the measured
-passes (the ``integrate_hybrid`` calls that start from an orbit, i.e. get
-a 13th argument) and the steps of every ``_hybrid_loop`` call, warm-up
-runs included.  Prints these per alpha band.
+map passes ``_rk4_f`` that the solves take, and its orbit steps the steps
+of those passes, which compare work across trees whose solves cover
+different spans (a half period or a full one).  Next to them are counted
+the map passes of the measured passes (the ``integrate_hybrid`` calls that
+start from an orbit, i.e. get a 13th argument) and the steps of every
+``_hybrid_loop`` call, warm-up runs included.  Prints these per alpha
+band.
 
 Given the ``src`` of another checkout (e.g. the parent commit), its
 ``measure_point`` runs on the same points too: each point runs REPEATS
@@ -76,8 +79,8 @@ def load_tree(src):
 def instrument():
     """Count what this tree's measure_point does from here on.
 
-    Returns (solves, tally): one [map passes, certified] per periodic_orbit
-    call, i.e. per point solved, and a Counter of the measured passes' map
+    Returns (solves, tally): one [map passes, map steps, certified] per
+    periodic_orbit call, i.e. per point solved, and a Counter of the measured passes' map
     passes ("pass") and the _hybrid_loop steps ("loop").
     """
     solves, tally, phase = [], collections.Counter(), []
@@ -88,11 +91,11 @@ def instrument():
     def counting_orbit(points, *gains):
         # measure_point solves its point as a batch of one, so each map
         # pass of the batch is one of that point
-        solves.append([0, None])
+        solves.append([0, 0, None])
         phase.append("orbit")
         [x] = orbit(points, *gains)
         phase.pop()
-        solves[-1][1] = x is not None
+        solves[-1][2] = x is not None
         return [x]
 
     def counting_kernel(*a):
@@ -105,6 +108,7 @@ def instrument():
     def counting_f(*a):
         if phase == ["orbit"]:
             solves[-1][0] += 1
+            solves[-1][1] += len(a[0])
         elif phase == ["pass"]:
             tally["pass"] += 1
         return f_pass(*a)
@@ -148,8 +152,9 @@ def main(argv=None):
                 mag, seconds = attempt(sides[k], p, A, omega)
                 times[k].append(seconds)
                 if k == 0:
-                    new_mag, outcome = mag, [ok for _, ok in solves]
-                    counts = (sum(n for n, _ in solves), tally["pass"],
+                    new_mag, outcome = mag, [ok for _, _, ok in solves]
+                    counts = (sum(s[0] for s in solves),
+                              sum(s[1] for s in solves), tally["pass"],
                               tally["loop"])
                 else:
                     old_mag = mag
@@ -166,9 +171,10 @@ def main(argv=None):
         line = (f"alpha [{lo:.2f}, {hi:.2f}): {len(sel):2d} points, "
                 f"{first:2d} certified from the guess, {warm:2d} after "
                 f"warm-up, {len(sel) - first - warm:2d} not; "
-                f"{sum(r[2][0] for r in sel):4d} Newton iterations, "
-                f"{sum(r[2][1] for r in sel):3d} pass map passes, "
-                f"{sum(r[2][2] for r in sel):7d} loop steps, "
+                f"{sum(r[2][0] for r in sel):4d} Newton iterations "
+                f"over {sum(r[2][1] for r in sel):8d} orbit steps, "
+                f"{sum(r[2][2] for r in sel):3d} pass map passes, "
+                f"{sum(r[2][3] for r in sel):7d} loop steps, "
                 f"orbit {sum(r[3][0] for r in sel):6.2f} s")
         if other:
             drifts = [r[4] for r in sel if not math.isnan(r[4])]

@@ -75,19 +75,18 @@ _SLOPE_FLOOR = 1e-12
 
 #: CBLAS enum values (Blackford et al., "An updated set of basic linear
 #: algebra subprograms (BLAS)", ACM TOMS 28(2), 2002).
-_COL_MAJOR, _NO_TRANS = 102, 111
-_UPPER, _LOWER, _NON_UNIT, _UNIT = 121, 122, 131, 132
+_COL_MAJOR, _NO_TRANS, _LOWER, _UNIT = 102, 111, 122, 132
 
 
 def _load_dtbsv():
-    """dtbsv with scipy.linalg.blas.dtbsv's call, from numpy's OpenBLAS.
+    """dtbsv(k, a, x) of _cblas_dtbsv, from numpy's OpenBLAS.
 
     Numpy's wheels ship an ILP64 OpenBLAS next to the package, in
     numpy.libs/ (Linux, Windows) or numpy/.dylibs/ (macOS), which exports
     CBLAS dtbsv as scipy_cblas_dtbsv64_; numpy has loaded it already, so
     binding it maps no second BLAS, as scipy's extension would.  Where
     numpy ships no such file or symbol (conda, MKL or system builds), the
-    routine is scipy.linalg.blas.dtbsv itself.
+    routine is scipy.linalg.blas.dtbsv called in the same form.
     """
     pkg = os.path.dirname(np.__file__)
     try:
@@ -98,36 +97,34 @@ def _load_dtbsv():
         return _cblas_dtbsv(ctypes.CDLL(path).scipy_cblas_dtbsv64_)
     except (ValueError, OSError, AttributeError):
         from scipy.linalg.blas import dtbsv
-        return dtbsv
+        return lambda k, a, x: dtbsv(k, a, x, lower=1, diag=1, overwrite_x=1)
 
 
 def _cblas_dtbsv(routine):
-    """dtbsv(k, a, x, lower=0, diag=0, overwrite_x=0) over CBLAS routine.
+    """dtbsv(k, a, x) over CBLAS routine: x solved in place and returned.
 
-    x converts as in scipy: copied to a float64 vector unless overwrite_x,
-    and then only if it is not one.  The foreign call reads and writes
-    what it is given, so a must be a writable float64 Fortran-ordered band
-    of k + 1 rows or more and x writable with a.shape[1] values, else
-    ValueError.  Their addresses come from ctypes buffers, which take only
-    writable arrays but cost less per call than ndarray.ctypes.
+    a holds the k subdiagonals of a unit lower band, a[i, j] = L[j + i, j]
+    (row 0 unread).  The foreign call reads and writes what it is given, so
+    a must be a writable float64 Fortran-ordered band of k + 1 rows or more
+    and x a writable, aligned C-contiguous float64 vector of a.shape[1]
+    values, else ValueError.  Their addresses come from ctypes buffers,
+    which take only writable arrays but cost less per call than
+    ndarray.ctypes.
     """
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     routine.argtypes = (ctypes.c_int,) * 4 + (i64, i64, ptr, i64, ptr, i64)
     routine.restype = None
     address, buffer = ctypes.addressof, ctypes.c_char.from_buffer
 
-    def dtbsv(k, a, x, lower=0, diag=0, overwrite_x=0):
-        x = np.array(x, dtype=float, order="C",
-                     copy=None if overwrite_x else True)
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-                and a.ndim == 2 and a.flags.f_contiguous
-                and a.flags.writeable and 0 <= k < a.shape[0]
-                and x.shape == a.shape[1:] and x.flags.writeable):
-            raise ValueError("dtbsv needs a writable float64 Fortran-ordered"
-                             " band of k + 1 rows or more and a writable x"
-                             " of one value per band column")
-        routine(_COL_MAJOR, _LOWER if lower else _UPPER, _NO_TRANS,
-                _UNIT if diag else _NON_UNIT, x.size, k,
+    def dtbsv(k, a, x):
+        if not (isinstance(a, np.ndarray) and isinstance(x, np.ndarray)
+                and a.dtype == x.dtype == np.float64 and x.flags.carray
+                and a.ndim == 2 and a.flags.f_contiguous and a.flags.writeable
+                and 0 <= k < a.shape[0] and x.shape == a.shape[1:]):
+            raise ValueError("dtbsv needs writable float64 arrays: a Fortran-"
+                             "ordered band of k + 1 rows or more and a "
+                             "contiguous x of one value per band column")
+        routine(_COL_MAJOR, _LOWER, _NO_TRANS, _UNIT, x.size, k,
                 address(buffer(a.T)), a.shape[0], address(buffer(x)), 1)
         return x
 
@@ -195,8 +192,8 @@ def _solve_recurrence(band, blocks, *rhs):
     b = band[:, :ns * m]
     for r, c in itertools.product(range(ns), repeat=2):
         b[ns + r - c, c:ns * (m - 1):ns] = -blocks[r][c]
-    return [dtbsv(2 * ns - 1, b, np.stack(y, axis=1).ravel(), lower=1,
-                  diag=1, overwrite_x=1).reshape(m, ns).T for y in rhs]
+    return [dtbsv(2 * ns - 1, b, np.stack(y, axis=1).ravel()).reshape(m, ns).T
+            for y in rhs]
 
 
 def _linear_differentiator(eps, a0, b0):

@@ -23,7 +23,8 @@ import sys
 
 import numpy as np
 
-from .describing import DegenerateError, OverdampedError, bode_table, linearize
+from .describing import (DegenerateError, OverdampedError, bode_table,
+                         freq_response, linearize)
 from .dynamics import DiffParams
 from .presets import PRESETS, get_preset, uncertainty_plant
 from .signals import DEFAULT_SEED, NoiseSpec, SignalSpec
@@ -352,10 +353,10 @@ def cmd_sweep(args, parser) -> int:
     grid = _log_grid(args, parser)
     lin = linearize(p, spec.amplitude)
     measured = sweep(p, spec.amplitude, grid, dt=args.dt)
-    columns = list(zip(*[
-        (pt.omega, ref.mag, ref.mag_db, ref.phase_deg, pt.track_mag,
+    columns = list(zip(*[  # omega, then the analytic and measured responses
+        (*dataclasses.astuple(freq_response(lin, pt.omega)), pt.track_mag,
          pt.track_phase_deg, pt.deriv_mag, pt.deriv_phase_deg)
-        for pt, ref in zip(measured, bode_table(lin, grid))]))
+        for pt in measured]))
     try:
         bandwidth = (f"-3 dB tracking bandwidth = "
                      f"{_FMT.format(tracking_bandwidth(measured))} rad/s")

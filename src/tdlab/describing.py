@@ -190,10 +190,13 @@ def first_order_response(a0: float, eps: float, omega: float) -> FreqPoint:
                        math.sqrt(a0) / eps)
 
 
+def _increasing(omegas: list) -> list:
+    """omegas, if they strictly increase; else ValueError."""
+    if not all(hi > lo for lo, hi in zip(omegas, omegas[1:])):
+        raise ValueError("frequency grid must be strictly increasing")
+    return omegas
+
+
 def bode_table(lin: EquivalentLinearization, omegas) -> list[FreqPoint]:
     """Tabulate freq_response over a strictly increasing frequency grid."""
-    omegas = list(omegas)
-    for lo, hi in zip(omegas, omegas[1:]):
-        if not hi > lo:
-            raise ValueError("frequency grid must be strictly increasing")
-    return [freq_response(lin, w) for w in omegas]
+    return [freq_response(lin, w) for w in _increasing(list(omegas))]

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from .describing import _increasing
 from .dynamics import DiffParams, DiffState
 from .signals import SignalSpec, _adds_noise, sinusoid
 from .simulate import (MAX_STEPS, STATE_LIMIT, InstabilityError, SimConfig,
@@ -222,13 +223,10 @@ def sweep(p: DiffParams, A: float, omegas: Sequence[float],
           dt: Optional[float] = None) -> list[MeasuredResponse]:
     """Measure responses over a strictly increasing frequency grid.
 
-    Calls measure_point at each frequency with the target step dt.  A
-    per-point failure propagates with a note naming the offending omega.
+    Takes the DFT bin of each period _steady_periods settles at the target
+    step dt.  A per-point failure propagates with a note naming its omega.
     """
-    omegas = [float(w) for w in omegas]
-    for lo, hi in zip(omegas, omegas[1:]):
-        if not hi > lo:
-            raise ValueError("frequency grid must be strictly increasing")
+    omegas = _increasing([float(w) for w in omegas])
     results, periods = [], _steady_periods(p, A, omegas, dt)
     for w in omegas:
         try:
