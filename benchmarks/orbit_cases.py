@@ -80,8 +80,9 @@ def instrument():
     """Count what this tree's measure_point does from here on.
 
     Returns (solves, tally): one [map passes, map steps, certified] per
-    periodic_orbit call, i.e. per point solved, and a Counter of the measured passes' map
-    passes ("pass") and the _hybrid_loop steps ("loop").
+    periodic_orbit call, i.e. per point solved, and a Counter of the
+    measured passes' map passes ("pass") and the _hybrid_loop steps
+    ("loop").
     """
     solves, tally, phase = [], collections.Counter(), []
     f_pass, orbit, kernel, loop = (_kernels._rk4_f, _kernels.periodic_orbit,
