@@ -6,32 +6,50 @@ interpreter of its own, inside its own temporary directory, by calling
 ``tdlab.cli.main`` in-process.  The list is every subcommand on every
 preset, the full-length commands of the benchmark's ``timeseries`` and
 ``sweep`` workloads, a set of bad-value commands, two with a noise of
-zero power and two ``bode`` grids far from the corner, whose tables hold
-positive and three-digit exponents; noisy commands run at seed 12345.
-For each command the script prints whether the exit code, stdout and
-stderr match (with each tree's directory written as ``<dir>``) and
-whether every file written is byte-identical.  For a CSV that is not,
-it prints the largest relative difference of each column.  Each tree also
-records the library outputs that no command writes, the slopes of the
-eps ladders of ``LADDERS``; the script prints them side by side with
-their relative difference.  The exit status is 1 on any difference
-(a command's or a library output's), 0 otherwise.
+zero power, two ``bode`` grids far from the corner, whose tables hold
+positive and three-digit exponents, and three whose infinite frequency
+bound or overflowing noise variance must exit 2; noisy commands run at
+seed 12345.  A RuntimeWarning is an error, as under the test suite, and
+usage messages are wrapped at 80 columns.  For each command the script
+prints whether the exit code, stdout and stderr match (with each tree's
+directory written as ``<dir>``) and whether every file written is
+byte-identical.  For a CSV that is not, it prints the largest relative
+difference of each column.  Each tree also records the library outputs
+that no command writes, the slopes of the eps ladders of ``LADDERS``;
+the script prints them side by side with their relative difference.  The
+exit status is 1 on any difference (a command's or a library output's),
+0 otherwise.
+
+With ``--golden``, the script runs one tree and writes its golden record
+instead: per command the exit code, stdout, stderr and, per file written,
+the sha256 of its bytes and, for a CSV, each column's largest |x| and
+sum as float hex; the slopes as float hex; the Python, numpy and scipy
+versions.  ``tests/test_golden_outputs.py`` replays the commands against
+the record committed as ``tests/golden_outputs.json``; a change that
+moves an output rewrites that record and says so.
 
 Usage:
     python benchmarks/compare_outputs.py OLD_SRC NEW_SRC
+    python benchmarks/compare_outputs.py --golden SRC RECORD
 
-OLD_SRC and NEW_SRC are directories holding the ``tdlab`` package, e.g.
-the ``src`` of a checkout of the parent commit and of this one.
+OLD_SRC, NEW_SRC and SRC are directories holding the ``tdlab`` package,
+e.g. the ``src`` of a checkout of the parent commit and of this one.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+import warnings
+from unittest import mock
+
+import numpy as np
 
 SEED = "12345"
 PRESETS = ("paper-3A", "paper-3B", "paper-3C-linear", "paper-3C-hybrid",
@@ -116,6 +134,15 @@ def commands() -> list[list[str]]:
     cmds += [["bode", "--preset", "paper-3A", "--omega-min", lo,
               "--omega-max", hi, "--points", "3", *out]
              for lo, hi in (("1e10", "1e60"), ("1e-120", "1e-100"))]
+    # an infinite frequency bound, and a noise variance that overflows in
+    # the differentiator's input and in the plant's measurement
+    cmds += [
+        ["bode", "--preset", "paper-3A", "--omega-max=inf", *out],
+        ["simulate", "--preset", "paper-3A", "--noise-power=1.7e308",
+         "--t-end=0.5", *out],
+        ["estimate", "--preset", "paper-5", "--noise-power=1.7e308",
+         "--t-end=0.5", *out],
+    ]
     return cmds
 
 
@@ -140,13 +167,16 @@ def run_tree(workdir: str) -> None:
     """Run every command in workdir; write results.json and library.json."""
     from tdlab.cli import main
 
-    os.chdir(workdir)
     results = []
     for i, argv in enumerate(commands()):
         argv = [a.replace("{out}", os.path.join(workdir, f"c{i:02d}"))
                 for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # argparse wraps its usage messages to the terminal's width
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              mock.patch.dict(os.environ, COLUMNS="80"),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error", RuntimeWarning)
             try:
                 code = main(argv)
             except SystemExit as exc:
@@ -191,6 +221,74 @@ def column_differences(old: str, new: str) -> str:
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read().replace(os.path.dirname(path).encode(), b"<dir>")
+
+
+def _fingerprint(path: str) -> dict:
+    """sha256 of a file's bytes as _read normalizes them and, for a CSV,
+    each column's largest |x| and sum, as float hex."""
+    entry = {"sha256": hashlib.sha256(_read(path)).hexdigest()}
+    if path.endswith(".csv"):
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        entry["columns"] = {
+            name: [float(np.max(np.abs(col))).hex(), math.fsum(col).hex()]
+            for name, col in zip(header, values.T)}
+    return entry
+
+
+def golden_record(workdir: str) -> dict:
+    """The golden record of the run_tree results in workdir."""
+    import scipy
+
+    with open(os.path.join(workdir, "results.json")) as fh:
+        results = json.load(fh)
+    with open(os.path.join(workdir, "library.json")) as fh:
+        library = json.load(fh)
+    names = sorted(os.listdir(workdir))
+    return {
+        "versions": {"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__},
+        "commands": [{
+            "argv": " ".join(a.replace(workdir, "<dir>") for a in r["argv"]),
+            **{key: r[key] for key in ("code", "stdout", "stderr")},
+            "files": {f: _fingerprint(os.path.join(workdir, f))
+                      for f in names if f.startswith(f"c{i:02d}.")},
+        } for i, r in enumerate(results)],
+        "library": {name: v.hex() if isinstance(v, float) else v
+                    for name, v in library.items()},
+    }
+
+
+def golden_differences(expected: dict, actual: dict) -> list[str]:
+    """One line per command or library output of actual that moved from
+    the record expected, led by the versions when those differ too."""
+    notes = []
+    old, new = expected["commands"], actual["commands"]
+    if len(old) != len(new):
+        notes.append(f"{len(old)} commands recorded, {len(new)} run")
+    for a, b in zip(old, new):
+        moved = [key for key in ("argv", "code", "stdout", "stderr")
+                 if a[key] != b[key]]
+        for f in sorted(set(a["files"]) | set(b["files"])):
+            fa, fb = a["files"].get(f), b["files"].get(f)
+            if fa is None or fb is None:
+                moved.append(f"{f} written on one side only")
+            elif fa != fb:
+                cols = [c for c in fa.get("columns", {})
+                        if fa["columns"][c] != fb.get("columns", {}).get(c)]
+                moved.append(f"{f} columns {' '.join(cols)}" if cols
+                             else f"{f} bytes")
+        if moved:
+            notes.append(f"tdlab {b['argv']} moved: {', '.join(moved)}")
+    for name in sorted(set(expected["library"]) | set(actual["library"])):
+        a, b = expected["library"].get(name), actual["library"].get(name)
+        if a != b:
+            notes.append(f"{name}: {a} -> {b}")
+    if notes and expected["versions"] != actual["versions"]:
+        notes.insert(0, f"versions differ: recorded {expected['versions']}, "
+                        f"running {actual['versions']}")
+    return notes
 
 
 def compare(old_dir: str, new_dir: str) -> int:
@@ -254,9 +352,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--run":  # one tree, in a child process
         sys.path.insert(0, os.path.abspath(argv[1]))
+        os.chdir(argv[2])
         run_tree(argv[2])
         return 0
-    if len(argv) != 2:
+    golden = len(argv) == 3 and argv[0] == "--golden"
+    if not (golden or len(argv) == 2):
         print(__doc__.split("Usage:")[1].strip(), file=sys.stderr)
         return 2
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
@@ -264,12 +364,17 @@ def main(argv=None) -> int:
     env.pop("PYTHONPATH", None)
     with tempfile.TemporaryDirectory() as tmp:
         dirs = []
-        for label, src in zip(("old", "new"), argv):
+        for label, src in zip(("old", "new"), argv[1:2] if golden else argv):
             d = os.path.join(tmp, label)
             os.mkdir(d)
             subprocess.run([sys.executable, os.path.abspath(__file__),
                             "--run", src, d], env=env, check=True)
             dirs.append(d)
+        if golden:
+            with open(argv[2], "w") as fh:
+                json.dump(golden_record(dirs[0]), fh, indent=1)
+                fh.write("\n")
+            return 0
         return compare(*dirs)
 
 

@@ -9,11 +9,11 @@ flags), run one experiment, and write CSV tables:
     sweep       measured response table  -> ...,track_*,deriv_* columns
     estimate    disturbance estimation   -> t,y,u,delta_true,delta_hat
 
-Exit codes: 0 success, 2 flag/usage error, invalid value (NaN and
-infinite values and runs over the step budget included) or an output file
-that cannot be written, 3 numerical failure.  All stochastic channels are
-controlled by --seed (default 12345, never wall-clock), so repeated runs
-are byte-identical.
+Exit codes: 0 success, 2 flag/usage error, invalid value (NaN, infinite,
+an overflowing noise variance, a negative seed, a run over the step
+budget) or an output file that cannot be written, 3 numerical failure.
+All stochastic channels are controlled by --seed (default 12345, never
+wall-clock), so repeated runs are byte-identical.
 """
 
 import argparse
@@ -293,8 +293,8 @@ def _resolve(args, parser) -> tuple[DiffParams, SignalSpec]:
 
 
 def _log_grid(args, parser) -> np.ndarray:
-    if not (args.omega_min > 0 and args.omega_max >= args.omega_min):
-        parser.error("need 0 < --omega-min <= --omega-max")
+    if not 0 < args.omega_min <= args.omega_max < np.inf:
+        parser.error("need 0 < --omega-min <= --omega-max < inf")
     if not 1 <= args.points <= MAX_STEPS:
         parser.error(f"--points must lie in [1, MAX_STEPS={MAX_STEPS}]")
     if args.points > 1 and args.omega_max == args.omega_min:

@@ -6,7 +6,7 @@ nonlinear one, and with all four gains positive the hybrid of both.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class DiffParams:
     @property
     def is_linear(self) -> bool:
         return self.a1 == 0.0 and self.b1 == 0.0
-
-    def with_eps(self, eps: float) -> "DiffParams":
-        return replace(self, eps=eps)
 
 
 @dataclass(frozen=True)

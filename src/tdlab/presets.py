@@ -83,11 +83,10 @@ def get_preset(name: str) -> ExperimentPreset:
         raise KeyError(f"unknown preset {name!r}; known presets: {known}") from None
 
 
-def uncertainty_plant(noise=None, x0: float = 0.0) -> PlantConfig:
-    """The scalar uncertain plant of the estimation experiment.
+def uncertainty_plant(noise=None) -> PlantConfig:
+    """The scalar uncertain plant of the estimation experiment, from x0 = 0.
 
     Control u = 0.1*sin(t), disturbance delta = cos(t); the truth channel
     for delta is recorded alongside the run.
     """
-    return PlantConfig(u=lambda t: 0.1 * np.sin(t), delta=np.cos,
-                   noise=noise, x0=x0)
+    return PlantConfig(u=lambda t: 0.1 * np.sin(t), delta=np.cos, noise=noise)

@@ -37,6 +37,8 @@ class NoiseSpec:
         if not 0.0 < self.sample_time < math.inf:
             raise ValueError(
                 f"sample_time must be finite and positive, got {self.sample_time}")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be non-negative, got {self.seed}")
 
     @property
     def sigma(self) -> float:
@@ -92,7 +94,7 @@ def bl_white_noise(spec: NoiseSpec, t):
 
     The hold index is floor(t/Ts) with a tiny forward nudge so that grid
     times landing a rounding error below a hold boundary still pick up the
-    new hold.  A negative or non-finite t has no hold: ValueError.
+    new hold.  ValueError where t < 0 or not finite, or sigma overflows.
     """
     t = np.asarray(t, dtype=float)
     bad = ~((0.0 <= t) & (t < np.inf))
@@ -101,6 +103,8 @@ def bl_white_noise(spec: NoiseSpec, t):
             f"noise time must be finite and non-negative, got {t[bad][0]}")
     if not _adds_noise(spec):
         return np.zeros_like(t) if t.ndim else 0.0
+    if not spec.sigma < math.inf:
+        raise ValueError(f"noise variance power/sample_time overflows in {spec}")
     k = np.floor(t / spec.sample_time + 1e-9).astype(np.int64)
     holds = noise_holds(spec, int(np.max(k, initial=-1)) + 1)
     out = holds[k]

@@ -28,9 +28,9 @@ MAX_STEPS = 2**24
 
 
 class InstabilityError(RuntimeError):
-    """Integration diverged (a state left [-STATE_LIMIT, STATE_LIMIT])."""
+    """A run diverged (|x| > STATE_LIMIT) or did not settle, at time t."""
 
-    def __init__(self, message: str, t: float = float("nan")):
+    def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
 
@@ -79,9 +79,6 @@ class TimeSeries:
         merged = dict(self.channels)
         merged[name] = values
         return TimeSeries(t=self.t, channels=merged)
-
-    def window_mask(self, t0: float, t1: float) -> np.ndarray:
-        return (self.t >= t0) & (self.t <= t1)
 
 
 def default_dt(p: DiffParams, spec: Optional[SignalSpec] = None) -> float:
@@ -205,7 +202,7 @@ def rms_error(ts: TimeSeries, channel: str, reference: str,
     if t0 < ts.t[0] - 1e-12 or t1 > ts.t[-1] + 1e-12:
         raise ValueError(
             f"window [{t0:g}, {t1:g}] outside record [{ts.t[0]:g}, {ts.t[-1]:g}]")
-    mask = ts.window_mask(t0, t1)
+    mask = (ts.t >= t0) & (ts.t <= t1)
     if not np.any(mask):
         raise ValueError("window contains no samples")
     diff = ts.channel(channel)[mask] - ts.channel(reference)[mask]

@@ -89,8 +89,9 @@ def _steady_periods(p: DiffParams, A: float, omegas: Sequence[float],
     """Yield (x1, x2) over one period of the settled response at each omega.
 
     Consecutive points are planned into batches of at most
-    _kernels._WINDOW_STEPS steps (or one longer point) for _settle, a
-    nonlinear point counting the n/2 steps of its half period; a point that
+    2 * _kernels._WINDOW_STEPS steps (or one longer point) for _settle,
+    whose one solve of a batch's half periods then spans at most
+    _WINDOW_STEPS (linear points are not solved together); a point that
     fails to plan raises after the batch before it.
     """
     batch, error = [], None
@@ -101,7 +102,7 @@ def _steady_periods(p: DiffParams, A: float, omegas: Sequence[float],
             error = exc
             break
         if batch and (sum(len(q[3]) for q in batch) + len(point[3])
-                      > _kernels._WINDOW_STEPS * (1 if p.is_linear else 2)):
+                      > 2 * _kernels._WINDOW_STEPS):
             yield from _settle(p, A, batch)
             batch = []
         batch.append(point)
@@ -237,13 +238,13 @@ def sweep(p: DiffParams, A: float, omegas: Sequence[float],
     return results
 
 
-def tracking_bandwidth(points: Sequence[MeasuredResponse],
-                       threshold: float = 1.0 / math.sqrt(2.0)) -> float:
-    """First frequency where track_mag falls below the threshold (-3 dB).
+def tracking_bandwidth(points: Sequence[MeasuredResponse]) -> float:
+    """First frequency where track_mag falls below 1/sqrt(2) (-3 dB).
 
     Log-interpolates between the bracketing grid points.  Raises when the
-    response never crosses the threshold inside the grid, or starts below it.
+    response never crosses that threshold inside the grid, or starts below it.
     """
+    threshold = 1.0 / math.sqrt(2.0)
     mags = np.array([pt.track_mag for pt in points])
     oms = np.array([pt.omega for pt in points])
     below = np.nonzero(mags < threshold)[0]

@@ -11,6 +11,7 @@ the measured values and the analysis.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def test_criterion_08_bandwidth_grows_with_r():
     t0 = time.perf_counter()
     omegas = np.logspace(math.log10(4.0), math.log10(90.0), 10)
     bw_100 = tracking_bandwidth(sweep(P4_HYBRID, 1.0, omegas))
-    bw_45 = tracking_bandwidth(sweep(P4_HYBRID.with_eps(1 / 45), 1.0, omegas))
+    bw_45 = tracking_bandwidth(sweep(replace(P4_HYBRID, eps=1 / 45), 1.0, omegas))
     elapsed = time.perf_counter() - t0
     ok = bw_100 > bw_45 and elapsed < 60.0
     report(8, "tracking bandwidth vs R", ok,

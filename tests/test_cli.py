@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tdlab
@@ -354,6 +354,13 @@ class TestSweepCommand:
     # a sweep point whose input's derivative overflows
     ["sweep", "--preset", "paper-3A", "--dt", "0.02", "--omega-min", "1",
      "--omega-max", "1.7e308", "--points", "2"],
+    # an infinite frequency bound, and a noise variance that overflows in
+    # the differentiator's input and in the plant's measurement
+    ["bode", "--preset", "paper-3A", "--omega-max", "inf"],
+    ["simulate", "--preset", "paper-3A", "--noise-power", "1e308",
+     "--t-end", "1"],
+    ["estimate", "--preset", "paper-5", "--noise-power", "1e308",
+     "--t-end", "1"],
 ])
 def test_bad_value_exits_2_without_traceback(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -583,6 +590,12 @@ def _run_cli(argv, path):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=cli_argv())
+@example(argv=["bode", "--preset", "paper-3A", "--omega-max=inf",
+               "--out", "{out}"])
+@example(argv=["simulate", "--preset", "paper-3A", "--noise-power=1.7e308",
+               "--t-end=0.5", "--out", "{out}"])
+@example(argv=["estimate", "--preset", "paper-5", "--noise-power=1.7e308",
+               "--t-end=0.5", "--out", "{out}"])
 def test_drawn_flags_keep_the_exit_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")

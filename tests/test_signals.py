@@ -49,6 +49,10 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(**kwargs)
 
+    def test_rejects_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            NoiseSpec(0.01, 0.01, seed=-1)
+
 
 class TestBlWhiteNoise:
     def test_zero_power(self):
@@ -113,6 +117,17 @@ class TestBlWhiteNoise:
         # a negative index would wrap to the last hold drawn
         with pytest.raises(ValueError, match="non-negative"):
             bl_white_noise(NoiseSpec(1.0, 0.1), t)
+
+    @pytest.mark.parametrize("power, hold", [(1.7e308, 0.01), (1.0, 5e-324)])
+    def test_rejects_variance_that_overflows(self, power, hold):
+        # every hold would be +-inf; NoiseSpec accepts such a spec, since
+        # default_dt and run report the tiny hold as one no step divides
+        with pytest.raises(ValueError, match="variance .* overflows"):
+            bl_white_noise(NoiseSpec(power, hold), np.array([0.0, 1.0]))
+
+    def test_largest_finite_variance_draws_finite_values(self):
+        out = bl_white_noise(NoiseSpec(1.7e308, 1.0, seed=3), np.arange(5.0))
+        assert np.all(np.isfinite(out)) and np.any(out != 0.0)
 
     def test_prefix_stability(self):
         # value at hold k does not depend on how many holds were generated
