@@ -10,8 +10,15 @@ Writes ``BENCH_<label>.json`` at the root of this checkout with every
 run's end-to-end values, their medians and quartiles per side, how many
 pairs this checkout won on each metric, the per-layer metrics of the
 traced runs (``kernels.busy_s`` and ``kernels.us_per_step`` among them),
-the backend, the Python, numpy and scipy versions, ``nproc`` and the git
-revision of each tree.
+the backend, the Python, numpy and scipy versions, ``nproc``, the git
+revision of each tree, and whether ``PYTHONDONTWRITEBYTECODE`` was set.
+
+With that variable set no run writes bytecode, so the untimed warm probe of
+``bench/run.py`` cannot refresh it: a module of ``src/tdlab`` whose
+bytecode in ``__pycache__`` is missing or older than its source is compiled
+again by every cold-import probe, and ``setup_s`` reads the compile.  The
+script then refuses to start and names those modules; refresh their
+bytecode (``python -m compileall -q TREE/src``) or unset the variable.
 
 Usage:
     python benchmarks/record.py PARENT_CHECKOUT --label L
@@ -23,6 +30,7 @@ PARENT_CHECKOUT is a checkout of the commit to compare against, e.g. a
 
 import argparse
 import datetime
+import importlib.util
 import json
 import os
 import statistics
@@ -47,6 +55,17 @@ def revision(tree):
     except (OSError, subprocess.CalledProcessError):
         return None
     return rev.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
+
+
+def stale_bytecode(tree):
+    """Sources of tree's src/tdlab with no cached bytecode, or an older one."""
+    stale = []
+    for source in sorted((Path(tree) / "src" / "tdlab").glob("*.py")):
+        cached = Path(importlib.util.cache_from_source(str(source)))
+        if not (cached.exists()
+                and cached.stat().st_mtime >= source.stat().st_mtime):
+            stale.append(str(source))
+    return stale
 
 
 def bench(tree, workload, seed, seconds, trace):
@@ -93,12 +112,22 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    no_bytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    stale = [m for tree in trees.values() for m in stale_bytecode(tree)]
+    if no_bytecode and stale:
+        raise SystemExit(
+            "error: PYTHONDONTWRITEBYTECODE is set and these modules have no "
+            "bytecode or one older than their source, so every cold-import "
+            "probe would compile them again:\n  " + "\n  ".join(stale)
+            + "\nrefresh it with python -m compileall -q TREE/src, or unset "
+            "PYTHONDONTWRITEBYTECODE")
 
     result = {"label": args.label,
               "date": datetime.datetime.now(datetime.timezone.utc)
               .isoformat(timespec="seconds"),
               "seconds": seconds, "pairs": PAIRS,
               "nproc": len(os.sched_getaffinity(0)),
+              "PYTHONDONTWRITEBYTECODE": no_bytecode,
               "trees": {side: {"revision": revision(tree)}
                         for side, tree in trees.items()},
               "workloads": {}}

@@ -71,6 +71,7 @@ _ROUNDING_TOL = 1e-15
 _FLOOR_GAIN = 4.0
 #: |e| and |eps*x2| are clipped below here in the slope alpha*|.|^(alpha-1).
 _SLOPE_FLOOR = 1e-12
+_EYE = {1: np.eye(2), -1: -np.eye(2)}  #: sign*I of _close, by sign
 
 
 #: CBLAS enum values (Blackford et al., "An updated set of basic linear
@@ -192,8 +193,10 @@ def _solve_recurrence(band, blocks, *rhs):
     b = band[:, :ns * m]
     for r, c in itertools.product(range(ns), repeat=2):
         b[ns + r - c, c:ns * (m - 1):ns] = -blocks[r][c]
-    return [dtbsv(2 * ns - 1, b, np.stack(y, axis=1).ravel()).reshape(m, ns).T
-            for y in rhs]
+    x = np.empty((len(rhs), m, ns))  # a copy of each r: dtbsv solves in place
+    for (i, y), c in itertools.product(enumerate(rhs), range(ns)):
+        x[i, :, c] = y[c]
+    return [dtbsv(2 * ns - 1, b, d.ravel()).reshape(m, ns).T for d in x]
 
 
 def _linear_differentiator(eps, a0, b0):
@@ -437,8 +440,8 @@ def _close(q, m1, m2, sign):
     so the trajectory closes (sign 1) or ends at minus its start (sign -1,
     the half period of a half-wave symmetric orbit).
     """
-    M = np.stack((m1[:, -1], m2[:, -1]), axis=1)
-    c1, c2 = _solve_2x2(sign * np.eye(2) - M, q[:, -1])
+    M = np.array((m1[:, -1], m2[:, -1])).T
+    c1, c2 = _solve_2x2(_EYE[sign] - M, q[:, -1])
     return q + c1 * m1 + c2 * m2, M
 
 

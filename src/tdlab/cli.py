@@ -18,6 +18,7 @@ wall-clock), so repeated runs are byte-identical.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -354,9 +355,9 @@ def cmd_sweep(args, parser) -> int:
     lin = linearize(p, spec.amplitude)
     measured = sweep(p, spec.amplitude, grid, dt=args.dt)
     columns = list(zip(*[  # omega, then the analytic and measured responses
-        (*dataclasses.astuple(freq_response(lin, pt.omega)), pt.track_mag,
+        (fr.omega, fr.mag, fr.mag_db, fr.phase_deg, pt.track_mag,
          pt.track_phase_deg, pt.deriv_mag, pt.deriv_phase_deg)
-        for pt in measured]))
+        for pt in measured for fr in [freq_response(lin, pt.omega)]]))
     try:
         bandwidth = (f"-3 dB tracking bandwidth = "
                      f"{_FMT.format(tracking_bandwidth(measured))} rad/s")
@@ -436,6 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's: parse_args keeps no state
+
+
 def _fail(exc: Exception, code: int) -> int:
     print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n  ",
           file=sys.stderr)
@@ -443,7 +447,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "plot_script", None) and (
             os.path.realpath(args.plot_script) == os.path.realpath(args.out)):

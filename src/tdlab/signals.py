@@ -20,6 +20,8 @@ import numpy as np
 
 #: Seed used whenever the caller does not supply one (never wall-clock).
 DEFAULT_SEED = 12345
+#: Most steps of a run (about 65 B each), and holds past a noise call's first.
+MAX_STEPS = 2**24
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,13 @@ def sinusoid_derivative(A: float, omega: float, t):
 
 
 def noise_holds(spec: NoiseSpec, n: int) -> np.ndarray:
-    """First n held noise values, a deterministic function of spec.seed."""
+    """First n held noise values, a deterministic function of spec.seed;
+    ValueError where sigma overflows or n > MAX_STEPS + 1, before any draw."""
+    if not spec.sigma < math.inf:
+        raise ValueError(f"noise variance power/sample_time overflows in {spec}")
+    if n > MAX_STEPS + 1:
+        raise ValueError(f"{n:.10g} noise holds, more than MAX_STEPS + 1 = "
+                         f"{MAX_STEPS + 1}")
     rng = np.random.default_rng(spec.seed)
     return rng.standard_normal(n) * spec.sigma
 
@@ -94,7 +102,7 @@ def bl_white_noise(spec: NoiseSpec, t):
 
     The hold index is floor(t/Ts) with a tiny forward nudge so that grid
     times landing a rounding error below a hold boundary still pick up the
-    new hold.  ValueError where t < 0 or not finite, or sigma overflows.
+    new hold.  ValueError where t < 0 or not finite, or from noise_holds.
     """
     t = np.asarray(t, dtype=float)
     bad = ~((0.0 <= t) & (t < np.inf))
@@ -103,10 +111,8 @@ def bl_white_noise(spec: NoiseSpec, t):
             f"noise time must be finite and non-negative, got {t[bad][0]}")
     if not _adds_noise(spec):
         return np.zeros_like(t) if t.ndim else 0.0
-    if not spec.sigma < math.inf:
-        raise ValueError(f"noise variance power/sample_time overflows in {spec}")
-    k = np.floor(t / spec.sample_time + 1e-9).astype(np.int64)
-    holds = noise_holds(spec, int(np.max(k, initial=-1)) + 1)
-    out = holds[k]
+    k = float(np.max(t, initial=-spec.sample_time)) / spec.sample_time + 1e-9
+    holds = noise_holds(spec, math.floor(k) + 1 if k < math.inf else k)
+    out = holds[np.floor(t / spec.sample_time + 1e-9).astype(np.int64)]
     return out if t.ndim else float(out)
 

@@ -17,14 +17,11 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import DiffParams, DiffState
-from .signals import (NoiseSpec, SignalSpec, _adds_noise, bl_white_noise,
-                      sinusoid, sinusoid_derivative)
+from .signals import (MAX_STEPS, NoiseSpec, SignalSpec, _adds_noise,
+                      bl_white_noise, sinusoid, sinusoid_derivative)
 
 #: States beyond this magnitude abort the integration as diverged.
 STATE_LIMIT = 1e9
-
-#: Most steps one run may take; a noisy run needs about 65 B per step.
-MAX_STEPS = 2**24
 
 
 class InstabilityError(RuntimeError):

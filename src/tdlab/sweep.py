@@ -151,8 +151,8 @@ def _settle(p: DiffParams, A: float, batch: list):
                 orbit[0, 0], orbit[1, 0], v, vm, *gains, h, STATE_LIMIT, orbit)
             _raise_if_diverged(bad, h, "state")
             guess = np.array(x)
-            if np.allclose(guess[:, -1], guess[:, 0], _CLOSURE_TOL,
-                           _CLOSURE_TOL):
+            if all(abs(a - b) <= _CLOSURE_TOL + _CLOSURE_TOL * abs(b) for a, b
+                   in zip(guess[:, -1].tolist(), guess[:, 0].tolist())):
                 break
         else:
             raise InstabilityError(f"did not settle within {SETTLE_PERIODS} "

@@ -119,6 +119,25 @@ class TestSimulateCommand:
         assert header == ["t", "v", "x1", "x2", "v_clean", "dv_clean"]
         assert len(rows) == 2001
 
+    def test_reused_parser_keeps_the_contract(self, tmp_path, capsys):
+        # main builds its parser once per process; a usage error and two
+        # runs after it behave as the first call of a process would
+        argv = ["simulate", "--preset", "paper-3A", "--t-end", "0.1", "--out"]
+        cli._parser.cache_clear()
+        assert main(argv + [str(tmp_path / "first.csv")]) == 0
+        first = (tmp_path / "first.csv").read_bytes()
+        said = capsys.readouterr().out.replace("first.csv", "{}")
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:-1])  # --out is required
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        for name in ("a.csv", "b.csv"):
+            assert main(argv + [str(tmp_path / name)]) == 0
+            assert (tmp_path / name).read_bytes() == first
+            assert capsys.readouterr().out == said.replace("{}", name)
+        assert cli._parser.cache_info().misses == 1  # build_parser ran once
+
     def test_seed_changes_output(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["simulate", "--preset", "paper-3A", "--t-end", "1.0"]

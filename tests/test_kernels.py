@@ -493,6 +493,27 @@ def test_solve_recurrence_matches_a_loop(ns, per_step, n_rhs):
             assert np.all(np.abs(g - want) <= 1e-13 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "sliced"])
+@pytest.mark.parametrize("ns", [1, 2])
+def test_solve_recurrence_leaves_its_right_hand_sides(ns, layout):
+    # dtbsv solves in place, so each r is copied first: periodic_orbit's
+    # unit starts are views of a buffer whose other columns must stay zero
+    rng = np.random.default_rng(ns)
+    m = 40
+    buf = np.zeros((3, ns, m + 5))
+    buf[:, :, :m] = rng.uniform(-1.0, 1.0, (3, ns, m))
+    rhs = list(buf[:, :, :m])
+    if layout == "contiguous":
+        rhs = [np.array(r) for r in rhs]
+    kept, buf_kept = [r.copy() for r in rhs], buf.copy()
+    band = np.zeros((2 * ns, ns * m), order="F")
+    got = _kernels._solve_recurrence(band, rng.uniform(-0.5, 0.5, (ns, ns)),
+                                     *rhs)
+    assert all(np.array_equal(r, r0) for r, r0 in zip(rhs, kept))
+    assert np.array_equal(buf, buf_kept)
+    assert not any(np.shares_memory(g, r) for g in got for r in rhs)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(k=st.integers(0, 3), n=st.integers(1, 300),
        seed=st.integers(0, 2 ** 32 - 1))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tdlab import _kernels
 from tdlab.dynamics import DiffParams
 from tdlab.signals import (
+    MAX_STEPS,
     NoiseSpec,
     SignalSpec,
     bl_white_noise,
@@ -124,6 +126,28 @@ class TestBlWhiteNoise:
         # default_dt and run report the tiny hold as one no step divides
         with pytest.raises(ValueError, match="variance .* overflows"):
             bl_white_noise(NoiseSpec(power, hold), np.array([0.0, 1.0]))
+
+    def test_holds_reject_variance_that_overflows(self):
+        # noise_holds owns the check, so its own callers get it too
+        with pytest.raises(ValueError, match="variance .* overflows"):
+            noise_holds(NoiseSpec(1.7e308, 0.01), 3)
+
+    @pytest.mark.parametrize("power, hold, t", [
+        (0.01, 1e-9, 1e6), (0.01, 1e-300, 1.0),
+        (0.01, 1.0, MAX_STEPS + 1.0), (1e-300, 1e-300, 1e10)],
+        ids=["1e15-holds", "1e300-holds", "one-past", "inf-holds"])
+    def test_rejects_more_holds_than_a_longest_run(self, power, hold, t):
+        # a run's end at dt = Ts needs hold MAX_STEPS; a hold past it is
+        # refused before the index is cast (a RuntimeWarning under the
+        # suite's filter) and before any hold is drawn
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"MAX_STEPS \+ 1 = 16777217"):
+                bl_white_noise(NoiseSpec(power, hold), [0.0, t])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_largest_finite_variance_draws_finite_values(self):
         out = bl_white_noise(NoiseSpec(1.7e308, 1.0, seed=3), np.arange(5.0))
