@@ -1,32 +1,30 @@
 #!/usr/bin/env python3
 """Compare what two source trees of tdlab write, command by command.
 
-Each tree runs the same fixed list of CLI commands in one fresh
-interpreter of its own, inside its own temporary directory, by calling
-``tdlab.cli.main`` in-process.  The list is every subcommand on every
-preset, the full-length commands of the benchmark's ``timeseries`` and
-``sweep`` workloads, a set of bad-value commands, two with a noise of
-zero power, two ``bode`` grids far from the corner, whose tables hold
-positive and three-digit exponents, and three whose infinite frequency
-bound or overflowing noise variance must exit 2; noisy commands run at
-seed 12345.  A RuntimeWarning is an error, as under the test suite, and
-usage messages are wrapped at 80 columns.  For each command the script
-prints whether the exit code, stdout and stderr match (with each tree's
-directory written as ``<dir>``) and whether every file written is
-byte-identical.  For a CSV that is not, it prints the largest relative
-difference of each column.  Each tree also records the library outputs
-that no command writes, the slopes of the eps ladders of ``LADDERS``;
-the script prints them side by side with their relative difference.  The
-exit status is 1 on any difference (a command's or a library output's),
-0 otherwise.
+Each tree runs the fixed list of ``commands`` in one fresh interpreter of
+its own, inside its own temporary directory, by calling
+``tdlab.cli.main`` in-process: every subcommand on every preset, the
+benchmark's full-length ``timeseries`` and ``sweep`` commands, and
+commands that must fail cleanly or that write values no other command
+does; noisy ones run at seed 12345.  A RuntimeWarning is an error, as
+under the test suite, and usage messages are wrapped at 80 columns.  Each
+tree also records the slopes of the eps ladders of ``LADDERS``, library
+outputs that no command writes.
 
-With ``--golden``, the script runs one tree and writes its golden record
-instead: per command the exit code, stdout, stderr and, per file written,
-the sha256 of its bytes and, for a CSV, each column's largest |x| and
-sum as float hex; the slopes as float hex; the Python, numpy and scipy
-versions.  ``tests/test_golden_outputs.py`` replays the commands against
-the record committed as ``tests/golden_outputs.json``; a change that
-moves an output rewrites that record and says so.
+``golden_record`` holds what a tree wrote: per command the exit code,
+stdout, stderr and, per file written, its sha256 and, for a CSV, each
+column's largest |x| and sum; the slopes; the Python, numpy and scipy
+versions.  ``golden_differences`` of two records names each command,
+file, CSV column and slope that moved, a slope with its relative
+difference.  ``tests/test_golden_outputs.py`` replays the commands
+against the record committed as ``tests/golden_outputs.json``.
+
+Given two trees, the script prints ``golden_differences`` of their
+records, each moved CSV column's largest relative difference and the old
+and new tails of each moved stdout and stderr, then how many commands
+and library outputs differ; it exits 1 on any difference, else 0.  With
+``--golden`` it runs one tree and writes its golden record instead: a
+change that moves an output rewrites the committed record and says so.
 
 Usage:
     python benchmarks/compare_outputs.py OLD_SRC NEW_SRC
@@ -193,44 +191,40 @@ def run_tree(workdir: str) -> None:
         json.dump(library_outputs(), fh)
 
 
-def _read_csv(path: str):
+def _table(path: str):
+    """A CSV's header and its (rows, columns) values."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    return lines[0].split(","), [[float(v) for v in ln.split(",")]
-                                 for ln in lines[1:]]
+        header = fh.readline().strip().split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _relative(a, b):
+    """|a - b| / max(|a|, |b|) elementwise, 0 where a == b."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(all="ignore"):
+        return np.where(a == b, 0.0,
+                        np.abs(a - b) / np.maximum(np.abs(a), np.abs(b)))
 
 
 def column_differences(old: str, new: str) -> str:
-    """Largest relative difference per column of two CSVs of one shape."""
-    (h_old, r_old), (h_new, r_new) = _read_csv(old), _read_csv(new)
-    if h_old != h_new or len(r_old) != len(r_new):
-        return (f"header {h_old} / {h_new}, "
-                f"{len(r_old)} / {len(r_new)} rows")
-    worst = []
-    for j, name in enumerate(h_old):
-        rel = 0.0
-        for a, b in zip((r[j] for r in r_old), (r[j] for r in r_new)):
-            if a != b:
-                scale = max(abs(a), abs(b))
-                rel = max(rel, abs(a - b) / scale if math.isfinite(scale)
-                          else math.inf)
-        worst.append(f"{name} {rel:.3g}")
-    return ", ".join(worst)
-
-
-def _read(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read().replace(os.path.dirname(path).encode(), b"<dir>")
+    """Largest relative difference of each column that differs between two
+    CSVs of one shape."""
+    (h_old, v_old), (h_new, v_new) = _table(old), _table(new)
+    if h_old != h_new or v_old.shape != v_new.shape:
+        return f"header {h_old} / {h_new}, {len(v_old)} / {len(v_new)} rows"
+    worst = np.max(_relative(v_old, v_new), axis=0, initial=0.0)
+    return ", ".join(f"{name} {rel:.3g}" for name, rel in zip(h_old, worst)
+                     if rel)
 
 
 def _fingerprint(path: str) -> dict:
-    """sha256 of a file's bytes as _read normalizes them and, for a CSV,
-    each column's largest |x| and sum, as float hex."""
-    entry = {"sha256": hashlib.sha256(_read(path)).hexdigest()}
+    """sha256 of a file's bytes, its directory written as <dir>, and, for a
+    CSV, each column's largest |x| and sum, as float hex."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(os.path.dirname(path).encode(), b"<dir>")
+    entry = {"sha256": hashlib.sha256(data).hexdigest()}
     if path.endswith(".csv"):
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        header, values = _table(path)
         entry["columns"] = {
             name: [float(np.max(np.abs(col))).hex(), math.fsum(col).hex()]
             for name, col in zip(header, values.T)}
@@ -284,68 +278,43 @@ def golden_differences(expected: dict, actual: dict) -> list[str]:
     for name in sorted(set(expected["library"]) | set(actual["library"])):
         a, b = expected["library"].get(name), actual["library"].get(name)
         if a != b:
-            notes.append(f"{name}: {a} -> {b}")
+            try:  # two slopes, as float hex
+                rel = _relative(float.fromhex(a), float.fromhex(b))
+                notes.append(f"{name}: {a} -> {b}, rel diff {rel:.3g}")
+            except (TypeError, ValueError):  # an error message, or none
+                notes.append(f"{name}: {a} -> {b}")
     if notes and expected["versions"] != actual["versions"]:
         notes.insert(0, f"versions differ: recorded {expected['versions']}, "
                         f"running {actual['versions']}")
     return notes
 
 
-def compare(old_dir: str, new_dir: str) -> int:
-    with open(os.path.join(old_dir, "results.json")) as fh:
-        old = json.load(fh)
-    with open(os.path.join(new_dir, "results.json")) as fh:
-        new = json.load(fh)
-    differences = 0
-    for i, (a, b) in enumerate(zip(old, new)):
-        notes = []
-        for key in ("code", "stdout", "stderr"):
-            if a[key] != b[key]:
-                notes.append(f"{key} differs")
-        files = sorted(f for f in set(os.listdir(old_dir))
-                       | set(os.listdir(new_dir)) if f.startswith(f"c{i:02d}."))
-        for f in files:
-            po, pn = os.path.join(old_dir, f), os.path.join(new_dir, f)
-            if not (os.path.exists(po) and os.path.exists(pn)):
-                notes.append(f"{f} written by one tree only")
-            elif _read(po) != _read(pn):
-                detail = (column_differences(po, pn) if f.endswith(".csv")
-                          else "")
-                notes.append(f"{f} differs {detail}".rstrip())
-        argv = " ".join(x.replace(new_dir, "<dir>") for x in b["argv"])
-        status = "DIFF" if notes else "same"
-        print(f"{status} [{a['code']} -> {b['code']}, {len(files)} files] "
-              f"tdlab {argv}")
-        for note in notes:
-            print(f"     {note}")
+def report(old_dir: str, new_dir: str) -> int:
+    """Print golden_differences of the run_tree results in two directories,
+    with each moved CSV's column_differences and the tails of each moved
+    stdout and stderr; return 1 if anything moved, else 0."""
+    old, new = golden_record(old_dir), golden_record(new_dir)
+    # one line per moved command, in order, then one per moved slope; both
+    # records are made here, so their versions agree and lead no line
+    notes = iter(golden_differences(old, new))
+    moved = [(a, b) for a, b in zip(old["commands"], new["commands"])
+             if a != b]
+    for a, b in moved:
+        print(next(notes))
+        for f in sorted(set(a["files"]) & set(b["files"])):
+            if f.endswith(".csv") and a["files"][f] != b["files"][f]:
+                print(f"     {f}: " + column_differences(
+                    os.path.join(old_dir, f), os.path.join(new_dir, f)))
         for key in ("stdout", "stderr"):
             if a[key] != b[key]:
                 print(f"     old {key}: {a[key].strip()[-200:]!r}")
                 print(f"     new {key}: {b[key].strip()[-200:]!r}")
-        differences += bool(notes)
-    print(f"{differences} of {len(new)} commands differ")
-    return 1 if differences + compare_library(old_dir, new_dir) else 0
-
-
-def compare_library(old_dir: str, new_dir: str) -> int:
-    """Print each library output of both trees; return how many differ."""
-    with open(os.path.join(old_dir, "library.json")) as fh:
-        old = json.load(fh)
-    with open(os.path.join(new_dir, "library.json")) as fh:
-        new = json.load(fh)
-    differences = 0
-    for name in sorted(set(old) | set(new)):
-        a, b = old.get(name), new.get(name)
-        if a == b:
-            status, rel = "same", ""
-        else:
-            status, differences = "DIFF", differences + 1
-            numbers = all(isinstance(x, float) for x in (a, b))
-            rel = (f", rel diff {abs(a - b) / max(abs(a), abs(b)):.3g}"
-                   if numbers else "")
-        print(f"{status} {name}: {a!r} -> {b!r}{rel}")
-    print(f"{differences} of {len(new)} library outputs differ")
-    return differences
+    library = list(notes)
+    for note in library:
+        print(note)
+    print(f"{len(moved)} of {len(new['commands'])} commands differ")
+    print(f"{len(library)} of {len(new['library'])} library outputs differ")
+    return 1 if moved or library else 0
 
 
 def main(argv=None) -> int:
@@ -375,7 +344,7 @@ def main(argv=None) -> int:
                 json.dump(golden_record(dirs[0]), fh, indent=1)
                 fh.write("\n")
             return 0
-        return compare(*dirs)
+        return report(*dirs)
 
 
 if __name__ == "__main__":

@@ -145,13 +145,15 @@ def _rk4_coefficients(A, b, dt):
 
     With M = dt*A and beta = dt*b, Phi = I + M + M^2/2 + M^3/6 + M^4/24,
     and a step adds u[i] = g_a v_grid[i] + g_m v_mid[i] + g_b v_grid[i+1].
+    Overflowing powers give inf or nan coefficients, without a warning.
     """
     M, beta = dt * np.asarray(A, dtype=float), dt * np.asarray(b, dtype=float)
-    M2 = M @ M
-    phi = np.eye(len(M)) + M + M2 / 2.0 + M2 @ M / 6.0 + M2 @ M2 / 24.0
-    Mb, M2b = M @ beta, M2 @ beta
-    return (phi, (beta + Mb + M2b / 2.0 + M2 @ Mb / 4.0) / 6.0,
-            (4.0 * beta + 2.0 * Mb + M2b / 2.0) / 6.0, beta / 6.0)
+    with np.errstate(all="ignore"):
+        M2 = M @ M
+        phi = np.eye(len(M)) + M + M2 / 2.0 + M2 @ M / 6.0 + M2 @ M2 / 24.0
+        Mb, M2b = M @ beta, M2 @ beta
+        return (phi, (beta + Mb + M2b / 2.0 + M2 @ Mb / 4.0) / 6.0,
+                (4.0 * beta + 2.0 * Mb + M2b / 2.0) / 6.0, beta / 6.0)
 
 
 def _linear_rk4(A, b, x0, v_grid, v_mid, dt, limit):
@@ -170,7 +172,8 @@ def _linear_rk4(A, b, x0, v_grid, v_mid, dt, limit):
         i1 = min(i0 + _WINDOW_STEPS, n)
         rhs = (np.outer(g_a, v_grid[i0:i1]) + np.outer(g_m, v_mid[i0:i1])
                + np.outer(g_b, v_grid[i0 + 1:i1 + 1]))
-        rhs[:, 0] += phi @ x[:, i0]
+        with np.errstate(all="ignore"):  # a Phi that is not finite
+            rhs[:, 0] += phi @ x[:, i0]
         [sol] = _solve_recurrence(band, phi, rhs)
         x[:, i0 + 1:i1 + 1] = sol
         out = ~(np.abs(sol) <= limit).all(axis=0)
@@ -474,7 +477,7 @@ def linear_orbit(A, omega, n, dt, eps, a0, a1, b0, b1, alpha):
     with np.errstate(all="ignore"):
         phi, g_a, g_m, g_b = _rk4_coefficients(*lin, dt)
         # (z - 1)I - (Phi - I): zI - Phi cancels the digits of z, Phi near 1
-        K = np.expm1(1j * omega * dt) * np.eye(2) - (phi - np.eye(2))
+        K = np.expm1(1j * omega * dt) * _EYE[1] - (phi - _EYE[1])
         X = _solve_2x2(K, A * (g_a + h * (g_m + h * g_b)))
     return np.outer(X, np.exp(1j * omega * dt * np.arange(n + 1))).imag.copy()
 

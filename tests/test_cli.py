@@ -154,10 +154,12 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--preset", "paper-4-hybrid", "--a1=1.7e+308", "--t-end", "0.833"],
-        ["--preset", "paper-3B", "--a0=0.0", "--a1=1e+300", "--t-end", "1"]])
+        ["--preset", "paper-3B", "--a0=0.0", "--a1=1e+300", "--t-end", "1"],
+        ["--r=1e150", "--a0=1", "--b0=1", "--dt=1e-3", "--t-end", "0.01"]])
     def test_overflowing_gain_exits_3(self, argv, tmp_path, capsys):
-        # the loop overflows in its first step: no RuntimeWarning (an error
-        # under Tier-1), only the divergence report
+        # the loop, or the linear lane's recurrence, overflows in its first
+        # step: no RuntimeWarning (an error under Tier-1), only the
+        # divergence report
         rc = main(["simulate", *argv, "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         err = capsys.readouterr().err
@@ -615,6 +617,11 @@ def _run_cli(argv, path):
                "--t-end=0.5", "--out", "{out}"])
 @example(argv=["estimate", "--preset", "paper-5", "--noise-power=1.7e308",
                "--t-end=0.5", "--out", "{out}"])
+@example(argv=["sweep", "--r=1e150", "--a0=1", "--b0=1", "--dt=1e-3",
+               "--points=2", "--omega-min=1", "--omega-max=2", "--out",
+               "{out}"])
+@example(argv=["estimate", "--r=1e150", "--a0=1", "--b0=1", "--dt=1e-3",
+               "--t-end=0.01", "--out", "{out}"])
 def test_drawn_flags_keep_the_exit_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")
