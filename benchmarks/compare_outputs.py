@@ -4,12 +4,13 @@
 Each tree runs the fixed list of ``commands`` in one fresh interpreter of
 its own, inside its own temporary directory, by calling
 ``tdlab.cli.main`` in-process: every subcommand on every preset, the
-benchmark's full-length ``timeseries`` and ``sweep`` commands, and
-commands that must fail cleanly or that write values no other command
-does; noisy ones run at seed 12345.  A RuntimeWarning is an error, as
-under the test suite, and usage messages are wrapped at 80 columns.  Each
-tree also records the slopes of the eps ladders of ``LADDERS``, library
-outputs that no command writes.
+benchmark's full-length ``timeseries`` and ``sweep`` commands, commands
+that must fail cleanly or that write values no other command does, and
+one command per fallback path of the integration and the sweep; noisy
+ones run at seed 12345.  A RuntimeWarning is an error, as under the test
+suite, and usage messages are wrapped at 80 columns.  Each tree also
+records the slopes of the eps ladders of ``LADDERS``, library outputs
+that no command writes.
 
 ``golden_record`` holds what a tree wrote: per command the exit code,
 stdout, stderr and, per file written, its sha256 and, for a CSV, each
@@ -140,6 +141,24 @@ def commands() -> list[list[str]]:
          "--t-end=0.5", *out],
         ["estimate", "--preset", "paper-5", "--noise-power=1.7e308",
          "--t-end=0.5", *out],
+    ]
+    # the fallback paths: a lane too short for Newton, an alpha below its
+    # gate, a lane where Newton gives up in its first window, the loop's
+    # divergent step, a sweep point whose half solve fails (a warm-up,
+    # then the full-period retry) and a divergent linear recurrence
+    cmds += [
+        ["simulate", "--preset", "paper-3B", "--seed", SEED, "--t-end", "0.2",
+         *out],
+        ["simulate", "--preset", "paper-4-nonlinear", "--alpha", "0.2",
+         "--t-end", "2", *out],
+        ["simulate", "--preset", "paper-3B", "--alpha", "0.3", "--seed", SEED,
+         "--t-end", "5", *out],
+        ["simulate", "--preset", "paper-4-hybrid", "--dt", "0.1", "--t-end",
+         "40", *out],
+        ["sweep", "--r", "45", "--a1", "0.015", "--b1", "0.015", "--alpha",
+         "0.2", "--omega-min", "1", "--omega-max", "1", "--points", "1", *out],
+        ["simulate", "--r", "1e150", "--a0", "1", "--b0", "1", "--dt", "1e-3",
+         "--t-end", "0.01", *out],
     ]
     return cmds
 
