@@ -24,8 +24,8 @@ It times the orbit layer on its own: the microseconds per step of the
 period of ``_kernels.periodic_orbit`` on one ``paper-4-hybrid`` point at
 omega = 2 as ``sweep`` plans it (A = 1, the default step, an even step
 count n), solved over its full period (``orbit-full``, sign 1) and over its
-first half (``orbit-half``, sign -1, the solve ``sweep`` takes first), both
-divided by n.  Each is the median CPU time of 7 solves after one more, the
+first half (``orbit-half``, sign -1, the solve ``sweep`` takes first, which
+returns the half extended by its negation), both divided by n.  Each is the median CPU time of 7 solves after one more, the
 two taking turns; the script exits with an error if either finds no orbit.
 
 Then it times the CSV layer on its own: the microseconds per row of
@@ -138,17 +138,15 @@ def orbit_timings(repeats=7):
     """us per period step of periodic_orbit, full and half, at omega = 2."""
     pre = get_preset("paper-4-hybrid")
     p = pre.params
-    _, guess, v, vm, h = _plan(p, pre.signal.amplitude, 2.0, None)
-    n = len(vm)
-    k = n // 2
-    points = {"orbit-full": (guess, v, vm, h, 1),
-              "orbit-half": (guess[:, :k + 1], v[:k + 1], vm[:k], h, -1)}
+    _, *point = _plan(p, pre.signal.amplitude, 2.0, None)
+    n = len(point[2])
+    signs = {"orbit-full": 1, "orbit-half": -1}
     gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha)
-    times = {name: [] for name in points}
+    times = {name: [] for name in signs}
     for _ in range(repeats + 1):
-        for name, point in points.items():
+        for name, sign in signs.items():
             t0 = time.process_time()
-            [x] = _kernels.periodic_orbit([point], *gains)
+            [x] = _kernels.periodic_orbit([point], sign, *gains)
             times[name].append(time.process_time() - t0)
             if x is None:
                 raise SystemExit(f"error: {name} found no orbit")

@@ -89,12 +89,12 @@ def instrument():
                                    _kernels.integrate_hybrid,
                                    _kernels._hybrid_loop)
 
-    def counting_orbit(points, *gains):
+    def counting_orbit(points, sign, *gains):
         # measure_point solves its point as a batch of one, so each map
         # pass of the batch is one of that point
         solves.append([0, 0, None])
         phase.append("orbit")
-        [x] = orbit(points, *gains)
+        [x] = orbit(points, sign, *gains)
         phase.pop()
         solves[-1][2] = x is not None
         return [x]

@@ -28,13 +28,13 @@ those still in it take the Jacobian pass (``_rk4_jac``) after the map pass.
 Where Newton does not certify, the loop runs the rest of the lane, so
 every lane is a Newton prefix and at most one loop suffix.  On the paper-5
 input of ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step
-on a 2-vCPU machine.  ``periodic_orbit`` solves the steps of one input
-period with x[n] = x[0], or of its first half with x[n/2] = -x[0], by the
-same Newton and rule, for a sweep's points together, from the
-linearization's orbit in closed form (``linear_orbit``, a linear
-differentiator's own); ``sweep`` measures the ``integrate_hybrid`` pass over
-the full period given that orbit as its guess, which Newton re-certifies in
-1-2 passes.
+on a 2-vCPU machine.  ``periodic_orbit`` solves a sweep's planned periods
+together, from the linearization's orbit in closed form (``linear_orbit``,
+a linear differentiator's own), by the same Newton and rule: over the
+period, x[n] = x[0], or over its first half, x[n/2] = -x[0], extended by
+its negation.  ``sweep`` measures the ``integrate_hybrid`` pass over the
+period given that orbit as its guess, which Newton re-certifies in 1-2
+passes.
 """
 
 import ctypes
@@ -488,54 +488,55 @@ def _attracts(M):
     return abs(det) < 1.0 and abs(np.trace(M)) < 1.0 + det
 
 
-def periodic_orbit(points, eps, a0, a1, b0, b1, alpha):
+def periodic_orbit(points, sign, eps, a0, a1, b0, b1, alpha):
     """The (2, n + 1) periodic orbit of integrate_hybrid per point, or None.
 
-    A point is (guess, v_grid, v_mid, dt, sign) over n input steps, with a
-    closure sign of 1 or -1.  Newton on x[i+1] = F_i(x[i]), x[n] =
-    sign*x[0] (Aprille & Trick, Proc. IEEE 60, 1972) from guess[:, :n] and
-    sign*guess[:, 0] runs on the points' states in a row, dt one per step,
-    joined by steps of dt = 0 that no solve sees: each iteration is one
-    _solve_recurrence from d = 0 and the unit starts at every point's first
-    state, uncoupled from the point before, and _close per point, after
-    which x[0] = sign*x[n].  Sign -1 solves the first half of a period
-    whose input is odd about its middle: the differentiator is odd, so the
-    orbit of x(t + T/2) = -x(t) is this half and its negation, and its
-    monodromy is M^2.  A point retires with x once it is _certified and
+    A point is (guess, v_grid, v_mid, dt), one input period of n steps,
+    and sign the closure of every point: 1 solves the period, x[n] = x[0];
+    -1 (n even) its first half, x[n/2] = -x[0], which is returned extended
+    by its negation.  Newton on x[i+1] = F_i(x[i]) (Aprille & Trick, Proc.
+    IEEE 60, 1972) from guess and sign*guess[:, 0] at the closing state
+    runs on the points' states in a row, dt one per step, joined by steps
+    of dt = 0 that no solve sees: each iteration is one _solve_recurrence
+    from d = 0 and the unit starts at every point's first state, uncoupled
+    from the point before, and _close per point, after which x[0] =
+    sign*x[m] at its closing state m.  Sign -1 suits an input odd about the
+    middle of its period: the differentiator is odd, so the orbit of
+    x(t + T/2) = -x(t) is the half and its negation, and its monodromy is
+    M^2.  A point retires with its period once it is _certified and
     _attracts (|eig M| < 1, and so |eig M^2| < 1), else with None (once
     Newton _gives_up on it, or its solve is not finite).
     """
     gains, out = (eps, a0, a1, b0, b1, alpha), [None] * len(points)
+    steps = [len(m) // 2 if sign < 0 else len(m) for _, _, m, _ in points]
     x, v, vm, dt = (np.concatenate(a, axis=-1) for a in zip(*(
-        (np.concatenate((g[:, :len(m)], sign * g[:, :1]), axis=1), w,
-         np.append(m, 0.0), np.append(np.full(len(m), h), 0.0))
-        for g, w, m, h, sign in points)))
+        (np.concatenate((g[:, :n], sign * g[:, :1]), axis=1), w[:n + 1],
+         np.append(m[:n], 0.0), np.append(np.full(n, h), 0.0))
+        for (g, w, m, h), n in zip(points, steps))))
     band, buf = np.zeros((4, 2 * len(v)), order="F"), np.zeros((2, 2, len(v)))
-    live, size = list(range(len(points))), [len(q[1]) for q in points]
+    live, size = list(range(len(points))), [n + 1 for n in steps]
     prev, gone = [np.inf] * len(points), [False] * len(points)
-    signs = [q[4] for q in points]
     with np.errstate(all="ignore"):
         for it in itertools.count():
             if it == 0 or any(gone):  # keep the points left
                 keep = np.repeat(np.logical_not(gone), size)
                 x, v, vm, dt = x[:, keep], v[keep], vm[keep], dt[keep]
-                live, prev, size, signs = (
-                    [a for a, g in zip(seq, gone) if not g]
-                    for seq in (live, prev, size, signs))
-                if not live:
-                    return out
+                live, prev, size = ([a for a, g in zip(seq, gone) if not g]
+                                    for seq in (live, prev, size))
+                if not live:  # a half period, then its negation
+                    return [y if y is None or sign > 0 else
+                            np.hstack((y[:, :-1], -y)) for y in out]
                 e = np.cumsum(size) - 1  # their last states
                 s = e + 1 - size  # and first states
-                h = dt[:-1] if len(live) > 1 else dt[0]  # or one scalar
-            r, rel, stages = _residuals(x, v, vm[:-1], *gains, h)
+            r, rel, stages = _residuals(x, v, vm[:-1], *gains, dt[:-1])
             r[:, e[:-1]] = rel[e[:-1]] = 0.0  # the steps between points
             rel = np.maximum.reduceat(rel, s).tolist()
-            jac = np.reshape(_rk4_jac(stages, *gains, h), (2, 2, -1))
+            jac = np.reshape(_rk4_jac(stages, *gains, dt[:-1]), (2, 2, -1))
             del stages  # the rest stays until replaced, untrimmed by malloc
             starts = buf[:, :, :len(v) - 1]
             starts[:, :, s] = jac[:, :, s].transpose(1, 0, 2)  # run c: J e_c
             jac[:, :, s], q, gone = 0.0, None, []
-            for k, i, j, y, y0, sign in zip(live, s, e, rel, prev, signs):
+            for k, i, j, y, y0 in zip(live, s, e, rel, prev):
                 if q is None:
                     q, m1, m2 = _solve_recurrence(band, jac[:, :, 1:], r,
                                                   *starts)

@@ -373,8 +373,8 @@ def test_steps_after_a_fallback_reach_the_rounding_floor(
 
 def _orbit(guess, v_grid, v_mid, *gains):
     """periodic_orbit of one point, given integrate_hybrid's arguments."""
-    [orbit] = _kernels.periodic_orbit(
-        [(guess, v_grid, v_mid, gains[-1], 1)], *gains[:-1])
+    [orbit] = _kernels.periodic_orbit([(guess, v_grid, v_mid, gains[-1])], 1,
+                                      *gains[:-1])
     return orbit
 
 
@@ -768,12 +768,12 @@ def _batch(omegas=(19.0, 31.0, 47.0), A=1.0):
         n = int(np.ceil(2 * np.pi / omega / 1e-3))
         dt = 2 * np.pi / omega / n
         points.append((_kernels.linear_orbit(A, omega, n, dt, *_BATCH_GAINS),
-                       *_inputs(n, dt, A, omega), dt, 1))
+                       *_inputs(n, dt, A, omega), dt))
     return points
 
 
 def _alone(point):
-    [x] = _kernels.periodic_orbit([point], *_BATCH_GAINS)
+    [x] = _kernels.periodic_orbit([point], 1, *_BATCH_GAINS)
     assert x is not None
     return x
 
@@ -781,7 +781,7 @@ def _alone(point):
 def test_batch_finds_each_orbit_as_alone():
     # the steps of consecutive points solve together, each bit for bit
     points = _batch()
-    got = _kernels.periodic_orbit(points, *_BATCH_GAINS)
+    got = _kernels.periodic_orbit(points, 1, *_BATCH_GAINS)
     assert all(x is not None for x in got)
     assert all(np.array_equal(x, _alone(q)) for q, x in zip(points, got))
 
@@ -794,7 +794,7 @@ def test_point_with_a_poisoned_guess_fails_alone(poison):
     guess = points[1][0].copy()
     guess[:, 5] = poison
     points[1] = (guess, *points[1][1:])
-    got = _kernels.periodic_orbit(points, *_BATCH_GAINS)
+    got = _kernels.periodic_orbit(points, 1, *_BATCH_GAINS)
     assert got[1] is None
     assert all(np.array_equal(got[k], _alone(points[k])) for k in (0, 2))
 
@@ -806,7 +806,7 @@ def test_point_whose_solve_overflows_fails_alone(monkeypatch):
     dt = points[1][3]
     monkeypatch.setattr(_kernels, "_rk4_jac", lambda stages, *a: tuple(
         np.where(a[-1] == dt, 1e200 * j, j) for j in jac(stages, *a)))
-    got = _kernels.periodic_orbit(points, *_BATCH_GAINS)
+    got = _kernels.periodic_orbit(points, 1, *_BATCH_GAINS)
     assert got[1] is None
     assert all(np.array_equal(got[k], _alone(points[k])) for k in (0, 2))
 
@@ -827,7 +827,7 @@ def test_stalled_point_retires_after_the_stall_iterations(monkeypatch):
                      for x in f), stages
 
     monkeypatch.setattr(_kernels, "_rk4_f", jittered)
-    got = _kernels.periodic_orbit(points, *_BATCH_GAINS)
+    got = _kernels.periodic_orbit(points, 1, *_BATCH_GAINS)
     assert got[1] is None and sum(passes) == _kernels._STALL_ITERS + 1
     assert all(np.array_equal(got[k], _alone(points[k])) for k in (0, 2))
 

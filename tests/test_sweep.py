@@ -276,24 +276,28 @@ class TestSteadyPeriod:
                              ids=["hybrid", "nonlinear"])
     def test_measured_pass_starts_from_the_half_and_its_negation(
             self, monkeypatch, p):
-        # a nonlinear point's first solve is its half period, and the
-        # measured pass re-certifies the half and its negation in one or
-        # two map passes
-        halves, guesses, passes = [], [], []
+        # a nonlinear point's first solve is its half period, given the
+        # plan's full period, and the measured pass re-certifies the half
+        # and its negation in one or two map passes
+        solves, periods, guesses, passes = [], [], [], []
         orbit, kernel, f_pass = (_kernels.periodic_orbit,
                                  _kernels.integrate_hybrid, _kernels._rk4_f)
         monkeypatch.setattr(_kernels, "periodic_orbit",
-                            lambda *a: halves.extend(orbit(*a)) or halves)
+                            lambda *a: solves.append(a[:2])
+                            or periods.extend(orbit(*a)) or periods)
         monkeypatch.setattr(_kernels, "integrate_hybrid",
                             lambda *a: guesses.append(a[12]) or kernel(*a))
         monkeypatch.setattr(_kernels, "_rk4_f",
                             lambda *a: passes.append(len(a[3])) or f_pass(*a))
         measure_point(p, 1.0, 7.0)
-        [half], [guess] = halves, guesses
-        n = guess.shape[1] - 1
-        assert half.shape == (2, n // 2 + 1) and n % 2 == 0
-        assert np.array_equal(guess, np.concatenate((half[:, :-1], -half),
-                                                    axis=1))
+        [([point], sign)], [period], [guess] = solves, periods, guesses
+        n, k = guess.shape[1] - 1, guess.shape[1] // 2
+        plan = sweep_module._plan(p, 1.0, 7.0, None)[1:]
+        assert sign == -1 and all(np.array_equal(a, b)
+                                  for a, b in zip(point, plan))
+        assert period.shape == (2, n + 1) and n % 2 == 0
+        assert np.array_equal(guess, period)
+        assert np.array_equal(guess[:, k:], -guess[:, :k + 1])
         assert 1 <= passes.count(n) <= 2
 
     def test_warm_up_recovers_where_newton_fails_from_the_guess(
@@ -312,18 +316,19 @@ class TestSteadyPeriod:
     def test_warm_up_is_the_last_period_of_a_run(self, monkeypatch):
         # where Newton fails, the next guess is the last period of a run of
         # _WARM_PERIODS periods from the end of the failed guess: the plan's
-        # full period, whose first half the first solve was given
-        guesses, orbit = [], _kernels.periodic_orbit
+        # full period, whose first half the first solve solved
+        guesses, signs, orbit = [], [], _kernels.periodic_orbit
         monkeypatch.setattr(_kernels, "periodic_orbit",
-                            lambda pts, *a: guesses.append(pts[0][0]) or (
-                                orbit(pts, *a) if len(guesses) > 1
+                            lambda pts, sign, *a: guesses.append(pts[0][0])
+                            or signs.append(sign) or (
+                                orbit(pts, sign, *a) if len(guesses) > 1
                                 else [None]))
         A, omega, p = 5.0, 1.3618, P4_NONLINEAR
         next(sweep_module._steady_periods(p, A, [omega], default_dt(p)))
         first = sweep_module._plan(p, A, omega, default_dt(p))[1]
         second = guesses[1]
         n, period = first.shape[1] - 1, 2 * math.pi / omega
-        assert np.array_equal(guesses[0], first[:, :n // 2 + 1])
+        assert np.array_equal(guesses[0], first) and signs == [-1, 1]
         ts = run(p, SignalSpec(A, omega), SimConfig(
             period / n, 3 * period, DiffState(*np.nan_to_num(first[:, -1]))))
         assert np.array_equal(second, np.array(
@@ -333,20 +338,20 @@ class TestSteadyPeriod:
             self, monkeypatch):
         # a failed guess whose last column is nan starts the warm-up run
         # from nan_to_num of that column: the last of the plan's full
-        # period, not of the half period that the first solve was given
+        # period, which the first solve, of its half period, does not read
         linear, orbit = _kernels.linear_orbit, _kernels.periodic_orbit
         kernel, solves, runs = _kernels.integrate_hybrid, [], []
         monkeypatch.setattr(_kernels, "linear_orbit", lambda *a: np.append(
             linear(*a)[:, :-1], np.full((2, 1), np.nan), axis=1))
         monkeypatch.setattr(_kernels, "periodic_orbit",
-                            lambda *a: solves.append(a[0][0][0]) or (
+                            lambda *a: solves.append(a[:2]) or (
                                 orbit(*a) if len(solves) > 1 else [None]))
         monkeypatch.setattr(_kernels, "integrate_hybrid",
                             lambda *a: runs.append(a) or kernel(*a))
         pt = measure_point(P4_NONLINEAR, 1.0, 32.07)
         guess = sweep_module._plan(P4_NONLINEAR, 1.0, 32.07, None)[1]
-        n = guess.shape[1] - 1
-        assert np.array_equal(solves[0], guess[:, :n // 2 + 1])
+        assert solves[0][1] == -1 and np.array_equal(
+            solves[0][0][0][0], guess, equal_nan=True)
         assert np.isnan(guess[:, -1]).all() and len(runs[0]) == 12
         assert np.array_equal(runs[0][:2], np.nan_to_num(guess[:, -1]))
         assert math.isfinite(pt.track_mag)
@@ -364,7 +369,7 @@ class TestSteadyPeriod:
         (f1, f2), _ = _kernels._rk4_f(x[0, :-1], x[1, :-1], *args)
         assert np.allclose(f1, x[0, 1:], 1e-13, 1e-13)
         assert np.allclose(f2, x[1, 1:], 1e-13, 1e-13)
-        assert _kernels.periodic_orbit([(x, *args[:2], args[-1], 1)],
+        assert _kernels.periodic_orbit([(x, *args[:2], args[-1])], 1,
                                        *args[2:-1]) == [None]
         # nor does a sweep take it: Jury's test rejects Phi of the step
         phi, *_ = _kernels._rk4_coefficients(*_kernels._linear_differentiator(
@@ -509,13 +514,13 @@ def test_plan_gives_a_nonlinear_point_an_even_step_count(p, omega, dt):
         assert n % 2 == 0 and n >= 16 and n - want in (0, 1)
 
 
-def _solve(point, gains):
+def _solve(point, sign, gains):
     """periodic_orbit of one point, and each verdict of Jury's test on it."""
     verdicts, attracts = [], _kernels._attracts
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "_attracts",
                    lambda M: verdicts.append(attracts(M)) or verdicts[-1])
-        [x] = _kernels.periodic_orbit([point], *gains)
+        [x] = _kernels.periodic_orbit([point], sign, *gains)
     return x, verdicts
 
 
@@ -557,20 +562,18 @@ def test_half_period_orbit_is_the_full_period_orbit(hybrid, eps, gains, alpha,
     n, gains = len(vm), (eps, a0, a1, b0, b1, alpha)
     k = n // 2
     assert n % 2 == 0
-    half, verdicts = _solve((guess[:, :k + 1], v[:k + 1], vm[:k], h, -1),
-                            gains)
-    full, _ = _solve((guess, v, vm, h, 1), gains)
+    x, verdicts = _solve((guess, v, vm, h), -1, gains)  # the extended half
+    full, _ = _solve((guess, v, vm, h), 1, gains)
     if full is not None:
         first = full[:, :k + 1]
         scale = 1e-10 * np.maximum(1.0, np.abs(first))
         if np.all(np.abs(full[:, k:] + first) <= scale):  # half-wave symmetric
-            x, jury = _solve((first, v[:k + 1], vm[:k], h, -1), gains)
-            assert x is not None and jury == [True]
-            assert np.all(np.abs(x - first) <= scale)
-    if half is None:
+            z, jury = _solve((full, v, vm, h), -1, gains)
+            assert z is not None and jury == [True]
+            assert np.all(np.abs(z[:, :k + 1] - first) <= scale)
+    if x is None:
         return
-    x = np.concatenate((half[:, :-1], -half), axis=1)
-    y, jury = _solve((x, v, vm, h, 1), gains)
+    y, jury = _solve((x, v, vm, h), 1, gains)
     assert y is not None and jury == verdicts == [True]
     assert np.all(np.abs(x - y) <= 1e-10 * np.maximum(1.0, np.abs(y)))
     # and the measured passes that start from them read the same period, to
