@@ -46,6 +46,10 @@ class SimConfig:
         if not 0.0 < self.t_end < math.inf:
             raise ValueError(
                 f"t_end must be finite and positive, got {self.t_end}")
+        if not (math.isfinite(self.initial.x1)
+                and math.isfinite(self.initial.x2)):
+            raise ValueError(f"initial state must be finite, got "
+                             f"{self.initial}")
 
 
 @dataclass(frozen=True)
@@ -71,11 +75,6 @@ class TimeSeries:
         except KeyError:
             raise KeyError(
                 f"no channel {name!r}; have {sorted(self.channels)}") from None
-
-    def with_channel(self, name: str, values: np.ndarray) -> "TimeSeries":
-        merged = dict(self.channels)
-        merged[name] = values
-        return TimeSeries(t=self.t, channels=merged)
 
 
 def default_dt(p: DiffParams, spec: Optional[SignalSpec] = None) -> float:

@@ -238,9 +238,12 @@ def sweep(p: DiffParams, A: float, omegas: Sequence[float],
 def tracking_bandwidth(points: Sequence[MeasuredResponse]) -> float:
     """First frequency where track_mag falls below 1/sqrt(2) (-3 dB).
 
-    Log-interpolates between the bracketing grid points.  Raises when the
-    response never crosses that threshold inside the grid, or starts below it.
+    Log-interpolates between the bracketing grid points.  Raises when there
+    are no points, when the response never crosses that threshold inside the
+    grid, or when it starts below it.
     """
+    if len(points) == 0:
+        raise ValueError("no response points")
     threshold = 1.0 / math.sqrt(2.0)
     mags = np.array([pt.track_mag for pt in points])
     oms = np.array([pt.omega for pt in points])

@@ -78,5 +78,6 @@ def estimate_delta(ts: TimeSeries, p: DiffParams) -> TimeSeries:
         0.0, 0.0, y, y_mid, p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha,
         dt, STATE_LIMIT)
     _raise_if_diverged(bad, dt, "estimator state")
-    out = ts.with_channel("x1_hat", x1h).with_channel("x2_hat", x2h)
-    return out.with_channel("delta_hat", x2h + x1h - u)
+    return TimeSeries(t=ts.t, channels={**ts.channels, "x1_hat": x1h,
+                                        "x2_hat": x2h,
+                                        "delta_hat": x2h + x1h - u})

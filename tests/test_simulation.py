@@ -72,6 +72,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(dt=1e-3, t_end=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p", [P3A, P4_HYBRID], ids=["linear", "hybrid"])
+    def test_rejects_a_start_that_is_not_finite(self, p, value):
+        # named as the start, not as a divergence blamed on the first step
+        for start in (DiffState(value, 0.0), DiffState(0.0, value)):
+            with pytest.raises(ValueError, match=r"initial state must be "
+                               r"finite, got DiffState\(x1="):
+                run(p, SignalSpec(1.0, 2.0), SimConfig(1e-3, 1.0, start))
+
     def test_step_budget_checked_before_allocation(self):
         cfg = SimConfig(dt=1e-3, t_end=(MAX_STEPS + 1) * 1e-3)
         with pytest.raises(ValueError, match=r"t_end=16777\.2 at dt=0\.001 "

@@ -496,6 +496,10 @@ class TestTrackingBandwidth:
         with pytest.raises(ValueError):
             tracking_bandwidth(self._mk([1.0, 2.0], [0.5, 0.4]))
 
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="^no response points$"):
+            tracking_bandwidth([])
+
 
 @pytest.mark.parametrize("p", [P3A, P4_HYBRID, P4_NONLINEAR],
                          ids=["linear", "hybrid", "nonlinear"])

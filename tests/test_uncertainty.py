@@ -110,6 +110,17 @@ class TestEstimateDelta:
         b = estimate_delta(simulate_plant(doubled, CFG), P3A).channel("delta_hat")
         assert np.max(np.abs(2.0 * a - b)) <= 0.02 * np.max(np.abs(b))
 
+    def test_channels_appended_in_order(self):
+        # the plant's channels, unchanged and in order, then the estimates
+        ts = simulate_plant(uncertainty_plant(), SimConfig(dt=1e-3, t_end=1.0))
+        out = estimate_delta(ts, P5)
+        assert list(out.channels) == [*ts.channels, "x1_hat", "x2_hat",
+                                      "delta_hat"]
+        assert all(out.channels[k] is v for k, v in ts.channels.items())
+        assert np.array_equal(out.channel("delta_hat"),
+                              out.channel("x2_hat") + out.channel("x1_hat")
+                              - ts.channel("u"))
+
     def test_missing_channels_rejected(self):
         ts = TimeSeries(t=np.arange(10.0), channels={"y": np.zeros(10)})
         with pytest.raises(KeyError):
