@@ -7,16 +7,16 @@ and its step attracts, else Newton's (_kernels.periodic_orbit, one solve for
 consecutive points of a sweep).  sig(e)^alpha is odd, so under A*sin(w*t)
 the orbit is half-wave symmetric, x(t + T/2) = -x(t) (Gelb & Vander Velde,
 *Multiple-Input Describing Functions*, 1968): a nonlinear point takes an
-even step count, and Newton first solves its planned period over the half
-that ends at minus its start, whose negation is the other half.  Where
-Newton finds none, the last period of a warm-up run (simulate.run over
-_WARM_PERIODS periods from the last state) is its next guess, solved over
-the full period, so an orbit that is not symmetric is still found
-(_steady_periods).  A frequency point takes the DFT bin of both states over
-that period, which rejects every higher harmonic of the nonlinear response;
-convergence_order takes the RMS tracking error over it.  The derivative
-channel is normalized by the ideal derivative amplitude A*w, so a perfect
-differentiator reads magnitude 1 and phase 0 on both channels.
+even step count and Newton first solves the half period that ends at minus
+its start, whose negation is the other half.  Where Newton finds none, the
+last period of a warm-up run (simulate.run over _WARM_PERIODS periods from
+the last state) is its next guess, solved over the full period, so an orbit
+that is not symmetric is still found (_steady_periods).  A frequency point
+takes the DFT bin of both states over that period, which rejects every
+higher harmonic of the nonlinear response; convergence_order takes the RMS
+tracking error over it.  The derivative channel is normalized by the ideal
+derivative amplitude A*w, so a perfect differentiator reads magnitude 1
+and phase 0 on both channels.
 """
 
 import math
@@ -59,10 +59,9 @@ def _plan(p: DiffParams, A: float, omega: float, dt: Optional[float]):
     """(omega, guess, v_grid, v_mid, dt) of one period of n steps at omega.
 
     n = max(ceil(period/dt), 16) for the target step dt (default:
-    default_dt(p)), plus one where that is odd and p is nonlinear, so that
-    periodic_orbit can solve its first half (sign -1); guess is
-    linear_orbit's.  A warm-up pass over MAX_STEPS raises ValueError before
-    anything is integrated.
+    default_dt(p)), plus one where that is odd and p is nonlinear, for the
+    half-period solve of periodic_orbit; guess is linear_orbit's.  A warm-up
+    pass over MAX_STEPS raises ValueError before anything is integrated.
     """
     dt = default_dt(p) if dt is None else dt
     if not 0.0 < dt < math.inf:
@@ -117,13 +116,12 @@ def _settle(p: DiffParams, A: float, batch: list):
     """Yield the measured pass of each point of batch, in turn.
 
     A linear point's orbit is its guess if Phi of its step attracts (Jury's
-    test); the nonlinear points' planned periods go to one
-    _kernels.periodic_orbit of sign -1, which solves each over its first
-    half.  The integrate_hybrid pass from the orbit on the true input,
-    given it as the guess that its Newton re-certifies, must close within
-    _CLOSURE_TOL.  Else Newton retries over the full period (sign 1) from
-    the last period of a warm-up run of _WARM_PERIODS periods, or from the
-    measured pass, until SETTLE_PERIODS periods have run.
+    test); the nonlinear points' periods go to one _kernels.periodic_orbit of
+    sign -1, which solves each over its first half.  The integrate_hybrid pass
+    from the orbit on the true input, given it as the guess that its Newton
+    re-certifies, must close within _CLOSURE_TOL.  Else Newton retries over the
+    full period (sign 1) from the last period of a warm-up run of _WARM_PERIODS
+    periods, or from the measured pass, until SETTLE_PERIODS periods have run.
     """
     gains, lin = astuple(p), _kernels._linear_differentiator(p.eps, p.a0, p.b0)
     if p.is_linear:
