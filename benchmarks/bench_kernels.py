@@ -25,8 +25,9 @@ period of ``_kernels.periodic_orbit`` on one ``paper-4-hybrid`` point at
 omega = 2 as ``sweep`` plans it (A = 1, the default step, an even step
 count n), solved over its full period (``orbit-full``, sign 1) and over its
 first half (``orbit-half``, sign -1, the solve ``sweep`` takes first, which
-returns the half extended by its negation), both divided by n.  Each is the median CPU time of 7 solves after one more, the
-two taking turns; the script exits with an error if either finds no orbit.
+returns the half extended by its negation), both divided by n.  Each is the
+median CPU time of 7 solves after one more, the two taking turns; the
+script exits with an error if either finds no orbit.
 
 Then it times the CSV layer on its own: the microseconds per row of
 ``cli._write_csv`` on a fixed table of 50 001 rows shaped like the one

@@ -316,7 +316,7 @@ class TestSteadyPeriod:
     def test_warm_up_is_the_last_period_of_a_run(self, monkeypatch):
         # where Newton fails, the next guess is the last period of a run of
         # _WARM_PERIODS periods from the end of the failed guess: the plan's
-        # full period, whose first half the first solve solved
+        # full period, which the first solve was given for its first half
         guesses, signs, orbit = [], [], _kernels.periodic_orbit
         monkeypatch.setattr(_kernels, "periodic_orbit",
                             lambda pts, sign, *a: guesses.append(pts[0][0])
