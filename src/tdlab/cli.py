@@ -456,9 +456,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except (OverdampedError, DegenerateError, InstabilityError) as exc:
         return _fail(exc, 3)
-    except ValueError as exc:  # a bad value that the flag parser let through
-        return _fail(exc, 2)
-    except OSError as exc:  # an --out, --csv or --plot-script path
+    except (ValueError, OSError) as exc:  # a bad value or an output path
         return _fail(exc, 2)
 
 

@@ -64,8 +64,7 @@ def _plan(p: DiffParams, A: float, omega: float, dt: Optional[float]):
     pass over MAX_STEPS raises ValueError before anything is integrated.
     """
     dt = default_dt(p) if dt is None else dt
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    SimConfig(dt, 1.0)  # raises unless the step is finite and positive
     if not (0.0 < A < math.inf and 0.0 < omega < math.inf):
         raise ValueError("amplitude and omega must be finite and positive")
     period = 2.0 * math.pi / omega
@@ -94,13 +93,14 @@ def _steady_periods(p: DiffParams, A: float, omegas: Sequence[float],
     _WINDOW_STEPS (linear points are not solved together); a point that
     fails to plan raises after the batch before it.
     """
-    batch, error = [], None
+    batch = []
     for w in omegas:
         try:
             point = _plan(p, A, w, dt)
-        except Exception as exc:
-            error = exc
-            break
+        except Exception:
+            if batch:
+                yield from _settle(p, A, batch)
+            raise
         if batch and (sum(len(q[3]) for q in batch) + len(point[3])
                       > 2 * _kernels._WINDOW_STEPS):
             yield from _settle(p, A, batch)
@@ -108,8 +108,6 @@ def _steady_periods(p: DiffParams, A: float, omegas: Sequence[float],
         batch.append(point)
     if batch:
         yield from _settle(p, A, batch)
-    if error is not None:
-        raise error
 
 
 def _settle(p: DiffParams, A: float, batch: list):
