@@ -62,12 +62,7 @@ class SignalSpec:
     noise: Optional[NoiseSpec] = None
 
     def __post_init__(self):
-        for name in ("amplitude", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)}")
-        if not math.isfinite(self.amplitude * self.omega):
-            raise ValueError("the peak derivative amplitude*omega overflows")
+        _phase(self.amplitude, self.omega, 0.0, peak=True)
 
     def with_seed(self, seed: int) -> "SignalSpec":
         if self.noise is None:
@@ -75,14 +70,32 @@ class SignalSpec:
         return replace(self, noise=replace(self.noise, seed=seed))
 
 
+def _phase(A: float, omega: float, t, peak: bool = False) -> np.ndarray:
+    """omega*t, after ValueError unless A, omega, every omega*t and, for a
+    peak derivative, A*omega are finite."""
+    for name, value in (("amplitude", A), ("omega", omega)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if peak and not math.isfinite(A * omega):
+        raise ValueError("the peak derivative amplitude*omega overflows")
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = omega * t
+    if not np.isfinite(wt).all():
+        raise ValueError(f"the phase omega*t is not finite at t="
+                         f"{t[~np.isfinite(wt)][0]:g} s (omega={omega:g} rad/s)")
+    return wt
+
+
 def sinusoid(A: float, omega: float, t):
-    """A*sin(omega*t); accepts scalars or arrays."""
-    return A * np.sin(omega * np.asarray(t, dtype=float))
+    """A*sin(omega*t); accepts scalars or arrays; ValueError from _phase."""
+    return A * np.sin(_phase(A, omega, t))
 
 
 def sinusoid_derivative(A: float, omega: float, t):
-    """Exact derivative A*omega*cos(omega*t) for reference channels."""
-    return A * omega * np.cos(omega * np.asarray(t, dtype=float))
+    """Exact derivative A*omega*cos(omega*t) for reference channels;
+    ValueError from _phase."""
+    return A * omega * np.cos(_phase(A, omega, t, peak=True))
 
 
 def noise_holds(spec: NoiseSpec, n: int) -> np.ndarray:

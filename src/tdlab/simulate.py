@@ -134,6 +134,14 @@ def _raise_if_diverged(bad: int, dt: float, subject: str) -> None:
             f"(dt={dt:g} too large?)", t=t_bad)
 
 
+def _raise_if_beyond(start, subject: str) -> None:
+    """An InstabilityError at t=0 where a start component exceeds STATE_LIMIT."""
+    if any(abs(x) > STATE_LIMIT for x in start):
+        named = ", ".join(f"{x:g}" for x in start)
+        raise InstabilityError(f"{subject} start ({named}) exceeds "
+                               f"{STATE_LIMIT:g} at t=0 s", t=0.0)
+
+
 def _check_hold(noise: Optional[NoiseSpec], dt: float) -> None:
     """Raise unless dt splits each hold of a nonzero noise into whole steps."""
     if _adds_noise(noise):
@@ -149,6 +157,7 @@ def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
     """Shared run path: hold check, input synthesis, kernel(v, v_mid), channels."""
     _check_hold(spec.noise, cfg.dt)
     t, tm = time_grid(cfg)
+    _raise_if_beyond((cfg.initial.x1, cfg.initial.x2), "state")
     A, w = spec.amplitude, spec.omega
     v_clean, dv_clean = sinusoid(A, w, t), sinusoid_derivative(A, w, t)
     v, v_mid = v_clean.copy(), sinusoid(A, w, tm)

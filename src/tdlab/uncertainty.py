@@ -20,7 +20,7 @@ from . import _kernels
 from .dynamics import DiffParams, DiffState
 from .signals import NoiseSpec, _adds_noise, bl_white_noise
 from .simulate import (STATE_LIMIT, SimConfig, TimeSeries, _check_hold,
-                       _raise_if_diverged, time_grid)
+                       _raise_if_beyond, _raise_if_diverged, time_grid)
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,7 @@ def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
                          f"sim.initial={sim.initial}")
     _check_hold(cfg.noise, sim.dt)
     t, tm = time_grid(sim)
+    _raise_if_beyond((cfg.x0,), "plant state")
     u = np.asarray(cfg.u(t), dtype=float)
     delta = np.asarray(cfg.delta(t), dtype=float)
     forcing_mid = np.asarray(cfg.u(tm), dtype=float) + np.asarray(cfg.delta(tm), dtype=float)

@@ -622,6 +622,8 @@ def _run_cli(argv, path):
                "{out}"])
 @example(argv=["estimate", "--r=1e150", "--a0=1", "--b0=1", "--dt=1e-3",
                "--t-end=0.01", "--out", "{out}"])
+@example(argv=["simulate", "--preset", "paper-4-linear", "--amplitude",
+               "1e-10", "--omega", "1e308", "--t-end", "10", "--out", "{out}"])
 def test_drawn_flags_keep_the_exit_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.csv")

@@ -16,6 +16,7 @@ from tdlab.signals import (
     bl_white_noise,
     noise_holds,
     sinusoid,
+    sinusoid_derivative,
 )
 from tdlab.simulate import SimConfig, run, time_grid
 
@@ -36,6 +37,33 @@ class TestSinusoid:
         t = np.arange(1000) / 1000 * period
         rms = math.sqrt(np.mean(sinusoid(0.5, 2.0, t) ** 2))
         assert rms == pytest.approx(0.5 / math.sqrt(2), rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fn", [sinusoid, sinusoid_derivative])
+    def test_rejects_a_phase_that_is_not_finite(self, fn):
+        # omega*t overflows past t = 1.798 s: no warning, and no nan input
+        t = np.array([0.0, 1.0, 1.79, 1.8, 10.0])
+        with pytest.raises(ValueError, match=r"phase omega\*t is not finite "
+                           r"at t=1\.8 s \(omega=1e\+308 rad/s\)"):
+            fn(1e-10, 1e308, t)
+        with pytest.raises(ValueError, match="at t=nan s"):
+            fn(1.0, 2.0, math.nan)
+        assert np.isfinite(fn(1e-10, 1e308, t[:3])).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_derivative_rejects_a_peak_that_overflows(self):
+        # A*omega overflows although omega*t is 10 and |cos| <= 1
+        with pytest.raises(ValueError, match="amplitude\\*omega overflows"):
+            sinusoid_derivative(1e308, 10.0, [1.0])
+        assert sinusoid(1e308, 10.0, [1.0]) == 1e308 * math.sin(10.0)
+
+    @pytest.mark.parametrize("fn", [sinusoid, sinusoid_derivative])
+    @pytest.mark.parametrize("name, A, omega", [
+        ("amplitude", math.inf, 1.0), ("amplitude", math.nan, 1.0),
+        ("omega", 1.0, -math.inf), ("omega", 1.0, math.nan)])
+    def test_rejects_fields_that_are_not_finite(self, fn, name, A, omega):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            fn(A, omega, [0.0])
 
 
 class TestNoiseSpec:

@@ -229,6 +229,18 @@ class TestSweep:
             sweep(p, 1.5, [1.5e308])
         assert err.value.__notes__ == ["omega=1.5e+308 rad/s"]
 
+    def test_point_that_fails_to_plan_raises_after_the_points_before(self):
+        # the first point settles and the second fails to plan, as A*omega
+        # overflows: the first period is yielded before the planning error
+        periods = sweep_module._steady_periods(P3A, 1.5, [2.0, 1.5e308])
+        assert np.array_equal(next(periods), next(
+            sweep_module._steady_periods(P3A, 1.5, [2.0])))
+        with pytest.raises(ValueError, match="overflows"):
+            next(periods)
+        with pytest.raises(ValueError, match="overflows") as err:
+            sweep(P3A, 1.5, [2.0, 1.5e308])
+        assert err.value.__notes__ == ["omega=1.5e+308 rad/s"]
+
 
 def _closes(x, tol):
     """Whether (x1, x2) ends within tol * max(1, |x|) of where it starts."""

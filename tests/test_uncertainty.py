@@ -6,7 +6,7 @@ import pytest
 from tdlab.dynamics import DiffParams, DiffState
 from tdlab.presets import uncertainty_plant
 from tdlab.signals import NoiseSpec
-from tdlab.simulate import SimConfig, TimeSeries, rms_error
+from tdlab.simulate import InstabilityError, SimConfig, TimeSeries, rms_error
 from tdlab.uncertainty import PlantConfig, estimate_delta, simulate_plant
 
 P5 = DiffParams(eps=1 / 45, a0=0.05, a1=0.015, b0=0.3, b1=0.015, alpha=0.6)
@@ -29,6 +29,13 @@ class TestSimulatePlant:
         sim = SimConfig(dt=1e-3, t_end=1.0, initial=DiffState(1.0, 0.0))
         with pytest.raises(ValueError, match="PlantConfig.x0"):
             simulate_plant(uncertainty_plant(), sim)
+
+    def test_start_beyond_the_state_limit_fails_at_zero(self):
+        plant = PlantConfig(u=_zero, delta=_zero, x0=1e300)
+        with pytest.raises(InstabilityError, match=r"^plant state start "
+                           r"\(1e\+300\) exceeds 1e\+09 at t=0 s$") as err:
+            simulate_plant(plant, SimConfig(dt=1e-3, t_end=1.0))
+        assert err.value.t == 0.0
 
     def test_rejects_dt_that_splits_a_noise_hold(self):
         plant = uncertainty_plant(noise=NoiseSpec(power=1e-4, sample_time=1e-6))
