@@ -160,6 +160,9 @@ def commands() -> list[list[str]]:
         ["simulate", "--r", "1e150", "--a0", "1", "--b0", "1", "--dt", "1e-3",
          "--t-end", "0.01", *out],
     ]
+    # a phase omega*t that overflows inside the run, though A*omega does not
+    cmds += [["simulate", "--preset", "paper-4-linear", "--amplitude", "1e-10",
+              "--omega", "1e308", "--t-end", "10", *out]]
     return cmds
 
 
