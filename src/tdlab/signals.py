@@ -71,8 +71,8 @@ class SignalSpec:
 
 
 def _phase(A: float, omega: float, t, peak: bool = False) -> np.ndarray:
-    """omega*t, after ValueError unless A, omega, every omega*t and, for a
-    peak derivative, A*omega are finite."""
+    """omega*t as floats; ValueError unless A, omega, each omega*t and, for
+    a peak derivative, A*omega are finite."""
     for name, value in (("amplitude", A), ("omega", omega)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -88,13 +88,14 @@ def _phase(A: float, omega: float, t, peak: bool = False) -> np.ndarray:
 
 
 def sinusoid(A: float, omega: float, t):
-    """A*sin(omega*t); accepts scalars or arrays; ValueError from _phase."""
+    """A*sin(omega*t); accepts scalars or arrays.  ValueError where A, omega
+    or a phase omega*t is not finite."""
     return A * np.sin(_phase(A, omega, t))
 
 
 def sinusoid_derivative(A: float, omega: float, t):
-    """Exact derivative A*omega*cos(omega*t) for reference channels;
-    ValueError from _phase."""
+    """Exact derivative A*omega*cos(omega*t) for reference channels.
+    ValueError where A, omega, A*omega or a phase omega*t is not finite."""
     return A * omega * np.cos(_phase(A, omega, t, peak=True))
 
 
