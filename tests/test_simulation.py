@@ -86,8 +86,8 @@ class TestSimConfig:
     @pytest.mark.parametrize("p", [P3A, P4_HYBRID], ids=["linear", "hybrid"])
     def test_start_beyond_the_state_limit_fails_at_zero(self, p, start):
         # named as the start at t = 0, not blamed on dt at the first step
-        with pytest.raises(InstabilityError, match=r"^state start \((1e\+300"
-                           r", 0|0, -1e\+10)\) exceeds 1e\+09 at t=0 s$") as err:
+        with pytest.raises(InstabilityError, match=r"^state start \((1e\+300, 0"
+                           r"|0, -1e\+10)\) exceeds 1e\+09 at t=0 s$") as err:
             run(p, SignalSpec(1.0, 2.0), SimConfig(1e-3, 1.0, start))
         assert err.value.t == 0.0
 
