@@ -33,8 +33,9 @@ together, from the linearization's orbit in closed form (``linear_orbit``,
 a linear differentiator's own), by the same Newton and rule: over the
 period, x[n] = x[0], or over its first half, x[n/2] = -x[0], extended by
 its negation.  ``sweep`` measures the ``integrate_hybrid`` pass over the
-period given that orbit as its guess, which Newton re-certifies in 1-2
-passes.
+period given that orbit as its guess, which Newton re-certifies, as a rule
+in one map pass and no correction, so that it returns the orbit bit for
+bit.
 """
 
 import ctypes
@@ -349,7 +350,9 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
     steps' previous evaluation, and every x[i+1] is inside limit.  The
     steps after the new frontier are corrected by d[i+1] = J_i d[i] + r_i
     from d = 0 by _solve_recurrence, so that rounding scales with the
-    residual, and only those steps need J_i.
+    residual, and only those steps need J_i.  Only x, the first guess's own
+    array, spans the lane: the previous evaluation, like every temporary,
+    spans the window.
     The _WINDOW_STEPS steps from where the count began must retire before
     Newton _gives_up on their residuals, with no certified state past
     limit; else _hybrid_loop runs the lane from there to its end, so the
@@ -373,26 +376,30 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
             except ValueError:  # values DiffParams rejects, no gain or omega_n
                 return _hybrid_loop(x1_0, x2_0, v_grid, v_mid, *gains, limit)
             # the guess is not held to limit, only to being finite
-            *x, bad = _linear_rk4(*lin, (x1_0, x2_0), v_grid, v_mid, dt,
-                                  np.inf)
-            x = np.array(x)
+            x1, _, bad = _linear_rk4(*lin, (x1_0, x2_0), v_grid, v_mid, dt,
+                                     np.inf)
+            x = x1.base  # the one array whose rows _linear_rk4 returns
             if bad >= 0:  # a non-finite guess sends the tail to the loop
                 x[:, bad:] = np.nan
-        prev = np.full(n, np.inf)
-        band = np.zeros((4, 2 * min(n, _WINDOW_STEPS)), order="F")
+        m = min(n, _WINDOW_STEPS)
+        prev = np.full(m, np.inf)  # of the window's steps, from s on
+        band = np.zeros((4, 2 * m), order="F")
         s = c = it = 0  # the frontier, where the count began, iterations
         while s < n:
             e = min(s + _WINDOW_STEPS, n)
             r, rel, stages = _residuals(x[:, s:e + 1], v_grid[s:e + 1],
                                         v_mid[s:e], *gains)
-            top = np.maximum.accumulate(rel)  # of each prefix
+            # no step from the first residual above _NEWTON_TOL on retires
+            ok = rel <= _NEWTON_TOL
+            j = len(ok) if ok.all() else int(ok.argmin())
+            top = np.maximum.accumulate(rel[:j])  # of each prefix
             cert = np.flatnonzero(
-                _certified(top, np.maximum.accumulate(prev[s:e])))
-            prev[s:e] = rel
+                _certified(top, np.maximum.accumulate(prev[:j])))
             k = int(cert[-1]) + 1 if cert.size else 0
             past = np.flatnonzero(
                 (np.abs(x[:, s + 1:s + k + 1]) > limit).any(axis=0))
             k = int(past[0]) if past.size else k
+            prev[:e - s - k], prev[e - s - k:] = rel[k:], np.inf
             s += k
             if s >= c + _WINDOW_STEPS:
                 c, it = s, 0

@@ -159,10 +159,10 @@ def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
     t, tm = time_grid(cfg)
     _raise_if_beyond((cfg.initial.x1, cfg.initial.x2), "state")
     A, w = spec.amplitude, spec.omega
-    v_clean, dv_clean = sinusoid(A, w, t), sinusoid_derivative(A, w, t)
-    v, v_mid = v_clean.copy(), sinusoid(A, w, tm)
-    # tm and the noise are freed before the kernel allocates x1 and x2, so
-    # that v_mid is the only array held besides the channels
+    v, v_mid = sinusoid(A, w, t), sinusoid(A, w, tm)
+    # tm and the noise are freed before the kernel allocates x1 and x2, and
+    # v_mid once it returns, before the reference channels are built: a run
+    # holds t, v, v_mid and the states, then t and the five channels
     del tm
     if _adds_noise(spec.noise):
         # dt divides the hold, so step i's midpoint lies in the hold of t[i]
@@ -171,9 +171,12 @@ def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
         v_mid += noise[:-1]
         del noise
     x1, x2, bad = kernel(v, v_mid)
+    del v_mid
     _raise_if_diverged(bad, cfg.dt, "state")
+    # SignalSpec checked A*omega, and sinusoid each omega*t, before the kernel
     return TimeSeries(t=t, channels={
-        "v": v, "x1": x1, "x2": x2, "v_clean": v_clean, "dv_clean": dv_clean})
+        "v": v, "x1": x1, "x2": x2, "v_clean": sinusoid(A, w, t),
+        "dv_clean": sinusoid_derivative(A, w, t)})
 
 
 def run(p: DiffParams, spec: SignalSpec, cfg: SimConfig) -> TimeSeries:

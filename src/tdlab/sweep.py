@@ -117,9 +117,11 @@ def _settle(p: DiffParams, A: float, batch: list):
     test); the nonlinear points' periods go to one _kernels.periodic_orbit of
     sign -1, which solves each over its first half.  The integrate_hybrid pass
     from the orbit on the true input, given it as the guess that its Newton
-    re-certifies, must close within _CLOSURE_TOL.  Else Newton retries over the
-    full period (sign 1) from the last period of a warm-up run of _WARM_PERIODS
-    periods, or from the measured pass, until SETTLE_PERIODS periods have run.
+    re-certifies (as a rule in one map pass and no correction, returning the
+    orbit bit for bit), must close within _CLOSURE_TOL.  Else Newton retries
+    over the full period (sign 1) from the last period of a warm-up run of
+    _WARM_PERIODS periods, or from the measured pass, until SETTLE_PERIODS
+    periods have run.
     """
     gains, lin = astuple(p), _kernels._linear_differentiator(p.eps, p.a0, p.b0)
     if p.is_linear:

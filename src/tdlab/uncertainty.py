@@ -11,6 +11,7 @@ so the measurement noise that the differentiator suppresses is not
 reinjected into the reconstruction.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,6 +37,19 @@ class PlantConfig:
     noise: Optional[NoiseSpec] = None
     x0: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.x0):
+            raise ValueError(f"plant start x0 must be finite, got {self.x0}")
+
+
+def _check_finite(name: str, times, samples) -> None:
+    """Raise naming the first of times at which an input's samples are not
+    finite."""
+    bad = [t[~np.isfinite(s)] for t, s in zip(times, samples)]
+    if any(b.size for b in bad):
+        first = min(float(b.min()) for b in bad if b.size)
+        raise ValueError(f"PlantConfig.{name} is not finite at t={first:g} s")
+
 
 def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
     """Integrate x' = -x + u + delta and record x, y = x + noise, u, delta.
@@ -50,15 +64,19 @@ def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
     _check_hold(cfg.noise, sim.dt)
     t, tm = time_grid(sim)
     _raise_if_beyond((cfg.x0,), "plant state")
-    u = np.asarray(cfg.u(t), dtype=float)
-    delta = np.asarray(cfg.delta(t), dtype=float)
-    forcing_mid = np.asarray(cfg.u(tm), dtype=float) + np.asarray(cfg.delta(tm), dtype=float)
+    u, delta, u_mid, delta_mid = (np.asarray(f(s), dtype=float)
+                                  for s in (t, tm) for f in (cfg.u, cfg.delta))
+    _check_finite("u", (t, tm), (u, u_mid))
+    _check_finite("delta", (t, tm), (delta, delta_mid))
+    forcing_mid = u_mid + delta_mid
+    del tm, u_mid, delta_mid  # freed before the kernel allocates x
     x, bad = _kernels.integrate_relaxation(
         cfg.x0, u + delta, forcing_mid, 1.0, sim.dt, STATE_LIMIT)
+    del forcing_mid
     _raise_if_diverged(bad, sim.dt, "plant state")
     y = x.copy()
     if _adds_noise(cfg.noise):
-        y = y + bl_white_noise(cfg.noise, t)
+        y += bl_white_noise(cfg.noise, t)
     return TimeSeries(t=t, channels={"x": x, "y": y, "u": u, "delta_true": delta})
 
 
@@ -78,7 +96,10 @@ def estimate_delta(ts: TimeSeries, p: DiffParams) -> TimeSeries:
     x1h, x2h, bad = _kernels.integrate_hybrid(
         0.0, 0.0, y, y_mid, p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha,
         dt, STATE_LIMIT)
+    del y_mid
     _raise_if_diverged(bad, dt, "estimator state")
+    delta_hat = np.add(x2h, x1h)
+    delta_hat -= u
     return TimeSeries(t=ts.t, channels={**ts.channels, "x1_hat": x1h,
                                         "x2_hat": x2h,
-                                        "delta_hat": x2h + x1h - u})
+                                        "delta_hat": delta_hat})

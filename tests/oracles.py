@@ -1,6 +1,7 @@
 """Test oracles that the library itself does not call."""
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -38,3 +39,23 @@ def fundamental_component(ts: TimeSeries, channel: str, omega: float,
     a = 2.0 / span * np.trapezoid(yy * np.sin(omega * tt), tt)
     b = 2.0 / span * np.trapezoid(yy * np.cos(omega * tt), tt)
     return float(np.hypot(a, b)), float(math.degrees(math.atan2(b, a)))
+
+
+def bytes_per_step(run_steps, n: int) -> float:
+    """Traced peak of run_steps(2*n) less that of run_steps(n), per step.
+
+    run_steps(n) runs once untraced first, so that the modules a first call
+    imports (numpy.random for a noise) are in place.  With n at least one
+    window of the kernels, both peaks hold the same fixed temporaries,
+    which cancel.
+    """
+    run_steps(n)
+    peaks = []
+    for steps in (n, 2 * n):
+        tracemalloc.start()
+        try:
+            run_steps(steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / n

@@ -21,9 +21,10 @@ from tdlab.simulate import (
     run,
     time_grid,
 )
+from tdlab.presets import get_preset
 from tdlab.sweep import convergence_order
 
-from oracles import fundamental_component
+from oracles import bytes_per_step, fundamental_component
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
 P3C_HYBRID = DiffParams(eps=1 / 45, a0=0.005, a1=0.005, b0=0.05, b1=0.005,
@@ -235,6 +236,18 @@ class TestRun:
         spec = SignalSpec(1.0, 2.0, noise=NoiseSpec(0.01, 0.01, seed=7))
         assert default_dt(p, spec) == 0.01 / 34
         run(p, spec, SimConfig(dt=default_dt(p, spec), t_end=0.1))
+
+    @pytest.mark.parametrize("preset,n", [("paper-3B", 2**13),
+                                          ("paper-3A", 10**5)])
+    def test_run_holds_each_array_of_its_length_once(self, preset, n):
+        # t, v, v_mid and the states while the kernel runs (a Newton lane's
+        # peak at these lengths), then t and the five channels (a linear
+        # lane's): 40 and 48 B per step.  Holding the reference channels
+        # during the kernel, or a copy of Newton's first guess, reads 56-64.
+        pr = get_preset(preset)
+        dt = default_dt(pr.params, pr.signal)
+        assert bytes_per_step(lambda k: run(pr.params, pr.signal,
+                                            SimConfig(dt, k * dt)), n) <= 52
 
     @pytest.mark.parametrize("p,spec", [
         (P3A, SignalSpec(5.0, 2.0, noise=NoiseSpec(0.01, 0.01, seed=11))),

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from tdlab.dynamics import DiffParams, DiffState
-from tdlab.presets import uncertainty_plant
+from tdlab.presets import get_preset, uncertainty_plant
 from tdlab.signals import NoiseSpec
 from tdlab.simulate import InstabilityError, SimConfig, TimeSeries, rms_error
 from tdlab.uncertainty import PlantConfig, estimate_delta, simulate_plant
+
+from oracles import bytes_per_step
 
 P5 = DiffParams(eps=1 / 45, a0=0.05, a1=0.015, b0=0.3, b1=0.015, alpha=0.6)
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
@@ -36,6 +38,26 @@ class TestSimulatePlant:
                            r"\(1e\+300\) exceeds 1e\+09 at t=0 s$") as err:
             simulate_plant(plant, SimConfig(dt=1e-3, t_end=1.0))
         assert err.value.t == 0.0
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_start_that_is_not_finite(self, x0):
+        with pytest.raises(ValueError, match=r"^plant start x0 must be "
+                           rf"finite, got {x0}$"):
+            PlantConfig(u=_zero, delta=_zero, x0=x0)
+
+    @pytest.mark.parametrize("name,bad,first", [
+        ("u", lambda t: np.full_like(t, math.nan), "0"),  # at the first step
+        ("delta", lambda t: np.where(t > 0.25, math.inf, 0.0), "0.2505"),
+        ("u", lambda t: np.where(t == 0.5, -math.inf, 0.0), "0.5"),
+    ], ids=["u-nan", "delta-inf-from-a-midpoint", "u-at-one-step"])
+    def test_rejects_input_samples_that_are_not_finite(self, name, bad,
+                                                       first):
+        # named with the first time, a step's midpoint (0.2505) included,
+        # not as a plant state past its limit, which blames dt
+        plant = PlantConfig(**{"u": _zero, "delta": _zero, name: bad})
+        with pytest.raises(ValueError, match=rf"^PlantConfig\.{name} is not "
+                           rf"finite at t={first} s$"):
+            simulate_plant(plant, SimConfig(dt=1e-3, t_end=1.0))
 
     def test_rejects_dt_that_splits_a_noise_hold(self):
         plant = uncertainty_plant(noise=NoiseSpec(power=1e-4, sample_time=1e-6))
@@ -116,6 +138,16 @@ class TestEstimateDelta:
         a = estimate_delta(simulate_plant(base, CFG), P3A).channel("delta_hat")
         b = estimate_delta(simulate_plant(doubled, CFG), P3A).channel("delta_hat")
         assert np.max(np.abs(2.0 * a - b)) <= 0.02 * np.max(np.abs(b))
+
+    def test_estimate_holds_each_array_of_its_length_once(self):
+        # t and the plant's four channels, y's midpoints and the estimator's
+        # states while its kernel runs, then t and the eight channels: 64 B
+        # per step.  Holding the plant's midpoint inputs or a copy of
+        # Newton's first guess reads 72.
+        pr = get_preset("paper-5")
+        plant = uncertainty_plant(noise=pr.signal.noise)
+        assert bytes_per_step(lambda k: estimate_delta(simulate_plant(
+            plant, SimConfig(1e-3, k * 1e-3)), pr.params), 2**13) <= 66
 
     def test_channels_appended_in_order(self):
         # the plant's channels, unchanged and in order, then the estimates
