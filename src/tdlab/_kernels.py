@@ -389,12 +389,9 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
             e = min(s + _WINDOW_STEPS, n)
             r, rel, stages = _residuals(x[:, s:e + 1], v_grid[s:e + 1],
                                         v_mid[s:e], *gains)
-            # no step from the first residual above _NEWTON_TOL on retires
-            ok = rel <= _NEWTON_TOL
-            j = len(ok) if ok.all() else int(ok.argmin())
-            top = np.maximum.accumulate(rel[:j])  # of each prefix
+            top = np.maximum.accumulate(rel)  # of each prefix
             cert = np.flatnonzero(
-                _certified(top, np.maximum.accumulate(prev[:j])))
+                _certified(top, np.maximum.accumulate(prev[:e - s])))
             k = int(cert[-1]) + 1 if cert.size else 0
             past = np.flatnonzero(
                 (np.abs(x[:, s + 1:s + k + 1]) > limit).any(axis=0))

@@ -29,7 +29,8 @@ class PlantConfig:
     """Scalar uncertain plant setup.
 
     u and delta are vectorized callables of time (control input and the
-    disturbance truth channel); noise is the measurement noise on y.
+    disturbance truth channel); noise is the measurement noise on y; the
+    start x0 must be finite.
     """
 
     u: Callable[[np.ndarray], np.ndarray]
@@ -56,7 +57,8 @@ def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
 
     sim supplies dt and t_end; the plant starts from cfg.x0, so sim.initial
     must be left at its default.  As in run, sim.dt must divide the noise
-    hold interval.
+    hold interval.  ValueError names the first step or midpoint time at
+    which u or delta is not finite.
     """
     if sim.initial != DiffState(0.0, 0.0):
         raise ValueError("the plant starts from PlantConfig.x0, not from "
