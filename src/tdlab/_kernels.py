@@ -389,9 +389,13 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
             e = min(s + _WINDOW_STEPS, n)
             r, rel, stages = _residuals(x[:, s:e + 1], v_grid[s:e + 1],
                                         v_mid[s:e], *gains)
-            top = np.maximum.accumulate(rel)  # of each prefix
-            cert = np.flatnonzero(
-                _certified(top, np.maximum.accumulate(prev[:e - s])))
+            # the largest residual of each prefix, scanned only up to the
+            # first past _NEWTON_TOL, from which no step retires (inf after)
+            j = _within_tol(rel)
+            top, low = np.full(e - s, np.inf), np.full(e - s, np.inf)
+            np.maximum.accumulate(rel[:j], out=top[:j])
+            np.maximum.accumulate(prev[:j], out=low[:j])
+            cert = np.flatnonzero(_certified(top, low))
             k = int(cert[-1]) + 1 if cert.size else 0
             past = np.flatnonzero(
                 (np.abs(x[:, s + 1:s + k + 1]) > limit).any(axis=0))
@@ -425,6 +429,12 @@ def _residuals(x, v_grid, v_mid, *gains):
     r = np.array(f) - x[:, 1:]
     rel = np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:])), axis=0)
     return r, rel, stages
+
+
+def _within_tol(rel):
+    """Length of rel's longest prefix within _NEWTON_TOL (a nan ends it)."""
+    ok = rel <= _NEWTON_TOL
+    return ok.size if ok.all() else int(ok.argmin())
 
 
 def _certified(rel, prev):

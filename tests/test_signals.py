@@ -38,6 +38,19 @@ class TestSinusoid:
         rms = math.sqrt(np.mean(sinusoid(0.5, 2.0, t) ** 2))
         assert rms == pytest.approx(0.5 / math.sqrt(2), rel=1e-9)
 
+    @pytest.mark.parametrize("t", [np.linspace(0.0, 50.0, 50_001), 0.3,
+                                   [0.1, 2.5]], ids=["array", "float", "list"])
+    def test_bits_of_the_formula(self, t):
+        # computed in the phase's own array: the formula's values bit for
+        # bit, t left as it was, and a float64 for a scalar t
+        t0 = np.array(t, dtype=float)
+        for got, want in ((sinusoid(5.0, 2.0, t), 5.0 * np.sin(2.0 * t0)),
+                          (sinusoid_derivative(5.0, 2.0, t),
+                           5.0 * 2.0 * np.cos(2.0 * t0))):
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+        assert np.array_equal(t, t0)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("fn", [sinusoid, sinusoid_derivative])
     def test_rejects_a_phase_that_is_not_finite(self, fn):
