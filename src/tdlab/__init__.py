@@ -12,7 +12,6 @@ from .describing import (
     EquivalentLinearization,
     FreqPoint,
     OverdampedError,
-    asymptote_db,
     bode_table,
     describing_gain,
     first_order_response,
@@ -29,7 +28,6 @@ from .dynamics import (
     hybrid_rhs,
     sig_pow,
     w_of_x,
-    x_of_w,
 )
 from .presets import PRESETS, ExperimentPreset, get_preset, uncertainty_plant
 from .signals import (
@@ -80,7 +78,6 @@ __all__ = [
     "SignalSpec",
     "SimConfig",
     "TimeSeries",
-    "asymptote_db",
     "backend",
     "bl_white_noise",
     "bode_table",
@@ -112,5 +109,4 @@ __all__ = [
     "tracking_bandwidth",
     "uncertainty_plant",
     "w_of_x",
-    "x_of_w",
 ]

@@ -4,7 +4,7 @@ Under a sinusoidal input of amplitude A, the signed-power nonlinearity is
 replaced by its amplitude-dependent equivalent gain (the fundamental-harmonic
 ratio, a closed form in Gamma functions).  The differentiator then collapses
 to a second-order low-pass system whose natural frequency and damping are
-computed here, with its analytic frequency response and magnitude asymptotes.
+computed here, with its analytic frequency response.
 """
 
 import math
@@ -163,15 +163,6 @@ def freq_response(lin: EquivalentLinearization, omega: float) -> FreqPoint:
         mag = 0.0
     phase = -math.degrees(math.atan2(2.0 * lin.zeta * u, 1.0 - u2))
     return _freq_point(omega, mag, phase, "omega_n", lin.omega_n)
-
-
-def asymptote_db(lin: EquivalentLinearization, omega: float) -> float:
-    """Straight-line magnitude asymptote: 0 dB below the corner, -40 dB/decade above."""
-    if not omega > 0.0:
-        raise ValueError("omega must be positive")
-    if omega <= lin.omega_n:
-        return 0.0
-    return -40.0 * math.log10(omega / lin.omega_n)
 
 
 def first_order_response(a0: float, eps: float, omega: float) -> FreqPoint:

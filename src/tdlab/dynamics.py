@@ -110,13 +110,6 @@ def w_of_x(state: DiffState, p: DiffParams) -> DiffState:
     return DiffState(state.x1 + p.eps * p.b0 * state.x2 / p.a0, state.x2)
 
 
-def x_of_w(state: DiffState, p: DiffParams) -> DiffState:
-    """Inverse of w_of_x: x1 = w1 - eps*b0*w2/a0."""
-    if not p.is_linear:
-        raise ValueError("coordinate change requires a1 = b1 = 0")
-    return DiffState(state.x1 - p.eps * p.b0 * state.x2 / p.a0, state.x2)
-
-
 def first_order_filter_rhs(x: float, v: float, a0: float, eps: float) -> float:
     """Classical first-order filter x' = (sqrt(a0)/eps) * (v - x)."""
     if not a0 > 0.0:

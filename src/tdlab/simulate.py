@@ -149,8 +149,8 @@ def _check_hold(noise: Optional[NoiseSpec], dt: float) -> None:
         if not (0.0 < holds < math.inf
                 and abs(holds - round(holds)) <= 1e-9 * holds):
             raise ValueError(
-                f"dt={dt:g} does not divide noise sample_time="
-                f"{noise.sample_time:g}")
+                f"dt={float(dt)!r} does not divide noise sample_time="
+                f"{float(noise.sample_time)!r}")
 
 
 def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:

@@ -12,7 +12,6 @@ from tdlab.describing import (
     DegenerateError,
     EquivalentLinearization,
     OverdampedError,
-    asymptote_db,
     bode_table,
     describing_gain,
     first_order_response,
@@ -103,6 +102,10 @@ class TestDescribingGain:
         with pytest.raises(ValueError, match="overflows"):
             describing_gain(5e-324, 1e-3)
 
+    def test_rejects_alpha_zero(self):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            describing_gain(1.0, 0.0)
+
 
 class TestLinearize:
     def test_linear_case(self):
@@ -179,6 +182,12 @@ class TestLinearize:
         # k_pos = a0/eps^2 = 1e300/1e-200 overflows although each field is finite
         with pytest.raises(DegenerateError, match="k_pos=inf"):
             linearize(DiffParams(eps=1e-100, a0=1e300, b0=1.0), 1.0)
+
+    def test_underflowing_position_gain_is_degenerate(self):
+        # a1*N(A) = 1e-20 * 1e308^-0.999 underflows to 0, and a0 = 0
+        p = DiffParams(eps=1.0, a1=1e-20, b1=1.0, alpha=0.001)
+        with pytest.raises(DegenerateError, match="position gain is zero"):
+            linearize(p, 1e308)
 
 
 @pytest.mark.parametrize("call", [
@@ -274,27 +283,14 @@ class TestFreqResponse:
         with pytest.raises(ValueError, match=r"omega=1\S* rad/s .* omega_n="):
             freq_response(lin, omega)
 
+    def test_rejects_zero_omega(self):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            freq_response(linearize(P3A, 1.0), 0.0)
+
     def test_mag_db_consistency(self):
         lin = linearize(P3B, 5.0)
         pt = freq_response(lin, 7.7)
         assert pt.mag_db == pytest.approx(20 * math.log10(pt.mag), rel=1e-12)
-
-
-class TestAsymptote:
-    def test_low_frequency(self):
-        lin = linearize(P3A, 1.0)
-        assert asymptote_db(lin, lin.omega_n / 10) == 0.0
-
-    def test_one_decade_above(self):
-        lin = linearize(P3A, 1.0)
-        assert asymptote_db(lin, 10 * lin.omega_n) == pytest.approx(-40.0,
-                                                                    rel=1e-12)
-
-    def test_converges_to_exact_response(self):
-        lin = linearize(P3A, 1.0)
-        omega = 100 * lin.omega_n
-        exact = freq_response(lin, omega).mag_db
-        assert abs(asymptote_db(lin, omega) - exact) <= 1.0
 
 
 class TestFirstOrderResponse:

@@ -11,7 +11,6 @@ from tdlab.dynamics import (
     hybrid_rhs,
     sig_pow,
     w_of_x,
-    x_of_w,
 )
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
@@ -151,14 +150,6 @@ class TestCoordinateChange:
         w = w_of_x(DiffState(0.0, 1.0), P3A)
         assert w.x1 == pytest.approx(2.0 / 15.0, rel=1e-12)
         assert w.x2 == 1.0
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            s = DiffState(*rng.uniform(-10, 10, size=2))
-            back = x_of_w(w_of_x(s, P3A), P3A)
-            assert back.x1 == pytest.approx(s.x1, abs=1e-14, rel=1e-14)
-            assert back.x2 == s.x2
 
     def test_rejects_nonlinear(self):
         p = DiffParams(eps=0.1, a0=1.0, a1=0.1, b0=1.0, alpha=0.5)

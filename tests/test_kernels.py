@@ -832,6 +832,16 @@ def test_stalled_point_retires_after_the_stall_iterations(monkeypatch):
     assert all(np.array_equal(got[k], _alone(points[k])) for k in (0, 2))
 
 
+@pytest.mark.parametrize("M,attracts", [
+    ([[1.0, 0.0], [0.0, 0.5]], False),  # eigenvalue 1
+    ([[0.6, -0.8], [0.8, 0.6]], False),  # a rotation, |eig| = 1
+    ([[1.0 - 1e-9, 0.0], [0.0, 0.5]], True),
+], ids=["eigenvalue-one", "rotation", "just-inside"])
+def test_attracts_only_inside_the_unit_circle(M, attracts):
+    # Jury's test is strict: an eigenvalue on the unit circle does not attract
+    assert _kernels._attracts(np.array(M)) == attracts
+
+
 @pytest.mark.parametrize("shape", [(2, 400), (3, 401), (401,), (2, 401, 1)])
 @pytest.mark.parametrize("gains", [(0.05, 0.0, 0.3, 0.0, 1.0),
                                    (0.05, 0.015, 0.3, 0.015, 0.6)],

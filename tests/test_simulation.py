@@ -221,6 +221,14 @@ class TestRun:
             run(P3A, spec, SimConfig(dt=0.003, t_end=1.0))
         run(P3A, spec, SimConfig(dt=0.0025, t_end=1.0))  # Ts/dt = 4
 
+    def test_rejects_a_step_just_off_the_noise_hold(self):
+        # 1e-6 relative off Ts/10: the k-th hold would end k*1e-8 s inside a
+        # step; the message names the step rejected, not 0.001
+        pre, dt = get_preset("paper-3B"), 0.001 * (1 + 1e-6)
+        with pytest.raises(ValueError, match="does not divide") as err:
+            run(pre.params, pre.signal, SimConfig(dt=dt, t_end=2.0))
+        assert f"dt={dt!r} " in str(err.value)
+
     @pytest.mark.parametrize("hold", [5e-324, 1.7e308])
     def test_rejects_hold_no_step_count_can_split(self, hold):
         # hold/10 underflows to 0, or hold/dt overflows to inf
@@ -284,6 +292,8 @@ class TestRmsError:
             rms_error(ts, "a", "b", (0.5, 0.2))
         with pytest.raises(ValueError):
             rms_error(ts, "a", "b", (0.0, 2.0))
+        with pytest.raises(ValueError, match="no samples"):
+            rms_error(ts, "a", "b", (0.502, 0.508))  # between two samples
 
     def test_noise_suppression_ordering(self):
         # large-bandwidth linear differentiator under matched relative noise
@@ -350,6 +360,10 @@ class TestConvergenceOrder:
             convergence_order(eps_ladder(P3A, (0.1, 0.08, 0.06, 0.04)),
                               SignalSpec(1.0, 2.0))
 
+    def test_rejects_zero_amplitude(self):
+        with pytest.raises(ValueError, match="nontrivial sinusoid"):
+            convergence_order(eps_ladder(P3A, self.EPS), SignalSpec(0.0, 2.0))
+
 
 class TestRealizationEquivalence:
     @pytest.mark.parametrize("p", [
@@ -368,6 +382,13 @@ class TestRealizationEquivalence:
         x2 = run(p, spec, cfg_x).channel("x2")
         w2 = run_highgain(p, spec, cfg_w).channel("x2")
         assert np.max(np.abs(x2 - w2)) <= 1e-6
+
+    def test_gain_scaled_run_rejects_a_nonlinear_set(self):
+        from tdlab.simulate import run_highgain
+
+        with pytest.raises(ValueError, match="requires a1 = b1 = 0"):
+            run_highgain(P3C_HYBRID, SignalSpec(1.0, 2.0),
+                         SimConfig(dt=1e-3, t_end=1.0))
 
 
 class TestCrossModuleGainAgreement:

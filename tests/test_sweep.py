@@ -400,6 +400,24 @@ class TestSteadyPeriod:
             next(sweep_module._steady_periods(P4_NONLINEAR, 1.0, [32.07],
                                               default_dt(P4_NONLINEAR)))
 
+    def test_pass_just_off_its_start_is_no_reading(self, monkeypatch):
+        # each measured pass (the calls given the orbit as their 13th
+        # argument) ends 1e-6 * (1 + |x[0]|) off its start, a thousand
+        # times the closure bound, so the point is never read
+        kernel = _kernels.integrate_hybrid
+
+        def shifted(*a):
+            *x, bad = kernel(*a)
+            if len(a) == 13:
+                for c in x:
+                    c[-1] += 1e-6 * (1.0 + abs(c[0]))
+            return (*x, bad)
+
+        monkeypatch.setattr(_kernels, "integrate_hybrid", shifted)
+        monkeypatch.setattr(sweep_module, "SETTLE_PERIODS", 6)
+        with pytest.raises(InstabilityError, match="did not settle"):
+            measure_point(P4_NONLINEAR, 1.0, 32.07)
+
     def test_unsettled_point_raises(self, monkeypatch):
         # at alpha = 0.1 the explicit step chatters: the start of each period
         # drifts, there is no attracting orbit, and no reading is printed

@@ -64,6 +64,14 @@ class TestSimulatePlant:
         with pytest.raises(ValueError, match="does not divide"):
             simulate_plant(plant, SimConfig(dt=1e-3, t_end=1.0))
 
+    def test_rejects_a_step_just_off_the_noise_hold(self):
+        # 1e-6 relative off Ts/10, named by the step rejected, not 0.001
+        plant = uncertainty_plant(noise=get_preset("paper-5").signal.noise)
+        dt = 0.001 * (1 + 1e-6)
+        with pytest.raises(ValueError, match="does not divide") as err:
+            simulate_plant(plant, SimConfig(dt=dt, t_end=2.0))
+        assert f"dt={dt!r} " in str(err.value)
+
     def test_forced_particular_solution(self):
         # x' = -x + 0.1 sin t + cos t has steady solution
         # 0.55 sin t + 0.45 cos t
