@@ -34,7 +34,7 @@ Then it times the CSV layer on its own: the microseconds per row of
 ``simulate --preset paper-3A`` writes (t, v, x1, x2, v_clean, dv_clean),
 and, as ``csv-format``, of a row-by-row ``'%.9g'`` writer on the same
 table, which must write the same bytes.  Each is the median CPU time of 5
-writes after one more.
+writes after one more, the two writers taking turns.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -84,22 +84,20 @@ def write_csv_by_format(path, header, columns):
 def csv_timings(repeats=5):
     """us per row of cli._write_csv and of the reference on csv_table()."""
     columns = csv_table()
-    out = {}
+    writers = (("csv", cli._write_csv), ("csv-format", write_csv_by_format))
+    times = {name: [] for name, _ in writers}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, write in (("csv", cli._write_csv),
-                            ("csv-format", write_csv_by_format)):
-            path = os.path.join(tmp, f"{name}.csv")
-            times = []
-            for _ in range(repeats + 1):
+        for _ in range(repeats + 1):
+            for name, write in writers:
                 t0 = time.process_time()
-                write(path, CSV_HEADER, columns)
-                times.append(time.process_time() - t0)
-            out[name] = statistics.median(times[1:]) / len(columns[0]) * 1e6
+                write(os.path.join(tmp, f"{name}.csv"), CSV_HEADER, columns)
+                times[name].append(time.process_time() - t0)
         with open(os.path.join(tmp, "csv.csv"), "rb") as a, \
                 open(os.path.join(tmp, "csv-format.csv"), "rb") as b:
             if a.read() != b.read():
                 raise SystemExit("error: cli._write_csv differs from '%.9g'")
-    return out
+    return {name: statistics.median(t[1:]) / len(columns[0]) * 1e6
+            for name, t in times.items()}
 
 
 def dtbsv_timings(repeats=7):

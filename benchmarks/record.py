@@ -10,15 +10,13 @@ Writes ``BENCH_<label>.json`` at the root of this checkout with every
 run's end-to-end values, their medians and quartiles per side, how many
 pairs this checkout won on each metric, the per-layer metrics of the
 traced runs (``kernels.busy_s`` and ``kernels.us_per_step`` among them),
-the backend, the Python, numpy and scipy versions, ``nproc``, the git
-revision of each tree, and whether ``PYTHONDONTWRITEBYTECODE`` was set.
+the Python, numpy and scipy versions, ``nproc`` and the git revision of
+each tree.
 
-With that variable set no run writes bytecode, so the untimed warm probe of
-``bench/run.py`` cannot refresh it: a module of ``src/tdlab`` whose
-bytecode in ``__pycache__`` is missing or older than its source is compiled
-again by every cold-import probe, and ``setup_s`` reads the compile.  The
-script then refuses to start and names those modules; refresh their
-bytecode (``python -m compileall -q TREE/src``) or unset the variable.
+Every run starts without ``PYTHONDONTWRITEBYTECODE``, so that the untimed
+warm probe of ``bench/run.py`` writes the bytecode of each tree's changed
+sources before any timed cold-import probe, which would otherwise compile
+them again and count the compile in ``setup_s``.
 
 Usage:
     python benchmarks/record.py PARENT_CHECKOUT --label L
@@ -30,7 +28,6 @@ PARENT_CHECKOUT is a checkout of the commit to compare against, e.g. a
 
 import argparse
 import datetime
-import importlib.util
 import json
 import os
 import statistics
@@ -57,24 +54,15 @@ def revision(tree):
     return rev.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
 
 
-def stale_bytecode(tree):
-    """Sources of tree's src/tdlab with no cached bytecode, or an older one."""
-    stale = []
-    for source in sorted((Path(tree) / "src" / "tdlab").glob("*.py")):
-        cached = Path(importlib.util.cache_from_source(str(source)))
-        if not (cached.exists()
-                and cached.stat().st_mtime >= source.stat().st_mtime):
-            stale.append(str(source))
-    return stale
-
-
 def bench(tree, workload, seed, seconds, trace):
     """One run of a tree's bench/run.py: (metric values, full record)."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {tree}/bench/run.py --workload {workload} "
                          f"--seed {seed} exited with {proc.returncode}:\n"
@@ -112,22 +100,11 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
-    no_bytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
-    stale = [m for tree in trees.values() for m in stale_bytecode(tree)]
-    if no_bytecode and stale:
-        raise SystemExit(
-            "error: PYTHONDONTWRITEBYTECODE is set and these modules have no "
-            "bytecode or one older than their source, so every cold-import "
-            "probe would compile them again:\n  " + "\n  ".join(stale)
-            + "\nrefresh it with python -m compileall -q TREE/src, or unset "
-            "PYTHONDONTWRITEBYTECODE")
-
     result = {"label": args.label,
               "date": datetime.datetime.now(datetime.timezone.utc)
               .isoformat(timespec="seconds"),
               "seconds": seconds, "pairs": PAIRS,
               "nproc": len(os.sched_getaffinity(0)),
-              "PYTHONDONTWRITEBYTECODE": no_bytecode,
               "trees": {side: {"revision": revision(tree)}
                         for side, tree in trees.items()},
               "workloads": {}}
@@ -148,8 +125,7 @@ def main(argv=None):
             traced[side], full = bench(trees[side], workload, PAIRS + 1,
                                        seconds, 1)
             result["trees"][side].update(
-                {key: full[key] for key in ("backend", "python", "numpy",
-                                            "scipy")})
+                {key: full[key] for key in ("python", "numpy", "scipy")})
         result["workloads"][workload] = {
             "runs": runs, "summary": summary(runs, spec["end_to_end"]),
             "trace": traced}

@@ -65,11 +65,10 @@ _NEWTON_ITERS = 20
 _STALL_ITERS = 8
 #: Residual certificate of a Newton window, relative to max(1, |state|).
 #: A residual within it is accepted once Newton has reached its rounding
-#: floor: at most _ROUNDING_TOL, or cut by less than _FLOOR_GAIN since the
-#: previous evaluation (_certified).
+#: floor: at most _ROUNDING_TOL, or no smaller than at the previous
+#: evaluation (_certified).
 _NEWTON_TOL = 1e-12
 _ROUNDING_TOL = 1e-15
-_FLOOR_GAIN = 4.0
 #: |e| and |eps*x2| are clipped below here in the slope alpha*|.|^(alpha-1).
 _SLOPE_FLOOR = 1e-12
 _EYE = {1: np.eye(2), -1: -np.eye(2)}  #: sign*I of _close, by sign
@@ -439,8 +438,7 @@ def _within_tol(rel):
 
 def _certified(rel, prev):
     """Newton's certificate of residuals rel (array or scalar) after prev."""
-    return (rel <= _NEWTON_TOL) & ((rel <= _ROUNDING_TOL)
-                                   | (_FLOOR_GAIN * rel >= prev))
+    return (rel <= _NEWTON_TOL) & ((rel <= _ROUNDING_TOL) | (rel >= prev))
 
 
 def _gives_up(rel, it):

@@ -158,13 +158,13 @@ def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
     _check_hold(spec.noise, cfg.dt)
     t, tm = time_grid(cfg)
     _raise_if_beyond((cfg.initial.x1, cfg.initial.x2), "state")
-    A, w = spec.amplitude, spec.omega
+    A, w, noisy = spec.amplitude, spec.omega, _adds_noise(spec.noise)
     v, v_mid = sinusoid(A, w, t), sinusoid(A, w, tm)
     # tm and the noise are freed before the kernel allocates x1 and x2, and
     # v_mid once it returns, before the reference channels are built: a run
     # holds t, v, v_mid and the states, then t and the five channels
     del tm
-    if _adds_noise(spec.noise):
+    if noisy:
         # dt divides the hold, so step i's midpoint lies in the hold of t[i]
         noise = bl_white_noise(spec.noise, t)
         v += noise
@@ -175,7 +175,8 @@ def _run(spec: SignalSpec, cfg: SimConfig, kernel) -> TimeSeries:
     _raise_if_diverged(bad, cfg.dt, "state")
     # SignalSpec checked A*omega, and sinusoid each omega*t, before the kernel
     return TimeSeries(t=t, channels={
-        "v": v, "x1": x1, "x2": x2, "v_clean": sinusoid(A, w, t),
+        "v": v, "x1": x1, "x2": x2,  # no two channels share memory
+        "v_clean": sinusoid(A, w, t) if noisy else v.copy(),
         "dv_clean": sinusoid_derivative(A, w, t)})
 
 

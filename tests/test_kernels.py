@@ -406,6 +406,40 @@ def test_residuals_above_the_tolerance_are_not_certified(monkeypatch):
     assert _orbit(guess, *args) is None
 
 
+def test_certified_once_the_residual_stops_shrinking():
+    # Within _NEWTON_TOL and above _ROUNDING_TOL, a residual is Newton's
+    # rounding floor when it is no smaller than the previous evaluation's.
+    assert _kernels._certified(1e-13, 1e-13)
+    assert not _kernels._certified(1e-13, 2e-13)
+
+
+@pytest.mark.parametrize("n, alpha, newton", [
+    (255, 0.6, False), (256, 0.6, True), (1000, 0.2, False),
+    (1000, 0.25, True)], ids=["255-steps", "256-steps", "alpha-0.2",
+                              "alpha-0.25"])
+def test_gates_at_their_shipped_values(monkeypatch, n, alpha, newton):
+    # A prefix of the bench_kernels input at the paper-5 gains but alpha:
+    # a lane shorter than _MIN_NEWTON_STEPS = 256, or at alpha below
+    # _MIN_NEWTON_ALPHA = 0.25, runs _hybrid_loop once over the whole lane
+    # and takes no map pass; at the gates Newton's first pass spans the
+    # lane, before any loop call.
+    x1_0, x2_0, v, vm, *gains, limit = _bench_kernels_input()
+    gains[5] = alpha
+    f_pass, passes = _kernels._rk4_f, []
+
+    def counting_f(y1, *a):
+        passes.append((len(y1), len(calls)))
+        return f_pass(y1, *a)
+
+    monkeypatch.setattr(_kernels, "_rk4_f", counting_f)
+    calls = _count_loop_calls(monkeypatch)
+    _kernels.integrate_hybrid(x1_0, x2_0, v[:n + 1], vm[:n], *gains, limit)
+    if newton:
+        assert passes[0] == (n, 0)
+    else:
+        assert calls == [n] and passes == []
+
+
 def test_limit_crossed_in_a_later_window(monkeypatch):
     # x1 tracks a ramp past limit = 10 near step 2600, after the first
     # 2048-step window: Newton retires that window, and when a certified

@@ -1,12 +1,11 @@
-"""benchmarks/record.py refuses a record whose cold-import probes would
-compile tdlab again: with PYTHONDONTWRITEBYTECODE set, bytecode that is
-missing or older than its source is never refreshed."""
+"""benchmarks/record.py runs bench/run.py without PYTHONDONTWRITEBYTECODE,
+so that the benchmark's untimed warm probe refreshes each tree's bytecode
+before its timed cold-import probes."""
 
 import importlib.util
+import json
 import os
-import py_compile
-
-import pytest
+import subprocess
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 _spec = importlib.util.spec_from_file_location(
@@ -15,32 +14,24 @@ record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(record)
 
 
-def _tree(root):
-    """A tree whose src/tdlab holds current, stale and missing bytecode."""
-    pkg = root / "src" / "tdlab"
-    pkg.mkdir(parents=True)
-    for name in ("current", "stale", "missing"):
-        (pkg / f"{name}.py").write_text("X = 1\n")
-    for name in ("current", "stale"):
-        py_compile.compile(str(pkg / f"{name}.py"), doraise=True)
-    cached = importlib.util.cache_from_source(str(pkg / "stale.py"))
-    mtime = os.stat(pkg / "stale.py").st_mtime
-    os.utime(cached, (mtime - 10, mtime - 10))
-    return [str(pkg / "missing.py"), str(pkg / "stale.py")]
-
-
-def test_names_bytecode_missing_or_older_than_its_source(tmp_path):
-    assert record.stale_bytecode(tmp_path) == []  # no src/tdlab at all
-    stale = _tree(tmp_path)
-    assert record.stale_bytecode(tmp_path) == stale
-
-
-def test_refuses_to_start_without_bytecode_writes(tmp_path, monkeypatch):
-    stale = _tree(tmp_path)
+def test_bench_runs_without_the_no_bytecode_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    with pytest.raises(SystemExit) as exc:
-        record.main([str(tmp_path), "--label", "refused"])
-    message = str(exc.value)
-    assert message.startswith("error: PYTHONDONTWRITEBYTECODE is set")
-    assert all(path in message for path in stale)
-    assert not (record.ROOT / "BENCH_refused.json").exists()
+    monkeypatch.setenv("TDLAB_RECORD_KEPT", "kept")
+    (tmp_path / "run.json").write_text(json.dumps({"python": "3"}))
+    calls = []
+
+    def run(args, **kwargs):
+        calls.append((args, kwargs))
+        out = ("record: run.json\n"
+               + json.dumps({"metrics": {"wall_s": {"value": 0.5}}}) + "\n")
+        return subprocess.CompletedProcess(args, 0, out, "")
+
+    monkeypatch.setattr(record.subprocess, "run", run)
+    assert record.bench(tmp_path, "sweep", 1, 3, 0) == (
+        {"wall_s": 0.5}, {"python": "3"})
+    [(args, kwargs)] = calls
+    assert args[1:3] == ["bench/run.py", "--workload"]
+    assert kwargs["cwd"] == tmp_path
+    want = dict(os.environ)
+    del want["PYTHONDONTWRITEBYTECODE"]
+    assert kwargs["env"] == want and want["TDLAB_RECORD_KEPT"] == "kept"
