@@ -16,7 +16,6 @@ _spec.loader.exec_module(record)
 
 def test_bench_runs_without_the_no_bytecode_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    monkeypatch.setenv("TDLAB_RECORD_KEPT", "kept")
     (tmp_path / "run.json").write_text(json.dumps({"python": "3"}))
     calls = []
 
@@ -34,4 +33,4 @@ def test_bench_runs_without_the_no_bytecode_variable(tmp_path, monkeypatch):
     assert kwargs["cwd"] == tmp_path
     want = dict(os.environ)
     del want["PYTHONDONTWRITEBYTECODE"]
-    assert kwargs["env"] == want and want["TDLAB_RECORD_KEPT"] == "kept"
+    assert kwargs["env"] == want and want
