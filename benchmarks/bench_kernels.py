@@ -17,8 +17,8 @@ OpenBLAS), on the unit lower band of 2x2 steps that ``_solve_recurrence``
 fills (k = 3), from the paper-5 linear differentiator's RK4 map at dt =
 1e-3, over 4096 steps (one full window) and over 16.  Each is the median
 CPU time per call of 7 batches of in-place solves after one more, the two
-routines taking turns; the script exits with an error if their solutions
-differ.
+routines taking turns and alternating which goes first; the script exits
+with an error if their solutions differ.
 
 It times the orbit layer on its own: the microseconds per step of the
 period of ``_kernels.periodic_orbit`` on one ``paper-4-hybrid`` point at
@@ -26,15 +26,17 @@ omega = 2 as ``sweep`` plans it (A = 1, the default step, an even step
 count n), solved over its full period (``orbit-full``, sign 1) and over its
 first half (``orbit-half``, sign -1, the solve ``sweep`` takes first, which
 returns the half extended by its negation), both divided by n.  Each is the
-median CPU time of 7 solves after one more, the two taking turns; the
-script exits with an error if either finds no orbit.
+median CPU time of 7 solves after one more, the two taking turns and
+alternating which goes first; the script exits with an error if either
+finds no orbit.
 
 Then it times the CSV layer on its own: the microseconds per row of
 ``cli._write_csv`` on a fixed table of 50 001 rows shaped like the one
 ``simulate --preset paper-3A`` writes (t, v, x1, x2, v_clean, dv_clean),
 and, as ``csv-format``, of a row-by-row ``'%.9g'`` writer on the same
 table, which must write the same bytes.  Each is the median CPU time of 5
-writes after one more, the two writers taking turns.
+writes after one more, the two writers taking turns and alternating which
+goes first.
 
 Usage:
     python benchmarks/bench_kernels.py
@@ -87,8 +89,8 @@ def csv_timings(repeats=5):
     writers = (("csv", cli._write_csv), ("csv-format", write_csv_by_format))
     times = {name: [] for name, _ in writers}
     with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(repeats + 1):
-            for name, write in writers:
+        for i in range(repeats + 1):
+            for name, write in writers[::1 if i % 2 == 0 else -1]:
                 t0 = time.process_time()
                 write(os.path.join(tmp, f"{name}.csv"), CSV_HEADER, columns)
                 times[name].append(time.process_time() - t0)
@@ -119,7 +121,7 @@ def dtbsv_timings(repeats=7):
         times = {name: [] for name, _ in solvers}
         solutions = []
         for i in range(repeats + 1):
-            for name, solve in solvers:
+            for name, solve in solvers[::1 if i % 2 == 0 else -1]:
                 xs = np.tile(rhs, (calls, 1))
                 t0 = time.process_time()
                 for x in xs:
@@ -139,11 +141,11 @@ def orbit_timings(repeats=7):
     p = pre.params
     _, *point = _plan(p, pre.signal.amplitude, 2.0, None)
     n = len(point[2])
-    signs = {"orbit-full": 1, "orbit-half": -1}
+    signs = (("orbit-full", 1), ("orbit-half", -1))
     gains = (p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha)
-    times = {name: [] for name in signs}
-    for _ in range(repeats + 1):
-        for name, sign in signs.items():
+    times = {name: [] for name, _ in signs}
+    for i in range(repeats + 1):
+        for name, sign in signs[::1 if i % 2 == 0 else -1]:
             t0 = time.process_time()
             [x] = _kernels.periodic_orbit([point], sign, *gains)
             times[name].append(time.process_time() - t0)

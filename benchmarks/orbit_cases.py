@@ -4,10 +4,10 @@
 Draws 60 valid nonlinear (a0 = b0 = 0) and hybrid gain sets, with eps
 log-uniform in [0.01, 0.2], gains uniform in [1e-3, 2] and alpha uniform
 in [0.05, 0.95], each with an amplitude uniform in [0.5, 5] and a
-frequency log-uniform in [1, 100] rad/s, and measures each point with
-``tdlab.sweep.measure_point`` at the default step.  The Newton solves of
-``_kernels.periodic_orbit`` are counted (measure_point solves its point as
-a batch of one, so a solve's map passes are its point's): a point
+frequency log-uniform in [1, 100] rad/s, and measures each point with a
+one-point ``tdlab.sweep.sweep`` at the default step.  The Newton solves of
+``_kernels.periodic_orbit`` are counted (a one-point sweep solves its point
+as a batch of one, so a solve's map passes are its point's): a point
 certifies its orbit from the linearization's guess, after warm-up runs,
 or not at all (it fails with "did not settle"); its iterations are the
 map passes ``_rk4_f`` that the solves take, and its orbit steps the steps
@@ -19,7 +19,7 @@ start from an orbit, i.e. get a 13th argument) and the steps of every
 band.
 
 Given the ``src`` of another checkout (e.g. the parent commit), its
-``measure_point`` runs on the same points too: each point runs REPEATS
+one-point ``sweep`` runs on the same points too: each point runs REPEATS
 times on each tree, alternating which goes first, and each tree's time is
 the median of its runs.  The band totals of those medians are printed,
 with the largest relative difference of track_mag between the trees.
@@ -43,7 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tdlab import _kernels  # noqa: E402
 from tdlab.dynamics import DiffParams  # noqa: E402
-from tdlab.sweep import measure_point  # noqa: E402
+from tdlab.sweep import sweep  # noqa: E402
 
 CASES, REPEATS = 60, 3
 BANDS = ((0.05, 0.25), (0.25, 0.3), (0.3, 0.6), (0.6, 0.95))
@@ -77,7 +77,7 @@ def load_tree(src):
 
 
 def instrument():
-    """Count what this tree's measure_point does from here on.
+    """Count what this tree's sweep does from here on.
 
     Returns (solves, tally): one [map passes, map steps, certified] per
     periodic_orbit call, i.e. per point solved, and a Counter of the
@@ -90,7 +90,7 @@ def instrument():
                                    _kernels._hybrid_loop)
 
     def counting_orbit(points, sign, *gains):
-        # measure_point solves its point as a batch of one, so each map
+        # a one-point sweep solves its point as a batch of one, so each map
         # pass of the batch is one of that point
         solves.append([0, 0, None])
         phase.append("orbit")
@@ -124,11 +124,12 @@ def instrument():
     return solves, tally
 
 
-def attempt(measure, p, A, omega):
-    """(track_mag or None, seconds) of one measure_point call."""
+def attempt(tree_sweep, p, A, omega):
+    """(track_mag or None, seconds) of a tree's sweep of the one omega."""
     t0 = time.perf_counter()
     try:
-        mag = measure(p, A, omega).track_mag
+        [point] = tree_sweep(p, A, [omega])
+        mag = point.track_mag
     except (ValueError, RuntimeError):  # InstabilityError of either tree
         mag = None
     return mag, time.perf_counter() - t0
@@ -143,7 +144,7 @@ def main(argv=None):
     solves, tally = instrument()
     rows, drawn = [], cases(args.seed)
     for alpha, p, A, omega in (next(drawn) for _ in range(CASES)):
-        sides = [measure_point] + ([other.measure_point] if other else [])
+        sides = [sweep] + ([other.sweep] if other else [])
         times = [[] for _ in sides]
         for rep in range(REPEATS):
             for k in range(len(sides))[::1 if rep % 2 == 0 else -1]:

@@ -53,7 +53,6 @@ from .simulate import (
 from .sweep import (
     MeasuredResponse,
     convergence_order,
-    measure_point,
     sweep,
     tracking_bandwidth,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "highgain_rhs",
     "hybrid_rhs",
     "linearize",
-    "measure_point",
     "natural_frequency",
     "noise_holds",
     "omega_factor",

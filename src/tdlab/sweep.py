@@ -171,16 +171,6 @@ def _response(x: np.ndarray, A: float, omega: float) -> MeasuredResponse:
     )
 
 
-def measure_point(p: DiffParams, A: float, omega: float,
-                  dt: Optional[float] = None) -> MeasuredResponse:
-    """Measure tracking and derivative responses at one frequency.
-
-    The DFT bin of one period of the periodic orbit under A*sin(omega*t) at
-    the target step dt (_steady_periods, which raises "did not settle").
-    """
-    return _response(next(_steady_periods(p, A, [omega], dt)), A, omega)
-
-
 def convergence_order(family: Sequence[DiffParams], spec: SignalSpec) -> float:
     """Empirical tracking-error order: slope of log RMS(x1 - v) vs log eps.
 

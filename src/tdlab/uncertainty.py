@@ -43,9 +43,13 @@ class PlantConfig:
             raise ValueError(f"plant start x0 must be finite, got {self.x0}")
 
 
-def _check_finite(name: str, times, samples) -> None:
-    """Raise naming the first of times at which an input's samples are not
-    finite."""
+def _check_samples(name: str, times, samples) -> None:
+    """Raise naming an input whose samples are not shaped like its times,
+    or the first of times at which they are not finite."""
+    for t, s in zip(times, samples):
+        if s.shape != t.shape:
+            raise ValueError(f"PlantConfig.{name} returned shape {s.shape} "
+                             f"at times of shape {t.shape}: not vectorized")
     bad = [t[~np.isfinite(s)] for t, s in zip(times, samples)]
     if any(b.size for b in bad):
         first = min(float(b.min()) for b in bad if b.size)
@@ -57,8 +61,9 @@ def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
 
     sim supplies dt and t_end; the plant starts from cfg.x0, so sim.initial
     must be left at its default.  As in run, sim.dt must divide the noise
-    hold interval.  ValueError names the first step or midpoint time at
-    which u or delta is not finite.
+    hold interval.  ValueError names u or delta where its samples are not
+    shaped like their times, or the first step or midpoint time at which
+    they are not finite.
     """
     if sim.initial != DiffState(0.0, 0.0):
         raise ValueError("the plant starts from PlantConfig.x0, not from "
@@ -68,8 +73,8 @@ def simulate_plant(cfg: PlantConfig, sim: SimConfig) -> TimeSeries:
     _raise_if_beyond((cfg.x0,), "plant state")
     u, delta, u_mid, delta_mid = (np.asarray(f(s), dtype=float)
                                   for s in (t, tm) for f in (cfg.u, cfg.delta))
-    _check_finite("u", (t, tm), (u, u_mid))
-    _check_finite("delta", (t, tm), (delta, delta_mid))
+    _check_samples("u", (t, tm), (u, u_mid))
+    _check_samples("delta", (t, tm), (delta, delta_mid))
     forcing_mid = u_mid + delta_mid
     del tm, u_mid, delta_mid  # freed before the kernel allocates x
     x, bad = _kernels.integrate_relaxation(
@@ -89,11 +94,17 @@ def estimate_delta(ts: TimeSeries, p: DiffParams) -> TimeSeries:
     each step the input is interpolated linearly between the sample that
     opens the step and the one that closes it (no future samples beyond the
     step, no acausal smoothing).  Appends channels x1_hat, x2_hat and
-    delta_hat = x2_hat + x1_hat - u.
+    delta_hat = x2_hat + x1_hat - u.  The step is t[1] - t[0]; ValueError
+    names a record of fewer than 2 samples or a step not finite and positive.
     """
     y = ts.channel("y")
     u = ts.channel("u")
+    if len(ts.t) < 2:
+        raise ValueError(f"the record has {len(ts.t)} samples, fewer than 2")
     dt = ts.dt
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"the record's step t[1] - t[0] is {dt:g}, not "
+                         "finite and positive")
     y_mid = 0.5 * (y[:-1] + y[1:])
     x1h, x2h, bad = _kernels.integrate_hybrid(
         0.0, 0.0, y, y_mid, p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha,

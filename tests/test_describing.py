@@ -23,7 +23,7 @@ from tdlab.describing import (
 from tdlab.dynamics import DiffParams
 from tdlab.signals import SignalSpec
 from tdlab.simulate import eps_ladder
-from tdlab.sweep import convergence_order, measure_point
+from tdlab.sweep import convergence_order, sweep
 
 P3A = DiffParams(eps=1 / 45, a0=0.05, b0=0.3)
 P3B = DiffParams(eps=1 / 45, a1=0.099, b1=0.268, alpha=0.5)
@@ -195,8 +195,8 @@ class TestLinearize:
     lambda p: convergence_order(eps_ladder(p, [p.eps / 2**k
                                                for k in range(4)]),
                                 SignalSpec(1.0, 1.0)),
-    lambda p: measure_point(p, 1.0, 1.0, 1e-3),
-], ids=["natural_frequency", "convergence_order", "measure_point"])
+    lambda p: sweep(p, 1.0, [1.0], 1e-3),
+], ids=["natural_frequency", "convergence_order", "sweep"])
 def test_underflowing_natural_frequency_is_degenerate(call, monkeypatch):
     # sqrt(5e-324)/1e300 underflows to 0; every caller raises before it
     # divides by it or integrates anything

@@ -440,6 +440,28 @@ def test_gates_at_their_shipped_values(monkeypatch, n, alpha, newton):
         assert calls == [n] and passes == []
 
 
+def test_slope_floor_sets_the_passes_near_rest(monkeypatch):
+    # A 400-step lane at the paper-5 gains and dt = 0.25 ms that decays
+    # from x1 = 1e-9 under zero input, where |e| and |eps*x2| fall through
+    # the floors: Newton's slopes there are capped at |y| = _SLOPE_FLOOR =
+    # 1e-12, and it certifies the lane in 8 map passes with no loop call.
+    # A floor of 1e-9 gives up after 21 passes (the loop runs the lane),
+    # and one of 1e-15 takes 10.
+    f_pass, passes = _kernels._rk4_f, []
+
+    def counting_f(y1, *a):
+        passes.append(len(y1))
+        return f_pass(y1, *a)
+
+    monkeypatch.setattr(_kernels, "_rk4_f", counting_f)
+    calls = _count_loop_calls(monkeypatch)
+    n = 400
+    *_, bad = _kernels.integrate_hybrid(
+        1e-9, 0.0, np.zeros(n + 1), np.zeros(n), *astuple(P_HYBRID), 2.5e-4,
+        1e9)
+    assert bad == -1 and calls == [] and len(passes) == 8
+
+
 def test_limit_crossed_in_a_later_window(monkeypatch):
     # x1 tracks a ramp past limit = 10 near step 2600, after the first
     # 2048-step window: Newton retires that window, and when a certified

@@ -22,7 +22,7 @@ from tdlab.simulate import (
     time_grid,
 )
 from tdlab.presets import get_preset
-from tdlab.sweep import convergence_order
+from tdlab.sweep import convergence_order, sweep
 
 from oracles import bytes_per_step, fundamental_component
 
@@ -395,9 +395,7 @@ class TestCrossModuleGainAgreement:
     def test_simulated_gain_matches_analytic_response(self):
         # ten frequencies in [0.1, 3]*omega_n: steady gain within 0.5 %
         lin = linearize(P3A, 1.0)
-        from tdlab.sweep import measure_point
-
         for omega in np.linspace(0.1 * lin.omega_n, 3.0 * lin.omega_n, 10):
-            measured = measure_point(P3A, 1.0, omega, dt=1e-3)
+            measured = sweep(P3A, 1.0, [omega], dt=1e-3)[0]
             analytic = freq_response(lin, omega).mag
             assert measured.track_mag == pytest.approx(analytic, rel=5e-3)

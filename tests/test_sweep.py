@@ -13,12 +13,7 @@ from tdlab.dynamics import DiffParams, DiffState, hybrid_rhs
 from tdlab.signals import SignalSpec, sinusoid
 from tdlab.simulate import (STATE_LIMIT, InstabilityError, SimConfig,
                             TimeSeries, default_dt, rk4_step, run, time_grid)
-from tdlab.sweep import (
-    MeasuredResponse,
-    measure_point,
-    sweep,
-    tracking_bandwidth,
-)
+from tdlab.sweep import MeasuredResponse, sweep, tracking_bandwidth
 
 from oracles import fundamental_component
 
@@ -95,7 +90,7 @@ class TestFundamentalComponent:
 
 class TestMeasurePoint:
     def test_linear_at_two_rad_s(self):
-        m = measure_point(P3A, 5.0, 2.0, dt=1e-3)
+        m = sweep(P3A, 5.0, [2.0], dt=1e-3)[0]
         assert m.deriv_mag == pytest.approx(1.0033, abs=0.01)
         assert m.deriv_phase_deg == pytest.approx(-15.5, abs=1.0)
 
@@ -103,28 +98,28 @@ class TestMeasurePoint:
         # analytic phase at 0.2 rad/s is -1.53 deg (not yet zero); the
         # measured point must sit on the analytic curve and the lag must
         # keep shrinking toward DC
-        m = measure_point(P3A, 1.0, 0.2, dt=1e-3)
+        m = sweep(P3A, 1.0, [0.2], dt=1e-3)[0]
         assert m.track_mag == pytest.approx(1.0, abs=0.01)
         ref = freq_response(linearize(P3A, 1.0), 0.2)
         assert m.track_phase_deg == pytest.approx(ref.phase_deg, abs=0.2)
-        lower = measure_point(P3A, 1.0, 0.05, dt=1e-3)
+        lower = sweep(P3A, 1.0, [0.05], dt=1e-3)[0]
         assert abs(lower.track_phase_deg) < abs(m.track_phase_deg) < 2.0
 
     def test_hybrid_tracks_below_two_pi(self):
         for omega in (0.5, 2.0, 2 * math.pi):
-            m = measure_point(P4_HYBRID, 1.0, omega, dt=5e-4)
+            m = sweep(P4_HYBRID, 1.0, [omega], dt=5e-4)[0]
             assert m.track_mag >= 0.95
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, math.inf, math.nan])
     def test_rejects_bad_step(self, dt):
         # a non-positive dt would otherwise fall back to 16 steps per period
         with pytest.raises(ValueError, match="dt must be finite and positive"):
-            measure_point(P3A, 1.0, 2.0, dt=dt)
+            sweep(P3A, 1.0, [2.0], dt=dt)
 
     def test_step_count_checked_before_rounding(self):
         # period/dt overflows to inf, which math.ceil cannot round
         with pytest.raises(ValueError, match="MAX_STEPS"):
-            measure_point(P3A, 1.0, 1.0, dt=1e-320)
+            sweep(P3A, 1.0, [1.0], dt=1e-320)
 
 
 class TestSweep:
@@ -171,7 +166,7 @@ class TestSweep:
 
     def test_error_names_offending_frequency(self):
         with pytest.raises(ValueError, match="omega="):
-            # amplitude <= 0 fails inside measure_point for every point
+            # amplitude <= 0 fails the plan of every point
             sweep(P3A, -1.0, [1.0, 2.0])
         # the original exception propagates with its failure time intact
         with pytest.raises(InstabilityError, match="omega=0.5 rad/s") as err:
@@ -193,7 +188,7 @@ class TestSweep:
 
     def test_points_solved_together_read_as_alone(self, monkeypatch):
         # consecutive nonlinear points share one orbit Newton, and each
-        # reads bit for bit what measure_point reads of it alone
+        # reads bit for bit what a one-point sweep reads of it alone
         omegas = np.logspace(1.0, math.log10(60.0), 5)
         sizes, orbit = [], _kernels.periodic_orbit
         monkeypatch.setattr(_kernels, "periodic_orbit",
@@ -201,7 +196,7 @@ class TestSweep:
                             or orbit(pts, *a))
         got = sweep(P4_NONLINEAR, 1.0, omegas)
         assert sizes[0] > 1
-        assert got == [measure_point(P4_NONLINEAR, 1.0, w) for w in omegas]
+        assert got == [sweep(P4_NONLINEAR, 1.0, [w])[0] for w in omegas]
 
     def test_linear_point_reads_its_closed_form_orbit(self, monkeypatch):
         # Phi of the step attracts, so the measured pass starts from
@@ -211,7 +206,7 @@ class TestSweep:
         monkeypatch.setattr(_kernels, "integrate_hybrid",
                             lambda *a: guesses.append(a[12]) or kernel(*a))
         omega = 5.0
-        measure_point(P3A, 1.0, omega)
+        sweep(P3A, 1.0, [omega])
         n = guesses[0].shape[1] - 1
         assert np.array_equal(guesses[0], _kernels.linear_orbit(
             1.0, omega, n, 2 * math.pi / omega / n, P3A.eps, P3A.a0,
@@ -249,7 +244,7 @@ def _closes(x, tol):
 
 
 class TestSteadyPeriod:
-    """measure_point reads the periodic orbit, which a plain run reaches
+    """A sweep point reads the periodic orbit, which a plain run reaches
     only after hundreds of periods."""
 
     @pytest.mark.parametrize("omega", [5.0, 32.07, 90.56])
@@ -301,7 +296,7 @@ class TestSteadyPeriod:
                             lambda *a: guesses.append(a[12]) or kernel(*a))
         monkeypatch.setattr(_kernels, "_rk4_f",
                             lambda *a: passes.append(len(a[3])) or f_pass(*a))
-        measure_point(p, 1.0, 7.0)
+        sweep(p, 1.0, [7.0])
         [([point], sign)], [period], [guess] = solves, periods, guesses
         n, k = guess.shape[1] - 1, guess.shape[1] // 2
         plan = sweep_module._plan(p, 1.0, 7.0, None)[1:]
@@ -360,7 +355,7 @@ class TestSteadyPeriod:
                                 orbit(*a) if len(solves) > 1 else [None]))
         monkeypatch.setattr(_kernels, "integrate_hybrid",
                             lambda *a: runs.append(a) or kernel(*a))
-        pt = measure_point(P4_NONLINEAR, 1.0, 32.07)
+        pt = sweep(P4_NONLINEAR, 1.0, [32.07])[0]
         guess = sweep_module._plan(P4_NONLINEAR, 1.0, 32.07, None)[1]
         assert solves[0][1] == -1 and np.array_equal(
             solves[0][0][0][0], guess, equal_nan=True)
@@ -416,7 +411,7 @@ class TestSteadyPeriod:
         monkeypatch.setattr(_kernels, "integrate_hybrid", shifted)
         monkeypatch.setattr(sweep_module, "SETTLE_PERIODS", 6)
         with pytest.raises(InstabilityError, match="did not settle"):
-            measure_point(P4_NONLINEAR, 1.0, 32.07)
+            sweep(P4_NONLINEAR, 1.0, [32.07])
 
     def test_unsettled_point_raises(self, monkeypatch):
         # at alpha = 0.1 the explicit step chatters: the start of each period
@@ -432,14 +427,14 @@ class TestSteadyPeriod:
             self, monkeypatch):
         # one period of the settled response, repeated three times, is a
         # record fundamental_component accepts; its trapezoid rule then is
-        # the DFT bin that measure_point takes of the single period
+        # the DFT bin that sweep takes of the single period
         omega, A, n = 7.0, 1.0, 200
         dt = 2 * math.pi / omega / 199.5  # n steps a period
         x = next(sweep_module._steady_periods(P4_NONLINEAR, A, [omega], dt))
         assert x.shape == (2, n + 1)
         monkeypatch.setattr(sweep_module, "_steady_periods",
                             lambda *a: iter([x]))
-        pt = measure_point(P4_NONLINEAR, A, omega, dt)
+        pt = sweep(P4_NONLINEAR, A, [omega], dt)[0]
         t = np.arange(3 * n + 1) * (2 * math.pi / omega / n)
         record = TimeSeries(t=t, channels={
             c: np.append(np.tile(y[:-1], 3), y[0])
@@ -458,7 +453,7 @@ class TestSteadyPeriod:
         calls, kernel = [], _kernels.integrate_hybrid
         monkeypatch.setattr(_kernels, "integrate_hybrid",
                             lambda *a: calls.append(len(a)) or kernel(*a))
-        pt = measure_point(P4_NONLINEAR, 1.0, 2.0)
+        pt = sweep(P4_NONLINEAR, 1.0, [2.0])[0]
         assert 13 in calls and math.isfinite(pt.track_mag)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tdlab import _kernels
 from tdlab.dynamics import DiffParams, DiffState
 from tdlab.presets import get_preset, uncertainty_plant
 from tdlab.signals import NoiseSpec
@@ -58,6 +59,23 @@ class TestSimulatePlant:
         with pytest.raises(ValueError, match=rf"^PlantConfig\.{name} is not "
                            rf"finite at t={first} s$"):
             simulate_plant(plant, SimConfig(dt=1e-3, t_end=1.0))
+
+    @pytest.mark.parametrize("bad,shape", [
+        (lambda t: 0.0, r"\(\)"),
+        (lambda t: np.zeros(3), r"\(3,\)"),
+    ], ids=["scalar", "three-values"])
+    def test_rejects_input_that_is_not_vectorized(self, monkeypatch, bad,
+                                                  shape):
+        # named with the shape it returned before the kernel runs, not as
+        # len() of an unsized sample or an IndexError of the finite check
+        def integrated(*args):
+            raise AssertionError("integrated a plant of unshaped input")
+        monkeypatch.setattr(_kernels, "integrate_relaxation", integrated)
+        with pytest.raises(ValueError, match=rf"^PlantConfig\.u returned "
+                           rf"shape {shape} at times of shape \(1001,\): "
+                           "not vectorized$"):
+            simulate_plant(PlantConfig(u=bad, delta=np.cos),
+                           SimConfig(dt=1e-3, t_end=1.0))
 
     def test_rejects_dt_that_splits_a_noise_hold(self):
         plant = uncertainty_plant(noise=NoiseSpec(power=1e-4, sample_time=1e-6))
@@ -167,6 +185,19 @@ class TestEstimateDelta:
         assert np.array_equal(out.channel("delta_hat"),
                               out.channel("x2_hat") + out.channel("x1_hat")
                               - ts.channel("u"))
+
+    @pytest.mark.parametrize("t,message", [
+        ([0.0], r"^the record has 1 samples, fewer than 2$"),
+        ([0.0, 0.0], r"^the record's step t\[1\] - t\[0\] is 0, not finite "),
+        ([0.0, -1e-3], r"^the record's step t\[1\] - t\[0\] is -0\.001, not "),
+    ], ids=["one-sample", "zero-step", "negative-step"])
+    def test_rejects_a_record_without_a_positive_step(self, t, message):
+        # a record that simulate_plant did not make: named before the
+        # estimator runs, not an IndexError of its dt or a run at that step
+        ts = TimeSeries(t=np.array(t), channels={"y": np.ones(len(t)),
+                                                  "u": np.zeros(len(t))})
+        with pytest.raises(ValueError, match=message):
+            estimate_delta(ts, P5)
 
     def test_missing_channels_rejected(self):
         ts = TimeSeries(t=np.arange(10.0), channels={"y": np.zeros(10)})
