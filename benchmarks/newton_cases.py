@@ -7,15 +7,16 @@ in [0.05, 0.95], and runs each for 6000 steps at dt = default_dt times 1,
 2 or 5 on a noisy sine (amplitude in [0.5, 5], omega in [0.5, 10] rad/s,
 Gaussian noise of level [0, 0.5] at the grid points and the midpoints).
 Each case runs REPEATS times through ``_kernels._hybrid_loop`` and through
-``_kernels._newton_hybrid`` (the path of ``integrate_hybrid``),
-alternating which goes first, and each path's time is the median of its
-runs: single runs move band totals by up to 16 %.  The Newton path calls
-the loop at most once per lane, on the lane's tail from the window that
-failed its certificate, or on the whole lane.  Prints the total of the
-median times of both, per alpha band too, the lanes whose tail the loop
-ran, the steps it ran, the steps given to the map pass ``_rk4_f`` (F) and
-to the Jacobian pass ``_rk4_jac`` (J) per step of the band's lanes, and
-the largest difference from the loop relative to max(1, |x|).
+``_kernels.integrate_hybrid``, which takes the Newton path on these
+nonlinear lanes, alternating which goes first, and each path's time is
+the median of its runs: single runs move band totals by up to 16 %.  The
+Newton path calls the loop at most once per lane, on the lane's tail
+from the window that failed its certificate, or on the whole lane.
+Prints the total of the median times of both, per alpha band too, the
+lanes whose tail the loop ran, the steps it ran, the steps given to the
+map pass ``_rk4_f`` (F) and to the Jacobian pass ``_rk4_jac`` (J) per
+step of the band's lanes, and the largest difference from the loop
+relative to max(1, |x|).
 
 Usage:
     python benchmarks/newton_cases.py [--seed N]
@@ -87,7 +88,7 @@ def main(argv=None):
     rows = []
     worst, mismatched = 0.0, 0
     for alpha, kargs in cases(args.seed):
-        times = {loop: [], _kernels._newton_hybrid: []}
+        times = {loop: [], _kernels.integrate_hybrid: []}
         for rep in range(REPEATS):
             for path in list(times)[::1 if rep % 2 == 0 else -1]:
                 calls.clear()

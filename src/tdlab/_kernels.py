@@ -19,12 +19,12 @@ OpenBLAS that numpy ships and has loaded, else scipy's (``_load_dtbsv``).
 The nonlinear differentiator has a per-step loop, ``_hybrid_loop``.  Its
 acceleration x2' is written once, in ``_accel``; the x1 rate of each stage
 is the x2 of that stage's state.  The loop runs as plain Python at about
-8 us/step, so ``integrate_hybrid`` takes ``_newton_hybrid``: Newton's
-method on a window of RK4 steps that slides along the lane, whose first
-guess is the describing-function linearization of the lane and whose every
-iteration is one ``_solve_recurrence`` with per-step Jacobians.  Steps
-leave the window only on a certificate of their ``_residuals``, and only
-those still in it take the Jacobian pass (``_rk4_jac``) after the map pass.
+8 us/step, so ``integrate_hybrid`` takes Newton's method on a window of
+RK4 steps that slides along the lane, whose first guess is the
+describing-function linearization of the lane and whose every iteration
+is one ``_solve_recurrence`` with per-step Jacobians.  Steps leave the
+window only on a certificate of their ``_residuals``, and only those
+still in it take the Jacobian pass (``_rk4_jac``) after the map pass.
 Where Newton does not certify, the loop runs the rest of the lane, so
 every lane is a Newton prefix and at most one loop suffix.  On the paper-5
 input of ``benchmarks/bench_kernels.py`` that path takes about 1.3 us/step
@@ -48,7 +48,7 @@ from .describing import _equivalent_gains, natural_frequency
 from .dynamics import DiffParams
 
 
-#: Steps per _linear_rk4 solve and _newton_hybrid window; bounds temporaries.
+#: Steps per _linear_rk4 solve and integrate_hybrid window; bounds temporaries.
 _WINDOW_STEPS = 4096
 #: Lanes shorter than this run _hybrid_loop: a lane's fixed cost (the
 #: first guess and a few band solves) would not pay for itself.
@@ -208,25 +208,6 @@ def _linear_differentiator(eps, a0, b0):
     return [[0.0, 1.0], [-a0 * c, -b0 * eps * c]], [0.0, a0 * c]
 
 
-def integrate_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha,
-                     dt, limit, guess=None):
-    """Integrate the differentiator state (x1, x2) over a sampled input.
-
-    Dynamics: x1' = x2,
-              eps^2 * x2' = -a0*e - a1*sig(e)^alpha - b0*eps*x2
-                            - b1*sig(eps*x2)^alpha,   e = x1 - v(t).
-    guess, a (2, n + 1) trajectory such as a periodic_orbit, is where the
-    Newton path of a nonlinear lane starts; linear lanes ignore it.
-    """
-    if guess is not None and np.shape(guess) != (2, len(v_grid)):
-        raise ValueError(f"guess must have shape (2, {len(v_grid)})")
-    if a1 == 0.0 and b1 == 0.0:
-        return _linear_rk4(*_linear_differentiator(eps, a0, b0), (x1_0, x2_0),
-                           v_grid, v_mid, dt, limit)
-    return _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1,
-                          alpha, dt, limit, guess)
-
-
 def _accel(x1, x2, v, eps, a0, a1, b0, b1, alpha, inv_e2):
     """x2' of integrate_hybrid at state (x1, x2) and input value v."""
     e = x1 - v
@@ -333,25 +314,31 @@ def _rk4_jac(stages, eps, a0, a1, b0, b1, alpha, dt):
     return 1.0 + w * spa, w * spb, w * ska, 1.0 + w * skb
 
 
-def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
-                   limit, guess=None):
-    """_hybrid_loop's trajectory by Newton on a sliding window (DEER).
+def integrate_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha,
+                     dt, limit, guess=None):
+    """Integrate the differentiator state (x1, x2) over a sampled input.
 
-    The RK4 steps of a lane form one nonlinear system in all its states
-    (Lim et al., "Parallelizing non-linear sequential models over the
-    sequence length", ICLR 2024), the rows of one (2, n + 1) x.  Its first
-    guess is guess from the lane's start, else the linear propagator at the
+    Dynamics: x1' = x2,
+              eps^2 * x2' = -a0*e - a1*sig(e)^alpha - b0*eps*x2
+                            - b1*sig(eps*x2)^alpha,   e = x1 - v(t).
+    A linear set (a1 = b1 = 0) takes _linear_rk4 and ignores guess.  Else
+    the lane is _hybrid_loop's trajectory by Newton on a sliding window
+    (DEER): the RK4 steps of a lane form one nonlinear system in all its
+    states (Lim et al., "Parallelizing non-linear sequential models over
+    the sequence length", ICLR 2024), the rows of one (2, n + 1) x.  Its
+    first guess is guess, a (2, n + 1) trajectory such as a periodic_orbit,
+    from the lane's start, else the linear propagator at the
     describing-function gains (a0 + a1*N(A), b0 + b1*N(A)), A the largest
     |v| of the lane (or 1).  Each iteration takes the _residuals of the
     _WINDOW_STEPS steps after the frontier, the last state known to be
     final, and retires the longest prefix that is certified as a window:
     its largest relative residual passes _certified against the same
-    steps' previous evaluation, and every x[i+1] is inside limit.  The
-    steps after the new frontier are corrected by d[i+1] = J_i d[i] + r_i
-    from d = 0 by _solve_recurrence, so that rounding scales with the
-    residual, and only those steps need J_i.  Only x, the first guess's own
-    array, spans the lane: the previous evaluation, like every temporary,
-    spans the window.
+    steps' previous evaluation (a nan fails every longer prefix), and every
+    x[i+1] is inside limit.  The steps after the new frontier are
+    corrected by d[i+1] = J_i d[i] + r_i from d = 0 by _solve_recurrence,
+    so that rounding scales with the residual, and only those steps need
+    J_i.  Only x, the first guess's own array, spans the lane: the
+    previous evaluation, like every temporary, spans the window.
     The _WINDOW_STEPS steps from where the count began must retire before
     Newton _gives_up on their residuals, with no certified state past
     limit; else _hybrid_loop runs the lane from there to its end, so the
@@ -361,6 +348,11 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
     guess only.  All of it runs under np.errstate: a diverging lane
     overflows, in the loop's numpy scalars too, before its step is reported.
     """
+    if guess is not None and np.shape(guess) != (2, len(v_grid)):
+        raise ValueError(f"guess must have shape (2, {len(v_grid)})")
+    if a1 == 0.0 and b1 == 0.0:
+        return _linear_rk4(*_linear_differentiator(eps, a0, b0), (x1_0, x2_0),
+                           v_grid, v_mid, dt, limit)
     n = v_mid.shape[0]
     gains = (eps, a0, a1, b0, b1, alpha, dt)
     with np.errstate(all="ignore"):
@@ -388,13 +380,10 @@ def _newton_hybrid(x1_0, x2_0, v_grid, v_mid, eps, a0, a1, b0, b1, alpha, dt,
             e = min(s + _WINDOW_STEPS, n)
             r, rel, stages = _residuals(x[:, s:e + 1], v_grid[s:e + 1],
                                         v_mid[s:e], *gains)
-            # the largest residual of each prefix, scanned only up to the
-            # first past _NEWTON_TOL, from which no step retires (inf after)
-            j = _within_tol(rel)
-            top, low = np.full(e - s, np.inf), np.full(e - s, np.inf)
-            np.maximum.accumulate(rel[:j], out=top[:j])
-            np.maximum.accumulate(prev[:j], out=low[:j])
-            cert = np.flatnonzero(_certified(top, low))
+            # the largest residual of each prefix, now and before: one past
+            # _NEWTON_TOL, or a nan, fails every longer prefix
+            low = np.maximum.accumulate(prev[:e - s])
+            cert = np.flatnonzero(_certified(np.maximum.accumulate(rel), low))
             k = int(cert[-1]) + 1 if cert.size else 0
             past = np.flatnonzero(
                 (np.abs(x[:, s + 1:s + k + 1]) > limit).any(axis=0))
@@ -428,12 +417,6 @@ def _residuals(x, v_grid, v_mid, *gains):
     r = np.array(f) - x[:, 1:]
     rel = np.max(np.abs(r) / np.maximum(1.0, np.abs(x[:, 1:])), axis=0)
     return r, rel, stages
-
-
-def _within_tol(rel):
-    """Length of rel's longest prefix within _NEWTON_TOL (a nan ends it)."""
-    ok = rel <= _NEWTON_TOL
-    return ok.size if ok.all() else int(ok.argmin())
 
 
 def _certified(rel, prev):

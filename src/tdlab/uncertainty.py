@@ -95,16 +95,27 @@ def estimate_delta(ts: TimeSeries, p: DiffParams) -> TimeSeries:
     opens the step and the one that closes it (no future samples beyond the
     step, no acausal smoothing).  Appends channels x1_hat, x2_hat and
     delta_hat = x2_hat + x1_hat - u.  The step is t[1] - t[0]; ValueError
-    names a record of fewer than 2 samples or a step not finite and positive.
+    names a record of fewer than 2 samples, a step not finite and positive,
+    or the first step that differs from it by more than rounding.
     """
-    y = ts.channel("y")
-    u = ts.channel("u")
-    if len(ts.t) < 2:
-        raise ValueError(f"the record has {len(ts.t)} samples, fewer than 2")
+    t, y, u = ts.t, ts.channel("y"), ts.channel("u")
+    if len(t) < 2:
+        raise ValueError(f"the record has {len(t)} samples, fewer than 2")
     dt = ts.dt
     if not 0.0 < dt < math.inf:
         raise ValueError(f"the record's step t[1] - t[0] is {dt:g}, not "
                          "finite and positive")
+    # a grid t[0] + i*dt rounds each step by under len(t) ulps of its
+    # largest |t|, which |t[0]| + len(t)*dt bounds (t[-1] may not be finite)
+    tol = len(t) * np.finfo(float).eps * (abs(t[0]) + len(t) * dt)
+    with np.errstate(invalid="ignore"):  # a step inf - inf is nan
+        off = np.diff(t)
+    off -= dt
+    off = np.flatnonzero(~(np.abs(off, out=off) <= tol))
+    if off.size:
+        i = off[0]
+        raise ValueError(f"the record's step t[{i + 1}] - t[{i}] is "
+                         f"{t[i + 1] - t[i]:g}, not t[1] - t[0] = {dt:g}")
     y_mid = 0.5 * (y[:-1] + y[1:])
     x1h, x2h, bad = _kernels.integrate_hybrid(
         0.0, 0.0, y, y_mid, p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha,

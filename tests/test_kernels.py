@@ -5,6 +5,7 @@ bound from the OpenBLAS numpy ships, with scipy's as the fallback."""
 
 import _ctypes
 import ctypes
+import inspect
 import os
 import subprocess
 import sys
@@ -36,6 +37,30 @@ def _inputs(n=400, dt=1e-3, A=1.0, omega=2.0):
 
 def test_backend_reports_mode():
     assert _kernels.backend() == "python"
+
+
+_HYBRID_PARAMS = "x1_0 x2_0 v_grid v_mid eps a0 a1 b0 b1 alpha dt limit guess"
+
+
+@pytest.mark.parametrize("kernel, params, gains", [
+    ("integrate_hybrid", _HYBRID_PARAMS, astuple(P_HYBRID)),
+    ("integrate_hybrid", _HYBRID_PARAMS, (1 / 45, 0.05, 0.0, 0.3, 0.0, 1.0)),
+    ("integrate_highgain", "w1_0 w2_0 v_grid v_mid eps a0 b0 dt limit",
+     (1 / 45, 0.05, 0.3)),
+    ("integrate_relaxation", "x_0 g_grid g_mid k dt limit", (1.0,))],
+    ids=["hybrid-newton", "hybrid-linear", "highgain", "relaxation"])
+def test_kernels_keep_the_benchmarks_positions(kernel, params, gains):
+    # bench/workloads.py captures each kernel call and reads its arguments
+    # and results by position: the start states, the lane's input and the
+    # gains, then one trajectory row per state and the first divergent step
+    f = getattr(_kernels, kernel)
+    names = list(inspect.signature(f).parameters)
+    assert names == params.split()
+    states = [n for n in names if n.endswith("_0")]
+    v, vm = _inputs(n=_kernels._MIN_NEWTON_STEPS)
+    *rows, bad = f(*[0.0] * len(states), v, vm, *gains, 1e-3, 1e9)
+    assert len(rows) == len(states) and bad == -1
+    assert all(np.shape(x) == v.shape for x in rows)
 
 
 def test_hybrid_kernel_matches_generic_step():
@@ -226,7 +251,7 @@ def test_newton_path_matches_loop(hybrid, eps, gains, alpha, dt_per_eps,
     args = _nonlinear_case(hybrid, eps, gains, alpha, dt_per_eps, seed, n)
     with mock.patch.multiple(_kernels, _WINDOW_STEPS=max(1, n // slides),
                              _MIN_NEWTON_STEPS=1, _MIN_NEWTON_ALPHA=0.0):
-        *got, bad = _kernels._newton_hybrid(*args)
+        *got, bad = _kernels.integrate_hybrid(*args)
     *want, want_bad = _LOOP(*args)
     _assert_agree(got, bad, want, want_bad)
 
@@ -247,7 +272,7 @@ def test_newton_path_runs_the_loop_once_on_the_tail(
     with mock.patch.multiple(_kernels, _WINDOW_STEPS=max(1, n // slides),
                              _MIN_NEWTON_STEPS=1, _MIN_NEWTON_ALPHA=0.0,
                              _hybrid_loop=recording):
-        _kernels._newton_hybrid(*args)
+        _kernels.integrate_hybrid(*args)
     assert len(inputs) <= 1
     for v, vm in inputs:
         start = n - len(vm)
@@ -278,7 +303,7 @@ def test_divergent_lane_goes_through_loop(monkeypatch, min_steps):
     *want, want_bad = _LOOP(*args)
     calls = _count_loop_calls(monkeypatch)
     monkeypatch.setattr(_kernels, "_MIN_NEWTON_STEPS", min_steps)
-    *got, bad = _kernels._newton_hybrid(*args)
+    *got, bad = _kernels.integrate_hybrid(*args)
     assert calls == [50]
     assert bad == want_bad > 0
     for g, w in zip(got, want):
@@ -334,7 +359,7 @@ def test_presets_take_the_newton_path(monkeypatch):
     monkeypatch.setattr(_kernels, "_rk4_f", counting_f)
     monkeypatch.setattr(_kernels, "_rk4_jac", counting_j)
     calls = _count_loop_calls(monkeypatch)
-    *got, bad = _kernels._newton_hybrid(*args)
+    *got, bad = _kernels.integrate_hybrid(*args)
     assert calls == [] and bad == want_bad == -1
     for g, w in zip(got, want):
         assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
@@ -363,7 +388,7 @@ def test_steps_after_a_fallback_reach_the_rounding_floor(
     calls = _count_loop_calls(monkeypatch)
     monkeypatch.setattr(_kernels, "_WINDOW_STEPS", window)
     monkeypatch.setattr(_kernels, "_NEWTON_ITERS", iters)
-    x1, x2, bad = _kernels._newton_hybrid(*args)
+    x1, x2, bad = _kernels.integrate_hybrid(*args)
     assert calls == [loop_steps] and bad == want_bad == -1
     _assert_agree((x1, x2), bad, want, want_bad)
     (f1, f2), _ = _kernels._rk4_f(x1[:-1], x2[:-1], *args[2:11])
@@ -401,7 +426,7 @@ def test_residuals_above_the_tolerance_are_not_certified(monkeypatch):
     monkeypatch.setattr(_kernels, "_rk4_f", jittered)
     calls = _count_loop_calls(monkeypatch)
     lane = _bench_kernels_input()
-    _kernels._newton_hybrid(*lane)
+    _kernels.integrate_hybrid(*lane)
     assert calls == [len(lane[3])]
     assert _orbit(guess, *args) is None
 
@@ -411,6 +436,23 @@ def test_certified_once_the_residual_stops_shrinking():
     # rounding floor when it is no smaller than the previous evaluation's.
     assert _kernels._certified(1e-13, 1e-13)
     assert not _kernels._certified(1e-13, 2e-13)
+
+
+def test_nan_in_a_guess_ends_the_certified_prefix():
+    # A guess that is the loop's trajectory but for a nan at step 1500:
+    # the steps into and out of it have a nan residual, which fails every
+    # longer prefix, so no step from there on retires and the trajectory
+    # that comes back is the loop's, finite (a scan that skipped the nan
+    # would certify the whole lane, nan included).
+    v, vm = _inputs(n=3000, dt=1e-3, omega=1.0)
+    args = (0.0, 0.0, v, vm, *astuple(P_HYBRID), 1e-3, 1e9)
+    *want, want_bad = _LOOP(*args)
+    guess = np.array(want)
+    guess[:, 1500] = np.nan
+    *got, bad = _kernels.integrate_hybrid(*args, guess)
+    assert bad == want_bad == -1
+    assert np.isfinite(got).all()
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("n, alpha, newton", [
@@ -480,7 +522,7 @@ def test_limit_crossed_in_a_later_window(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_hybrid_loop", counting)
     monkeypatch.setattr(_kernels, "_WINDOW_STEPS", 2048)
-    *got, bad = _kernels._newton_hybrid(*args)
+    *got, bad = _kernels.integrate_hybrid(*args)
     _assert_agree(got, bad, want, want_bad)
     [(v_start, steps)] = starts
     start = int(np.flatnonzero(v == v_start)[0])  # the ramp is increasing

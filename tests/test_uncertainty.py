@@ -199,6 +199,33 @@ class TestEstimateDelta:
         with pytest.raises(ValueError, match=message):
             estimate_delta(ts, P5)
 
+    @pytest.mark.parametrize("t,message", [
+        ([0.0, 1e-3, 0.5, 0.501], r"^the record's step t\[2\] - t\[1\] is "
+         r"0\.499, not t\[1\] - t\[0\] = 0\.001$"),
+        ([0.0, 1e-3, 2e-3, math.inf], r"^the record's step t\[3\] - t\[2\] "
+         r"is inf, "),
+        ([0.0, 1e-3, math.nan, 3e-3], r"^the record's step t\[2\] - t\[1\] "
+         r"is nan, ")], ids=["499-ms-step", "infinite-end", "nan-sample"])
+    def test_rejects_a_record_whose_steps_differ(self, t, message):
+        # the estimator steps the whole record at t[1] - t[0], so a later
+        # step of another length (the 499 ms one ran as 1 ms) or one that
+        # is not finite is named before it runs
+        t = np.array(t)
+        y = np.sin(t) if np.isfinite(t).all() else np.zeros(len(t))
+        ts = TimeSeries(t=t, channels={"y": y, "u": np.zeros(len(t))})
+        with pytest.raises(ValueError, match=message):
+            estimate_delta(ts, P5)
+
+    def test_steps_rounded_far_from_zero_are_one_step(self):
+        # a grid offset to t = 1e4 rounds its 1 ms steps by up to an ulp
+        # of 1e4 (1.8e-12): the record runs as the unshifted one does
+        ts = simulate_plant(uncertainty_plant(), SimConfig(1e-3, 2.0))
+        shifted = TimeSeries(t=ts.t + 1e4, channels=ts.channels)
+        assert len(set(np.diff(shifted.t))) > 1
+        a, b = (estimate_delta(r, P5).channel("delta_hat")
+                for r in (ts, shifted))
+        assert np.allclose(a, b, rtol=0.0, atol=1e-9)
+
     def test_missing_channels_rejected(self):
         ts = TimeSeries(t=np.arange(10.0), channels={"y": np.zeros(10)})
         with pytest.raises(KeyError):
