@@ -106,16 +106,20 @@ def estimate_delta(ts: TimeSeries, p: DiffParams) -> TimeSeries:
         raise ValueError(f"the record's step t[1] - t[0] is {dt:g}, not "
                          "finite and positive")
     # a grid t[0] + i*dt rounds each step by under len(t) ulps of its
-    # largest |t|, which |t[0]| + len(t)*dt bounds (t[-1] may not be finite)
+    # largest |t|, which |t[0]| + len(t)*dt bounds (t[-1] may not be
+    # finite); checked a kernel window at a time, since a temporary of the
+    # record's length raised a run's peak RSS although freed before the run
     tol = len(t) * np.finfo(float).eps * (abs(t[0]) + len(t) * dt)
-    with np.errstate(invalid="ignore"):  # a step inf - inf is nan
-        off = np.diff(t)
-    off -= dt
-    off = np.flatnonzero(~(np.abs(off, out=off) <= tol))
-    if off.size:
-        i = off[0]
-        raise ValueError(f"the record's step t[{i + 1}] - t[{i}] is "
-                         f"{t[i + 1] - t[i]:g}, not t[1] - t[0] = {dt:g}")
+    w = _kernels._WINDOW_STEPS
+    for i0 in range(0, len(t) - 1, w):
+        with np.errstate(invalid="ignore"):  # a step inf - inf is nan
+            off = np.diff(t[i0:i0 + w + 1])
+        off -= dt
+        off = np.flatnonzero(~(np.abs(off, out=off) <= tol))
+        if off.size:
+            i = i0 + off[0]
+            raise ValueError(f"the record's step t[{i + 1}] - t[{i}] is "
+                             f"{t[i + 1] - t[i]:g}, not t[1] - t[0] = {dt:g}")
     y_mid = 0.5 * (y[:-1] + y[1:])
     x1h, x2h, bad = _kernels.integrate_hybrid(
         0.0, 0.0, y, y_mid, p.eps, p.a0, p.a1, p.b0, p.b1, p.alpha,

@@ -205,11 +205,15 @@ class TestEstimateDelta:
         ([0.0, 1e-3, 2e-3, math.inf], r"^the record's step t\[3\] - t\[2\] "
          r"is inf, "),
         ([0.0, 1e-3, math.nan, 3e-3], r"^the record's step t\[2\] - t\[1\] "
-         r"is nan, ")], ids=["499-ms-step", "infinite-end", "nan-sample"])
+         r"is nan, "),
+        (np.append(np.arange(5000) * 1e-3, 5.001), r"^the record's step "
+         r"t\[5000\] - t\[4999\] is 0\.002, ")],
+        ids=["499-ms-step", "infinite-end", "nan-sample", "second-window"])
     def test_rejects_a_record_whose_steps_differ(self, t, message):
         # the estimator steps the whole record at t[1] - t[0], so a later
-        # step of another length (the 499 ms one ran as 1 ms) or one that
-        # is not finite is named before it runs
+        # step of another length (the 499 ms one ran as 1 ms), in the first
+        # window of the check or after it, or one that is not finite is
+        # named before it runs
         t = np.array(t)
         y = np.sin(t) if np.isfinite(t).all() else np.zeros(len(t))
         ts = TimeSeries(t=t, channels={"y": y, "u": np.zeros(len(t))})
